@@ -17,10 +17,12 @@ seed — and sends back a small picklable record.  Three guarantees matter:
   ``smart`` modes and the locally-timestamped traces are diffed with
   :mod:`repro.analysis.trace_diff`; an empty diff means the Smart FIFO
   changed neither the behaviour nor the timing of that spec.  The two
-  halves of a pair are **independent jobs**: each worker ships back its
-  reordered trace lines (:class:`PairHalf`) and the diff happens at
-  aggregation, so a mostly-pairable campaign keeps every worker busy
-  instead of serializing both runs inside one job.
+  halves of a pair are **independent jobs**: each worker ships back the
+  digest of its reordered trace (:class:`PairHalf`) and the digests are
+  compared at aggregation, so a mostly-pairable campaign keeps every
+  worker busy instead of serializing both runs inside one job.  Pool jobs
+  travel in contiguous batches sized from the job count (see
+  :func:`_batch_size`).
 * **Shard transparency** — :meth:`CampaignRunner.shard_specs` partitions a
   campaign deterministically into ``N`` shards; running each shard on its
   own machine (``--shard i/N``), streaming the rows to JSONL and merging
@@ -501,6 +503,26 @@ def execute_pair(spec: ScenarioSpec) -> PairRecord:
 #: Job kinds (second element of a job tuple).  ``None`` marks a single-mode
 #: job; a mode string marks one half of a split pair.
 _JOB_SINGLE = None
+
+#: Batches each pool worker receives over a campaign (see _batch_size).
+_BATCHES_PER_WORKER = 16
+
+
+def _batch_size(job_count: int, processes: int) -> int:
+    """Jobs per pool task: about :data:`_BATCHES_PER_WORKER` batches per
+    worker, and 1 for campaigns of at most ``processes * 16`` jobs.
+
+    Campaign jobs take a millisecond or two, so sending them one at a time
+    makes pool traffic (pickling, the task and result queues, the pool's
+    threads) cost as much as the simulations.  Sixteen batches per worker
+    keep the tail short: when the queue drains, the other workers idle for
+    at most the one batch still running, about 1/16 of a worker's share.
+    Batches are contiguous slices of the job list, so the two halves of a
+    pair usually share a batch and recombine as soon as it returns.  A
+    killed campaign loses at most the batch in flight on each worker;
+    ``resume`` re-runs exactly the specs whose rows are missing.
+    """
+    return max(1, job_count // (processes * _BATCHES_PER_WORKER))
 
 
 def _execute_job(job):
@@ -1420,6 +1442,7 @@ class CampaignRunner:
         )
 
         telemetry = self._telemetry
+        ticker = self._ticker
         groups: Dict[Tuple[object, ...], List[ScenarioSpec]] = {}
         for spec in specs:
             if self.paired and spec_is_pairable(spec):
@@ -1443,6 +1466,8 @@ class CampaignRunner:
             assert evaluator.anchor_record is not None
             telemetry.counter("replay.groups_routed")
             routed[anchor.name] = evaluator.anchor_record
+            if ticker is not None:
+                ticker.item_done(anchor.name, detail=anchor.name)
             replayed: List[Tuple[ScenarioSpec, object]] = []
             for point in members[1:]:
                 point_t0 = time.monotonic() if telemetry.enabled else 0.0
@@ -1468,6 +1493,8 @@ class CampaignRunner:
                     telemetry.counter("replay.points_replayed")
                 routed[point.name] = replay_record(point, result, elapsed)
                 replayed.append((point, result))
+                if ticker is not None:
+                    ticker.item_done(point.name, detail=point.name)
             for picked in _validation_sample(
                 len(replayed), self.auto_replay_validate
             ):
@@ -1774,15 +1801,16 @@ class CampaignRunner:
                 processes = max(1, min(self.workers, 2 * len(specs)))
                 # One pool serves the whole campaign, so with workers > 1 all
                 # simulations run in worker processes (the parent only
-                # aggregates).  chunksize=1 keeps the load balanced: batching
-                # jobs would strand queued specs behind one slow spec, and
-                # imap_unordered streams results back in completion order so
-                # the JSONL sink persists each row as soon as it exists.
+                # aggregates).  Jobs travel in contiguous batches (see
+                # _batch_size) and imap_unordered streams each batch back
+                # in completion order, so the JSONL sink persists a
+                # batch's rows as soon as the batch returns.
                 with context.Pool(processes=processes) as pool:
                     runs, pairs, timeouts = self._execute(
                         specs,
                         lambda func, items: pool.imap_unordered(
-                            func, items, chunksize=1
+                            func, items,
+                            chunksize=_batch_size(len(items), processes),
                         ),
                         sink=sink,
                     )

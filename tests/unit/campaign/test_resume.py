@@ -108,6 +108,49 @@ class TestResume:
         with pytest.raises(ValueError, match="resume"):
             CampaignRunner(workers=1).run(CAMPAIGN, resume=True)
 
+    def test_batched_pool_file_resumes_exactly(self, tmp_path):
+        from repro.campaign import spec_is_pairable
+        from repro.campaign.runner import _batch_size
+        from repro.telemetry import load_events
+
+        from .test_runner import job_count, replicated_default_campaign
+
+        # default_campaign() x4: 136 jobs, which 2 workers take 4 at a time.
+        specs = replicated_default_campaign(4)
+        assert _batch_size(job_count(specs), 2) > 1
+        path = tmp_path / "batched.jsonl"
+        full = CampaignRunner(workers=2).run(specs, jsonl=str(path))
+        # A kill mid-campaign: the rows of the batches still in flight
+        # never arrive, and the row being written is torn.
+        lines = path.read_text().splitlines()
+        keep = len(lines) // 2
+        truncate_file(path, keep_lines=keep, torn_tail=lines[keep][:25])
+        kept = [json.loads(line) for line in lines[1:keep]]
+        done_runs = {(row["name"], row["mode"]) for row in kept if row["type"] == "run"}
+        done_pairs = {row["name"] for row in kept if row["type"] == "pair"}
+        expected = set()
+        for spec in specs:
+            if spec_is_pairable(spec):
+                if spec.name not in done_pairs:
+                    expected |= {(spec.name, "reference"), (spec.name, "smart")}
+            elif (spec.name, spec.mode) not in done_runs:
+                expected.add((spec.name, spec.mode))
+        assert expected
+
+        telemetry_dir = tmp_path / "telemetry"
+        resumed = CampaignRunner(workers=2, telemetry_dir=str(telemetry_dir)).run(
+            specs, jsonl=str(path), resume=True
+        )
+        assert resumed.fingerprint() == full.fingerprint()
+        assert merge_jsonl([str(path)]).fingerprint() == full.fingerprint()
+        executed = [
+            (event["attrs"]["spec"], event["attrs"]["mode"])
+            for event in load_events(str(telemetry_dir / "telemetry.jsonl"))
+            if event["kind"] == "span" and event["name"] == "campaign.execute"
+        ]
+        assert len(executed) == len(set(executed))
+        assert set(executed) == expected
+
     def test_corruption_in_the_middle_is_rejected(self, tmp_path):
         path, _ = run_full(tmp_path)
         lines = path.read_text().splitlines()

@@ -1,15 +1,22 @@
 """Unit tests for the campaign runner and its deterministic aggregation."""
 
+import io
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import (
     CampaignRunner,
     ScenarioSpec,
+    default_campaign,
     execute_pair,
     execute_spec,
+    spec_is_pairable,
+    sweep_point_specs,
 )
+from repro.campaign.runner import _batch_size
 
 SMALL_CAMPAIGN = [
     ScenarioSpec("writer_reader_d2", "writer_reader", depth=2),
@@ -101,6 +108,71 @@ class TestCampaignRunner:
         summary = result.summary()
         assert "fingerprint" in summary
         assert "all pairs equivalent: True" in summary
+
+
+def replicated_default_campaign(copies):
+    """``default_campaign()`` repeated ``copies`` times under new names."""
+    return [
+        replace(spec, name=f"{spec.name}_r{copy}", params=dict(spec.params))
+        for copy in range(copies)
+        for spec in default_campaign()
+    ]
+
+
+def job_count(specs):
+    """Pool jobs of a paired campaign: two per pairable spec."""
+    return sum(2 if spec_is_pairable(spec) else 1 for spec in specs)
+
+
+class TestBatching:
+    """Pool jobs travel in batches sized from the job count."""
+
+    def test_batch_size_is_one_up_to_sixteen_jobs_per_worker(self):
+        for processes in (1, 2, 3, 8):
+            for jobs in range(1, processes * 16 + 1):
+                assert _batch_size(jobs, processes) == 1
+            assert _batch_size(processes * 32, processes) == 2
+
+    def test_batch_size_never_yields_fewer_batches_than_workers(self):
+        for processes in (1, 2, 3, 8):
+            for jobs in range(1, 5000, 7):
+                size = _batch_size(jobs, processes)
+                batches = -(-jobs // size)
+                assert batches >= min(jobs, processes)
+                assert batches >= min(jobs, processes * 16)
+
+    def test_replicated_default_campaign_batches(self):
+        # 40 replicas: 1,360 jobs on 2 workers travel 42 to a batch.
+        assert _batch_size(job_count(replicated_default_campaign(40)), 2) == 42
+
+    def test_batched_pool_matches_inline(self):
+        specs = replicated_default_campaign(4)
+        assert _batch_size(job_count(specs), 2) > 1
+        inline = CampaignRunner(workers=1).run(specs)
+        pooled = CampaignRunner(workers=2).run(specs)
+        assert pooled.canonical_json() == inline.canonical_json()
+        assert pooled.fingerprint() == inline.fingerprint()
+        pids = pooled.worker_pids()
+        assert len(pids) >= 2
+        assert os.getpid() not in pids
+        assert len(pooled.pairs) == len(inline.pairs) > 0
+        for pair in pooled.pairs:
+            assert all(pid in pids for pid in pair.worker_pids)
+
+
+class TestProgress:
+    def test_auto_replayed_rows_are_counted(self, monkeypatch):
+        stream = io.StringIO()
+        monkeypatch.setattr("sys.stderr", stream)
+        anchor = {spec.name: spec for spec in default_campaign()}["mixed_d3"]
+        specs = [anchor] + sweep_point_specs(anchor, (1, 2, 4, 6, 16))
+        result = CampaignRunner(
+            workers=1, paired=False, auto_replay=True, progress=True
+        ).run(specs)
+        assert len(result.runs) == 6
+        assert any(run.evaluator == "replay" for run in result.runs)
+        final = stream.getvalue().splitlines()[-1]
+        assert final.startswith("[campaign] 6/6 done")
 
 
 class TestSplitPairs:

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Campaign shard/merge smoke gate (used by ``make campaign-smoke`` and CI).
 
-Runs a small campaign six ways and asserts the scale-out invariant:
+Runs a small campaign, and one larger one, eight ways and asserts the
+scale-out invariant:
 
 1. unsharded, inline (the reference fingerprint);
 2. shard 0/2 and shard 1/2, each across 2 worker processes, streaming
@@ -18,7 +19,10 @@ Runs a small campaign six ways and asserts the scale-out invariant:
 7. the unsharded campaign again with telemetry enabled — the
    fingerprint must still equal the pinned PR 3 constant (telemetry is
    a sideband, never an input), and the merged ``telemetry.jsonl`` is
-   left in the out dir for CI to upload.
+   left in the out dir for CI to upload;
+8. a campaign large enough for the pool to batch its jobs (the default
+   campaign four times over, under new names) on the worker pool — the
+   fingerprint must equal the inline run's byte for byte.
 
 The merged fingerprint must equal the unsharded one byte for byte — that
 is the property that makes multi-machine campaigns trustworthy.  The burst
@@ -46,6 +50,8 @@ from repro.campaign import (  # noqa: E402
     run_replay_sweep,
     sweep_point_specs,
 )
+from repro.campaign.runner import _batch_size  # noqa: E402
+from repro.campaign.spec import spec_is_pairable  # noqa: E402
 from repro.telemetry import load_events  # noqa: E402
 
 #: A fast subset of the default campaign covering old and new workloads.
@@ -258,6 +264,41 @@ def main(argv=None) -> int:
         f"{len(events)} events from {len(pids)} processes in "
         f"{merged_telemetry}"
     )
+
+    large = [
+        replace(spec, name=f"{spec.name}_r{copy}", params=dict(spec.params))
+        for copy in range(4)
+        for spec in default_campaign()
+    ]
+    jobs = sum(2 if spec_is_pairable(spec) else 1 for spec in large)
+    batch = _batch_size(jobs, args.workers)
+    print(
+        f"[smoke] batched pool run ({len(large)} specs, {jobs} jobs, "
+        f"{batch} per batch on {args.workers} workers)..."
+    )
+    if batch < 2:
+        print(
+            "FAIL: the batched-pool phase is too small to batch",
+            file=sys.stderr,
+        )
+        return 1
+    large_inline = CampaignRunner(workers=1).run(large)
+    large_pooled = CampaignRunner(workers=args.workers).run(large)
+    print(f"[smoke] batched fingerprint:   {large_pooled.fingerprint()}")
+    if large_pooled.fingerprint() != large_inline.fingerprint():
+        print(
+            "FAIL: batched pool fingerprint differs from the inline run "
+            f"({large_inline.fingerprint()})",
+            file=sys.stderr,
+        )
+        return 1
+    if not large_pooled.all_pairs_equivalent:
+        print(
+            "FAIL: batched pool campaign contains a non-equivalent pair",
+            file=sys.stderr,
+        )
+        return 1
+    print("[smoke] OK: batched pool reproduces the inline fingerprint")
     return 0
 
 
