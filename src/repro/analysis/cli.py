@@ -198,8 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="with --replay: cross-validate N sampled replayed points "
-        "against fresh simulations (0 = trust the anchor self-check)",
+        help="with --replay: cross-validate N replayed points per curve "
+        "against fresh simulations (0 = trust the anchor self-check); the "
+        "N are evenly spaced over the depths, each taken at the first "
+        "replayed depth at or after its position, and checked as they "
+        "replay, so at most N+1 replays' per-word dates are held",
     )
     add_csv_flag(fig5)
 
@@ -379,8 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="with --replay-sweep / --auto-replay: cross-validate N "
-        "sampled replayed points against fresh simulations (0 = trust "
-        "the anchor self-check)",
+        "replayed points per anchor against fresh simulations (0 = trust "
+        "the anchor self-check); the N are evenly spaced over the points, "
+        "each taken at the first replayed point at or after its position, "
+        "and checked as they replay, so at most N+1 replays' per-word "
+        "dates are held",
     )
     campaign.add_argument(
         "--auto-replay",

@@ -35,10 +35,8 @@ Entry points: ``python -m repro.analysis.cli campaign --workers 4`` and the
 """
 
 from .evaluators import (
-    Evaluator,
     ReplayEvaluator,
     ReplaySweepResult,
-    SimulateEvaluator,
     ValidationRecord,
     compare_replay_to_spool,
     record_spool,
@@ -87,11 +85,9 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CostModel",
-    "Evaluator",
     "JsonlSink",
     "ReplayEvaluator",
     "ReplaySweepResult",
-    "SimulateEvaluator",
     "ValidationRecord",
     "compare_replay_to_spool",
     "record_spool",

@@ -1,27 +1,23 @@
-"""The evaluator seam: one interface, two ways to price a sweep point.
+"""Record once, replay many: the sweep router.
 
 A campaign sweep evaluates the same workload at many (depth, quantum)
-points.  Historically every point was a full scheduler run; the paper's
+points.  Every point could be a full scheduler run; the paper's
 observables, however, are completely determined by the *dependency
 structure* of the anchor run — each FIFO access's producer date and the
 local-time gaps between accesses — which Smart-FIFO temporal decoupling
 keeps invariant across depth and quantum.  This module exploits that:
+:class:`ReplayEvaluator` records the anchor point **once** with a
+:class:`~repro.kernel.tracing.DependencyRecorder`, self-checks the
+recording bit-for-bit against the anchor, then prices every other point
+by replaying the recorded programs on :class:`~repro.replay.ReplayEngine`
+— no scheduler, no generators, no scenario rebuild.
 
-* :class:`SimulateEvaluator` — the historical path, one
-  :func:`~repro.campaign.runner.execute_spec` per point.
-* :class:`ReplayEvaluator` — records the anchor point **once** with a
-  :class:`~repro.kernel.tracing.DependencyRecorder`, self-checks the
-  recording bit-for-bit against the anchor, then prices every other
-  point by replaying the recorded programs on
-  :class:`~repro.replay.ReplayEngine` — no scheduler, no generators, no
-  scenario rebuild.
-
-Both produce :class:`~repro.campaign.runner.SpecRunRecord` rows in the
-same JSONL schema; replayed rows are tagged ``"evaluator": "replay"``
+Replayed points produce :class:`~repro.campaign.runner.SpecRunRecord`
+rows in the campaign's JSONL schema, tagged ``"evaluator": "replay"``
 (simulated rows omit the key, so pre-replay files are byte-identical).
-:func:`run_replay_sweep` is the one-simulation-per-sweep driver: anchor
-simulation + N replays + fresh-simulation cross-validation of a sampled
-subset.
+:func:`route_group` is the one routing loop — anchor simulation, N
+replays, fresh-simulation cross-validation of a sampled subset — behind
+both :func:`run_replay_sweep` and the campaign's ``--auto-replay``.
 """
 
 from __future__ import annotations
@@ -29,8 +25,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import (
@@ -114,28 +111,7 @@ def replay_record(
     )
 
 
-class Evaluator:
-    """Prices one sweep point as a :class:`SpecRunRecord`."""
-
-    kind = "abstract"
-
-    def evaluate(self, spec: ScenarioSpec) -> SpecRunRecord:
-        raise NotImplementedError
-
-
-class SimulateEvaluator(Evaluator):
-    """The historical evaluator: a full scheduler run per point."""
-
-    kind = "simulate"
-
-    def __init__(self, trace_sink: str = DEFAULT_TRACE_SINK):
-        self.trace_sink = trace_sink
-
-    def evaluate(self, spec: ScenarioSpec) -> SpecRunRecord:
-        return execute_spec(spec, self.trace_sink)
-
-
-class ReplayEvaluator(Evaluator):
+class ReplayEvaluator:
     """Replays one recorded anchor at arbitrary depth/quantum points.
 
     Construction records the anchor (or adopts a caller-provided spool),
@@ -147,8 +123,6 @@ class ReplayEvaluator(Evaluator):
     :class:`~repro.replay.ReplayError` here instead of silently
     producing wrong sweeps.
     """
-
-    kind = "replay"
 
     def __init__(
         self,
@@ -191,11 +165,6 @@ class ReplayEvaluator(Evaluator):
             depths=self.engine.retarget_depths(self.anchor.depth, spec.depth),
             quantum_fs=quantum_fs,
         )
-
-    def evaluate(self, spec: ScenarioSpec) -> SpecRunRecord:
-        start = time.perf_counter()
-        result = self.replay_point(spec)
-        return replay_record(spec, result, time.perf_counter() - start)
 
 
 def replay_group_key(spec: ScenarioSpec) -> Tuple[object, ...]:
@@ -321,19 +290,27 @@ class ValidationRecord:
 
 @dataclass
 class ReplaySweepResult:
-    """Everything :func:`run_replay_sweep` produces."""
+    """What the replay router (:func:`route_group`) made of one anchor
+    and its points, and what :func:`run_replay_sweep` returns."""
 
-    anchor: SpecRunRecord
-    rows: List[SpecRunRecord]
+    #: The anchor's simulated row (None only when :attr:`unreplayable`).
+    anchor: Optional[SpecRunRecord]
+    #: The anchor's row, then one row per point.  A refused point's row
+    #: is None until the caller prices it (``run_replay_sweep`` simulates
+    #: it).
+    rows: List[Optional[SpecRunRecord]]
     validations: List[ValidationRecord]
     record_seconds: float
     replay_seconds: float
     validate_seconds: float
-    #: ``(point name, reason)`` for points outside the validity envelope,
-    #: priced by a fresh simulation instead of a replay.
+    #: ``(point name, reason)`` for points outside the validity envelope.
     invalid_points: List[Tuple[str, str]] = field(default_factory=list)
     #: Wall time of the fresh-simulation fallbacks (0.0 when none).
     simulate_seconds: float = 0.0
+    #: Why the anchor cannot be replayed at all (a poisoned recording or
+    #: a failed self-check); set only by :func:`route_group`, which then
+    #: leaves every other field empty.
+    unreplayable: Optional[ReplayError] = None
 
     @property
     def all_validated(self) -> bool:
@@ -377,6 +354,127 @@ def _validation_sample(count: int, validate: int) -> List[int]:
     return picked
 
 
+def _cross_validate(
+    point: ScenarioSpec, result: ReplayResult, strict: bool, trace_sink: str,
+    telemetry,
+) -> ValidationRecord:
+    """Diff ``result`` against a fresh recorded run of ``point``; raise
+    :class:`~repro.replay.ReplayError` on any difference."""
+    with telemetry.span("replay.validate", spec=point.name):
+        fresh_spool, _ = record_spool(point, trace_sink)
+        if fresh_spool.poison is not None:
+            raise ReplayError(
+                f"validation run for {point.label} is not recordable: "
+                f"{fresh_spool.poison}"
+            )
+        fresh_result = ReplayEngine(fresh_spool).self_check()
+        diffs = compare_replay_to_spool(
+            result, fresh_spool, fresh_result, strict=strict
+        )
+    if diffs:
+        raise ReplayError(
+            f"replayed point {point.label} diverges from a fresh "
+            f"simulation: " + "; ".join(diffs[:6])
+        )
+    return ValidationRecord(point.name, True)
+
+
+def route_group(
+    anchor: ScenarioSpec,
+    points: Sequence[ScenarioSpec],
+    validate: int,
+    telemetry=NULL_TELEMETRY,
+    trace_sink: str = DEFAULT_TRACE_SINK,
+    on_row: Optional[Callable[[str], None]] = None,
+) -> ReplaySweepResult:
+    """Record and self-check ``anchor`` once, then replay ``points``.
+
+    A point outside the recording's validity envelope
+    (:class:`~repro.replay.ReplayInvalid`) is refused: its row is None
+    and its reason lands in ``invalid_points``.  ``min(validate,
+    replayed)`` replayed points are cross-validated against fresh
+    recorded simulations, each as soon as it has been replayed.  The
+    sampled positions are ``_validation_sample(len(points), validate)``;
+    each is served by the first replayed point at or after it, and
+    positions left unserved by refusals at the tail by the latest
+    replayed points not yet validated.  A result is dropped once it can
+    no longer be picked, so at most ``validate + 1`` replay results, with
+    their per-word dates, are alive at a time.
+
+    ``telemetry`` gets ``replay.record``, ``replay.point`` and
+    ``replay.validate`` spans and ``replay.points_replayed`` /
+    per-construct ``replay.refusals.*`` counters.  ``on_row`` is called
+    with the anchor's name and each replayed point's as its row is ready.
+    """
+    start = time.perf_counter()
+    try:
+        with telemetry.span("replay.record", spec=anchor.name):
+            evaluator = ReplayEvaluator(anchor, trace_sink=trace_sink)
+    except ReplayError as exc:
+        return ReplaySweepResult(None, [], [], 0.0, 0.0, 0.0, unreplayable=exc)
+    sweep = ReplaySweepResult(
+        anchor=evaluator.anchor_record,
+        rows=[evaluator.anchor_record],
+        validations=[],
+        record_seconds=time.perf_counter() - start,
+        replay_seconds=0.0,
+        validate_seconds=0.0,
+    )
+    if on_row is not None:
+        on_row(anchor.name)
+
+    def check(point: ScenarioSpec, result: ReplayResult) -> None:
+        t0 = time.perf_counter()
+        sweep.validations.append(_cross_validate(
+            point, result, evaluator.engine.strict, trace_sink, telemetry
+        ))
+        sweep.validate_seconds += time.perf_counter() - t0
+
+    targets = _validation_sample(len(points), validate)
+    served = 0  # targets[:served] have been validated
+    # The latest replayed points not yet validated, for the tail.
+    held: Deque[Tuple[ScenarioSpec, ReplayResult]] = deque()
+    for index, point in enumerate(points):
+        point_t0 = time.monotonic() if telemetry.enabled else 0.0
+        start = time.perf_counter()
+        try:
+            result = evaluator.replay_point(point)
+        except ReplayInvalid as exc:
+            if telemetry.enabled:
+                construct = getattr(exc, "construct", None) or "unspecified"
+                telemetry.counter(f"replay.refusals.{construct}")
+            sweep.invalid_points.append((point.name, str(exc)))
+            sweep.rows.append(None)
+            sweep.replay_seconds += time.perf_counter() - start
+            continue
+        if telemetry.enabled:
+            telemetry.span_at(
+                "replay.point", point_t0, time.monotonic() - point_t0,
+                spec=point.name,
+            )
+            telemetry.counter("replay.points_replayed")
+        sweep.rows.append(
+            replay_record(point, result, time.perf_counter() - start)
+        )
+        sweep.replay_seconds += time.perf_counter() - start
+        if on_row is not None:
+            on_row(point.name)
+        due = served < len(targets) and targets[served] <= index
+        if due:
+            served += 1
+        else:
+            held.append((point, result))
+        # Only the still unserved positions can fall back on held points.
+        while len(held) > len(targets) - served:
+            held.popleft()
+        if due:
+            check(point, result)
+        del result
+    while held:
+        check(*held.popleft())
+    return sweep
+
+
 def run_replay_sweep(
     anchor: ScenarioSpec,
     depths: Sequence[int] = (),
@@ -387,12 +485,17 @@ def run_replay_sweep(
 ) -> ReplaySweepResult:
     """One simulation per sweep: record the anchor, replay every point.
 
-    ``validate`` picks that many replayed points (evenly spaced across the
-    sweep) to re-run as *fresh recorded simulations* and compare against
-    the replay — end dates, counters, per-word completion dates, final
-    local times.  Any difference raises :class:`~repro.replay.ReplayError`
-    with the full diff; a sweep that validates is exact on the sampled
-    subset by checking, and exact everywhere by the engine's construction.
+    The :func:`sweep_point_specs` of ``depths`` and ``quanta_ns`` go
+    through :func:`route_group`.  ``validate`` replayed points — evenly
+    spaced, each the first replayed point at or after its position
+    (``validate=1`` checks the first replayed point) — are re-run as
+    *fresh recorded simulations* and compared against the replay: end
+    dates, counters, per-word completion dates, final local times.  Each
+    is checked as soon as it has replayed, so at most ``validate + 1``
+    replay results with their per-word dates are held at a time.  Any
+    difference raises :class:`~repro.replay.ReplayError` with the full
+    diff; a sweep that validates is exact on the sampled subset by
+    checking, and exact everywhere by the engine's construction.
 
     Points outside the recording's validity envelope
     (:class:`~repro.replay.ReplayInvalid` — a recorded branch outcome is
@@ -400,90 +503,19 @@ def run_replay_sweep(
     simulation for exactly those points: their rows are plain simulated
     rows and the refusals are reported in ``invalid_points``.
 
-    ``telemetry`` (an optional :mod:`repro.telemetry` sideband) gets one
-    span per phase — ``replay.record`` / ``replay.point`` /
-    ``replay.simulate_fallback`` / ``replay.validate`` — plus per-construct
-    ``replay.refusals.*`` counters; the default ``NULL_TELEMETRY`` makes
-    every emission a no-op.
+    ``telemetry`` (an optional :mod:`repro.telemetry` sideband) gets the
+    router's spans and counters plus one ``replay.simulate_fallback``
+    span per refused point; the default ``NULL_TELEMETRY`` makes every
+    emission a no-op.
     """
-    start = time.perf_counter()
-    with telemetry.span("replay.record", spec=anchor.name):
-        evaluator = ReplayEvaluator(anchor, trace_sink=trace_sink)
-    record_seconds = time.perf_counter() - start
-    anchor_record = evaluator.anchor_record
-    assert anchor_record is not None
-
     points = sweep_point_specs(anchor, depths, quanta_ns)
-    rows: List[Optional[SpecRunRecord]] = [anchor_record]
-    results: List[Optional[ReplayResult]] = []
-    invalid_points: List[Tuple[str, str]] = []
-    fallbacks: List[Tuple[int, ScenarioSpec]] = []
+    sweep = route_group(anchor, points, validate, telemetry, trace_sink)
+    if sweep.unreplayable is not None:
+        raise sweep.unreplayable
     start = time.perf_counter()
-    for point in points:
-        point_t0 = time.monotonic() if telemetry.enabled else 0.0
-        t0 = time.perf_counter()
-        try:
-            result = evaluator.replay_point(point)
-        except ReplayInvalid as exc:
-            if telemetry.enabled:
-                construct = getattr(exc, "construct", None) or "unspecified"
-                telemetry.counter(f"replay.refusals.{construct}")
-            invalid_points.append((point.name, str(exc)))
-            fallbacks.append((len(rows), point))
-            rows.append(None)
-            results.append(None)
-            continue
-        if telemetry.enabled:
-            telemetry.span_at(
-                "replay.point", point_t0, time.monotonic() - point_t0,
-                spec=point.name,
-            )
-            telemetry.counter("replay.points_replayed")
-        rows.append(replay_record(point, result, time.perf_counter() - t0))
-        results.append(result)
-    replay_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for row_index, point in fallbacks:
-        with telemetry.span("replay.simulate_fallback", spec=point.name):
-            rows[row_index] = execute_spec(point, trace_sink)
-    simulate_seconds = time.perf_counter() - start
-
-    replayed_indices = [
-        index for index, result in enumerate(results) if result is not None
-    ]
-    validations: List[ValidationRecord] = []
-    start = time.perf_counter()
-    for picked in _validation_sample(len(replayed_indices), validate):
-        index = replayed_indices[picked]
-        point = points[index]
-        with telemetry.span("replay.validate", spec=point.name):
-            fresh_spool, _ = record_spool(point, trace_sink)
-            if fresh_spool.poison is not None:
-                raise ReplayError(
-                    f"validation run for {point.label} is not recordable: "
-                    f"{fresh_spool.poison}"
-                )
-            fresh_result = ReplayEngine(fresh_spool).self_check()
-            diffs = compare_replay_to_spool(
-                results[index], fresh_spool, fresh_result,
-                strict=evaluator.engine.strict,
-            )
-        validations.append(ValidationRecord(point.name, not diffs, diffs))
-        if diffs:
-            raise ReplayError(
-                f"replayed point {point.label} diverges from a fresh "
-                f"simulation: " + "; ".join(diffs[:6])
-            )
-    validate_seconds = time.perf_counter() - start
-
-    return ReplaySweepResult(
-        anchor=anchor_record,
-        rows=rows,
-        validations=validations,
-        record_seconds=record_seconds,
-        replay_seconds=replay_seconds,
-        validate_seconds=validate_seconds,
-        invalid_points=invalid_points,
-        simulate_seconds=simulate_seconds,
-    )
+    for index, point in enumerate(points, 1):
+        if sweep.rows[index] is None:
+            with telemetry.span("replay.simulate_fallback", spec=point.name):
+                sweep.rows[index] = execute_spec(point, trace_sink)
+    sweep.simulate_seconds = time.perf_counter() - start
+    return sweep

@@ -1326,9 +1326,15 @@ class CampaignRunner:
         covered by ``budget``.
     auto_replay_validate:
         With ``auto_replay``: cross-validate this many replayed points per
-        group (evenly spaced) against fresh recorded simulations; any
-        divergence raises :class:`~repro.replay.ReplayError`.  ``0``
-        trusts the anchor self-check.
+        group against fresh recorded simulations; any divergence raises
+        :class:`~repro.replay.ReplayError`.  The sample is evenly spaced
+        over the group's points, each position served by the first
+        replayed point at or after it (``1`` checks the first replayed
+        point), and each is checked as soon as it has been replayed, so
+        at most ``auto_replay_validate + 1`` replay results with their
+        per-word dates are alive at a time (see
+        :func:`~repro.campaign.evaluators.route_group`).  ``0`` trusts the
+        anchor self-check.
     telemetry_dir:
         Optional directory receiving the :mod:`repro.telemetry` sideband:
         the parent writes ``parent.jsonl`` (sink/recombine timing, replay
@@ -1431,18 +1437,13 @@ class CampaignRunner:
         """
         # Imported here: evaluators imports execute_spec/_record_from from
         # this module, so a module-level import would be circular.
-        from ..replay import ReplayEngine, ReplayError, ReplayInvalid
-        from .evaluators import (
-            ReplayEvaluator,
-            _validation_sample,
-            compare_replay_to_spool,
-            record_spool,
-            replay_group_key,
-            replay_record,
-        )
+        from .evaluators import replay_group_key, route_group
 
         telemetry = self._telemetry
         ticker = self._ticker
+        on_row = None if ticker is None else (
+            lambda name: ticker.item_done(name, detail=name)
+        )
         groups: Dict[Tuple[object, ...], List[ScenarioSpec]] = {}
         for spec in specs:
             if self.paired and spec_is_pairable(spec):
@@ -1452,65 +1453,22 @@ class CampaignRunner:
         for members in groups.values():
             if len(members) < 2:
                 continue
-            anchor = members[0]
-            try:
-                with telemetry.span("replay.record", spec=anchor.name):
-                    evaluator = ReplayEvaluator(
-                        anchor, trace_sink=self.trace_sink
-                    )
-            except ReplayError:
+            anchor, points = members[0], members[1:]
+            route = route_group(
+                anchor, points, self.auto_replay_validate, telemetry,
+                self.trace_sink, on_row,
+            )
+            if route.unreplayable is not None:
                 # Poisoned recording or failed self-check: the whole group
                 # stays on the simulation path.
                 telemetry.counter("replay.poisoned_groups")
                 continue
-            assert evaluator.anchor_record is not None
             telemetry.counter("replay.groups_routed")
-            routed[anchor.name] = evaluator.anchor_record
-            if ticker is not None:
-                ticker.item_done(anchor.name, detail=anchor.name)
-            replayed: List[Tuple[ScenarioSpec, object]] = []
-            for point in members[1:]:
-                point_t0 = time.monotonic() if telemetry.enabled else 0.0
-                start = time.perf_counter()
-                try:
-                    result = evaluator.replay_point(point)
-                except ReplayInvalid as exc:
-                    # Outside the validity envelope: simulate it.  The
-                    # refusal construct (a human-readable branch name) is
-                    # counted so a sweep's envelope misses are attributable.
-                    if telemetry.enabled:
-                        construct = (
-                            getattr(exc, "construct", None) or "unspecified"
-                        )
-                        telemetry.counter(f"replay.refusals.{construct}")
-                    continue
-                elapsed = time.perf_counter() - start
-                if telemetry.enabled:
-                    telemetry.span_at(
-                        "replay.point", point_t0,
-                        time.monotonic() - point_t0, spec=point.name,
-                    )
-                    telemetry.counter("replay.points_replayed")
-                routed[point.name] = replay_record(point, result, elapsed)
-                replayed.append((point, result))
-                if ticker is not None:
-                    ticker.item_done(point.name, detail=point.name)
-            for picked in _validation_sample(
-                len(replayed), self.auto_replay_validate
-            ):
-                point, result = replayed[picked]
-                with telemetry.span("replay.validate", spec=point.name):
-                    fresh_spool, _ = record_spool(point, self.trace_sink)
-                    fresh_result = ReplayEngine(fresh_spool).self_check()
-                    diffs = compare_replay_to_spool(
-                        result, fresh_spool, fresh_result,
-                        strict=evaluator.engine.strict,
-                    )
-                if diffs:
-                    raise ReplayError(
-                        f"auto-replayed point {point.label} diverges from a "
-                        f"fresh simulation: " + "; ".join(diffs[:6])
-                    )
+            # Refused points (None rows) stay on the simulation path; the
+            # router counted them by construct.
+            for spec, row in zip(members, route.rows):
+                if row is not None:
+                    routed[spec.name] = row
         rows = [routed[spec.name] for spec in specs if spec.name in routed]
         if sink is not None:
             for row in rows:

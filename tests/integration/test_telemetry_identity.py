@@ -98,8 +98,14 @@ class TestSidebandSeparation:
         assert sorted(os.listdir(tele_dir)) == [MERGED_TELEMETRY]
         events = load_events(str(tele_dir / MERGED_TELEMETRY))
         pids = {event["pid"] for event in events}
-        # Parent + 3 pool workers.
-        assert len(pids) == 4
+        # The parent plus the pool workers that ran a job: with 8 short
+        # jobs, a late-starting third worker may run none and write no
+        # events, so at least 2 workers are required, not all 3.
+        parent = os.getpid()
+        workers = set(result.worker_pids())
+        assert parent in pids
+        assert pids <= {parent} | workers
+        assert len(pids & workers) >= 2
         components = {
             event["component"]
             for event in events

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Campaign shard/merge smoke gate (used by ``make campaign-smoke`` and CI).
 
-Runs a small campaign, and one larger one, eight ways and asserts the
+Runs a small campaign, and one larger one, nine ways and asserts the
 scale-out invariant:
 
 1. unsharded, inline (the reference fingerprint);
@@ -16,11 +16,15 @@ scale-out invariant:
    (random traffic) swept over depths through ``--auto-replay`` —
    the anchor simulates, every in-envelope point replays, and the
    campaign fingerprint must equal a pinned constant;
-7. the unsharded campaign again with telemetry enabled — the
+7. one replay router behind both entry points: the same conditional
+   anchor and depth grid (one depth outside the validity envelope) sent
+   through ``run_replay_sweep`` and through ``--auto-replay`` must give
+   identical deterministic rows and cross-validate the same points;
+8. the unsharded campaign again with telemetry enabled — the
    fingerprint must still equal the pinned PR 3 constant (telemetry is
    a sideband, never an input), and the merged ``telemetry.jsonl`` is
    left in the out dir for CI to upload;
-8. a campaign large enough for the pool to batch its jobs (the default
+9. a campaign large enough for the pool to batch its jobs (the default
    campaign four times over, under new names) on the worker pool — the
    fingerprint must equal the inline run's byte for byte.
 
@@ -234,6 +238,43 @@ def main(argv=None) -> int:
     print(
         f"[smoke] OK: anchor simulated once, {auto_replayed} points replayed, "
         "fingerprint matches the PR 9 recorded value"
+    )
+
+    print("[smoke] one router behind --replay-sweep and --auto-replay...")
+    router_depths = (1, 2, 4, 16)
+    swept = run_replay_sweep(cond_anchor, depths=router_depths, validate=2)
+    router_tele = os.path.join(args.out_dir, "router-telemetry")
+    routed = CampaignRunner(
+        workers=1, paired=False, auto_replay=True, auto_replay_validate=2,
+        telemetry_dir=router_tele,
+    ).run([cond_anchor] + sweep_point_specs(cond_anchor, router_depths))
+    swept_rows = {row.name: row.deterministic_row() for row in swept.rows}
+    routed_rows = {row.name: row.deterministic_row() for row in routed.runs}
+    if swept_rows != routed_rows:
+        print(
+            "FAIL: --replay-sweep and --auto-replay rows differ for the "
+            "same anchor and grid",
+            file=sys.stderr,
+        )
+        return 1
+    swept_checked = [record.name for record in swept.validations]
+    routed_checked = [
+        event["attrs"]["spec"]
+        for event in load_events(os.path.join(router_tele, "telemetry.jsonl"))
+        if event["kind"] == "span" and event["name"] == "replay.validate"
+    ]
+    if not swept.invalid_points or swept_checked != routed_checked:
+        print(
+            "FAIL: the two entry points validated different points "
+            f"({swept_checked} != {routed_checked}) or the grid had no "
+            "refused point",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"[smoke] OK: {len(swept_rows)} identical rows, "
+        f"{len(swept.invalid_points)} refused point(s) simulated, "
+        f"validated {', '.join(swept_checked)} through both entry points"
     )
 
     print("[smoke] telemetry-on run (sideband only, fingerprint pinned)...")
