@@ -13,8 +13,8 @@ campaign-scale engine:
 * :mod:`repro.campaign.scenarios` — builders for every repository workload
   (writer/reader, streaming, video, random traffic, bursty, arbiter
   contention, SoC case study) plus :func:`default_campaign`;
-* :mod:`repro.campaign.runner` — the :class:`CampaignRunner`, which shards
-  specs across a :mod:`multiprocessing` pool (each worker owns a private
+* :mod:`repro.campaign.runner` — the :class:`CampaignRunner`, which runs
+  specs inline or on long-lived worker processes (each run owns a private
   :class:`~repro.kernel.simulator.Simulator`), and the paired
   reference/Smart equivalence campaign built on
   :mod:`repro.analysis.trace_diff`;

@@ -10,8 +10,8 @@ a multi-host campaign engine, in four parts:
   cost-balanced partitioner behind ``--shard-by-cost i/N``;
 * :mod:`~repro.campaign.orchestrator.budget` — per-spec and per-campaign
   wall-clock limits (``--spec-timeout`` / ``--campaign-budget``), the
-  killable process-per-job executor and the deterministic ``timeout``
-  JSONL row;
+  process executor of long-lived, killable workers and the deterministic
+  ``timeout`` JSONL row;
 * :mod:`~repro.campaign.orchestrator.hosts` /
   :mod:`~repro.campaign.orchestrator.transport` — host descriptions and
   the pluggable launch/poll/collect protocol

@@ -1,22 +1,20 @@
-"""Run budgets: wall-clock limits a campaign is held to at execution time.
+"""Run budgets, and the process executor every multi-worker campaign runs on.
 
 The campaign's deterministic rows never carry wall-clock values, but the
 *scheduling* of a production campaign is all about wall clock: a stuck or
 pathologically slow spec must not hold a shard hostage.  This module
-provides the two pieces the :class:`~repro.campaign.runner.CampaignRunner`
-threads through its execution path when a budget is set:
+provides the pieces the :class:`~repro.campaign.runner.CampaignRunner`
+uses whenever its jobs leave the calling process:
 
 * :class:`RunBudget` — the declarative limits: a per-spec timeout (each
   worker job is killed once it has run that long) and a whole-campaign
   budget (when the campaign has run that long, every outstanding and
-  queued job is abandoned).
-* :func:`run_with_budget` — a process-per-job executor that can actually
-  *kill* an overrunning job.  A :mod:`multiprocessing` pool cannot
-  terminate a single task without poisoning the pool, so budgeted
-  execution launches one (bounded-concurrency) child process per job,
-  each reporting back over its own pipe; an overrun is enforced with
-  ``Process.terminate``.  Because each job has a private pipe, killing
-  one job can never corrupt another job's result channel.
+  queued job is abandoned).  A budget with no limit set is inactive.
+* :func:`run_with_budget` — the completion-order executor of long-lived
+  worker processes behind every multi-worker campaign.  Each worker owns
+  a private pipe, so killing the worker of an overrunning job never
+  touches another worker's channel; a replacement takes over the killed
+  worker's unstarted jobs.
 * :class:`TimeoutRecord` — the deterministic outcome of a killed job.
   The row records the spec identity, the killed mode, the *configured*
   limit and the scope (``"spec"`` or ``"campaign"``) — never the elapsed
@@ -35,11 +33,16 @@ byte-identical rows to an unbudgeted one.
 
 from __future__ import annotations
 
+import math
+import pickle
+import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Dict, Iterator, Optional, Tuple
+from queue import SimpleQueue
+from typing import Deque, Dict, Iterator, Optional, Tuple
 
 from ..spec import ScenarioSpec
 
@@ -140,39 +143,75 @@ class TimeoutRecord:
 
 
 # ---------------------------------------------------------------------------
-# The budgeted executor
+# The process executor
 # ---------------------------------------------------------------------------
-def _budget_worker(conn, func, job) -> None:
-    """Child-process body: run one job, ship the outcome over the pipe.
+#: Batches each worker receives over a campaign (see _batch_size).
+_BATCHES_PER_WORKER = 16
 
-    Top-level so it is picklable under any start method.  Exceptions are
-    shipped back (falling back to a stringified ``RuntimeError`` when the
-    original exception does not pickle) so the parent re-raises them
-    exactly like a :mod:`multiprocessing` pool would.
+
+def _batch_size(job_count: int, processes: int) -> int:
+    """Jobs per batch: about :data:`_BATCHES_PER_WORKER` batches per
+    worker, and 1 for campaigns of at most ``processes * 16`` jobs.
+
+    Campaign jobs take a millisecond or two, so sending them one at a time
+    makes pipe traffic cost as much as the simulations; sixteen batches per
+    worker keep the tail short.  Batches are contiguous slices of the job
+    list, so the two halves of a pair usually share a batch.  Unbudgeted
+    workers report per batch, so a killed campaign loses the batch running
+    on each worker; budgeted ones report per job, so a kill loses only the
+    running job (the rest of its batch is re-queued).  ``resume`` re-runs
+    exactly the missing specs.
     """
-    try:
-        payload = ("ok", func(job))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        import pickle
+    return max(1, job_count // (processes * _BATCHES_PER_WORKER))
 
+
+def _read_batches(conn, inbox: SimpleQueue) -> None:
+    """Worker reader thread: move each batch off the pipe on arrival, so
+    the parent's send never waits behind a running (or stuck) job."""
+    try:
+        while True:
+            inbox.put(conn.recv())
+    except EOFError:  # the parent is gone
+        inbox.put(None)
+
+
+def _worker_main(conn, func, per_job: bool) -> None:
+    """Worker-process body (top-level, so any start method can run it).
+
+    Results travel as ``("ok", [value, ...])``: one message per job with
+    ``per_job``, one per batch otherwise.  An exception is shipped back
+    (stringified when it does not pickle) and ends the worker.
+    """
+    inbox: SimpleQueue = SimpleQueue()
+    threading.Thread(
+        target=_read_batches, args=(conn, inbox), daemon=True
+    ).start()
+    for batch in iter(inbox.get, None):
         try:
-            pickle.dumps(exc)
-            payload = ("error", exc)
-        except Exception:
-            payload = ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
+            if per_job:
+                for job in batch:
+                    conn.send(("ok", [func(job)]))
+            else:
+                conn.send(("ok", [func(job) for job in batch]))
+        except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
+            try:
+                pickle.dumps(exc)
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            conn.send(("error", exc))
+            return
 
 
-def _kill(proc) -> None:
-    """Terminate a child, escalating to SIGKILL if it ignores SIGTERM."""
-    proc.terminate()
-    proc.join(timeout=2.0)
-    if proc.is_alive():  # pragma: no cover - needs a SIGTERM-ignoring child
-        proc.kill()
-        proc.join()
+@dataclass
+class _Worker:
+    """Parent-side handle of one worker: ``pending`` holds the jobs sent
+    and not yet reported, in run order; its head is the running job, which
+    started at ``started`` (exact with per-job reports)."""
+
+    proc: object
+    conn: object
+    started: float
+    pending: Deque = field(default_factory=deque)
 
 
 def run_with_budget(
@@ -182,9 +221,8 @@ def run_with_budget(
     budget: RunBudget,
     processes: int,
     mp_context,
-    poll_interval: float = 0.05,
 ) -> Iterator[Tuple]:
-    """Run ``func(job)`` for every job in bounded, killable child processes.
+    """Run ``func(job)`` for every job on long-lived, killable workers.
 
     Yields events in completion order:
 
@@ -193,104 +231,126 @@ def run_with_budget(
       or abandoned before/while running because the whole-campaign budget
       expired (``scope="campaign"``).
 
-    At most ``processes`` children run concurrently.  A child that raises
-    re-raises in the caller (after terminating the remaining children), a
-    child that dies without reporting raises :class:`RuntimeError`.  Each
-    job owns a private one-way pipe, so terminating one job cannot wedge
-    or corrupt the others' result channels.
+    ``min(processes, len(jobs))`` workers start from ``mp_context``, each
+    with a private pipe; each gets a batch (:func:`_batch_size`) and one
+    more queued ahead.  Workers report per batch, or per job when
+    ``budget`` is active: then a job running past ``spec_timeout_s`` kills
+    only its own worker, whose unstarted jobs go back to the head of the
+    queue for a replacement, and once ``campaign_budget_s`` expires every
+    worker is killed, results already in a pipe are honoured and every
+    other job times out.  A job that raises re-raises here once every
+    worker is reaped; a worker that dies without reporting raises
+    :class:`RuntimeError` naming its job.
     """
-    queue = deque(jobs)
-    #: conn -> (process, job, absolute spec deadline or None)
-    running: Dict[object, Tuple] = {}
-    start = time.monotonic()
-    campaign_deadline = (
-        start + budget.campaign_budget_s
-        if budget.campaign_budget_s is not None
-        else None
-    )
+    jobs = list(jobs)
+    per_job = budget.active
+    size = _batch_size(len(jobs), processes)
+    queue = deque(jobs[i:i + size] for i in range(0, len(jobs), size))
+    #: Workers with jobs pending, keyed by the parent's end of their pipe.
+    workers: Dict[object, _Worker] = {}
+    # An unset limit never expires (limits are validated positive).
+    spec_timeout = budget.spec_timeout_s or math.inf
+    campaign_deadline = time.monotonic() + (budget.campaign_budget_s or math.inf)
+
+    def start(n: int) -> None:
+        """Launch ``n`` workers; each gets a batch, then one more."""
+        for _ in range(n):
+            parent_conn, child_conn = mp_context.Pipe()
+            proc = mp_context.Process(
+                target=_worker_main, args=(child_conn, func, per_job),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            workers[parent_conn] = _Worker(proc, parent_conn, time.monotonic())
+        for worker in list(workers.values())[-n:] * 2:
+            feed(worker)
+
+    def feed(worker: _Worker) -> None:
+        """Queue the next batch on ``worker``; stop it once it is idle."""
+        if queue:
+            batch = queue.popleft()
+            worker.pending.extend(batch)
+            # A dead worker refuses the batch; its EOF, seen by the wait
+            # below, names the job it died on.
+            with suppress(OSError):
+                worker.conn.send(batch)
+        elif not worker.pending:
+            stop(worker)
+
+    def receive(worker: _Worker) -> list:
+        """The values of ``worker``'s next report; empty at its EOF."""
+        try:
+            status, payload = worker.conn.recv()
+        except (EOFError, OSError):
+            return []
+        if status == "error":
+            raise payload
+        for _ in payload:
+            worker.pending.popleft()
+        worker.started = time.monotonic()
+        return payload
+
+    def stop(worker: _Worker) -> None:
+        # SIGKILL: a stuck job gets no chance to ignore it.
+        worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+        del workers[worker.conn]
+
     try:
-        while queue or running:
-            while queue and len(running) < processes:
-                job = queue.popleft()
-                parent_conn, child_conn = mp_context.Pipe(duplex=False)
-                proc = mp_context.Process(
-                    target=_budget_worker, args=(child_conn, func, job),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                deadline = (
-                    time.monotonic() + budget.spec_timeout_s
-                    if budget.spec_timeout_s is not None
-                    else None
-                )
-                running[parent_conn] = (proc, job, deadline)
-            # Sleep until a result arrives or the nearest deadline, capped
-            # at poll_interval so new slots are refilled promptly.
-            now = time.monotonic()
-            wait_s = poll_interval
-            deadlines = [d for (_, _, d) in running.values() if d is not None]
-            if campaign_deadline is not None:
-                deadlines.append(campaign_deadline)
-            if deadlines:
-                wait_s = min(wait_s, max(0.0, min(deadlines) - now))
-            for conn in _connection_wait(list(running), timeout=wait_s):
-                proc, job, _ = running.pop(conn)
-                try:
-                    status, payload = conn.recv()
-                except EOFError:
-                    status, payload = "error", RuntimeError(
-                        f"budgeted worker for job {job!r} died without "
-                        f"reporting a result"
+        start(min(processes, len(jobs)))
+        while workers:
+            deadline = min(
+                [campaign_deadline]
+                + [worker.started + spec_timeout for worker in workers.values()]
+            )
+            timeout = (
+                None if deadline == math.inf
+                else max(0.0, deadline - time.monotonic())
+            )
+            for conn in _connection_wait(list(workers), timeout=timeout):
+                worker = workers[conn]
+                values = receive(worker)
+                if not values:
+                    # A batch report narrows the job down to its batch
+                    # only; a per-job report pins it.
+                    died_on = list(worker.pending)[:1 if per_job else size]
+                    raise RuntimeError(
+                        f"process worker {worker.proc.pid} died without "
+                        f"reporting a result for job(s) {died_on!r}"
                     )
-                conn.close()
-                proc.join()
-                if status == "error":
-                    raise payload
-                yield ("result", payload)
+                if len(worker.pending) <= size:
+                    feed(worker)
+                for value in values:
+                    yield "result", value
             now = time.monotonic()
-            if campaign_deadline is not None and now >= campaign_deadline:
-                for conn, (proc, job, _) in list(running.items()):
-                    # A job whose result is already in the pipe finished
-                    # within budget: honour it instead of mislabelling it
-                    # a timeout (the child is alive mid-write at worst,
-                    # so the recv completes).
-                    if conn.poll():
-                        try:
-                            status, payload = conn.recv()
-                        except EOFError:
-                            status = "gone"
-                        if status == "ok":
-                            conn.close()
-                            proc.join()
-                            yield ("result", payload)
-                            continue
-                        if status == "error":
-                            conn.close()
-                            proc.join()
-                            raise payload
-                    _kill(proc)
-                    conn.close()
-                    yield ("timeout", job, SCOPE_CAMPAIGN)
-                running.clear()
-                while queue:
-                    yield ("timeout", queue.popleft(), SCOPE_CAMPAIGN)
+            if now >= campaign_deadline:
+                for worker in list(workers.values()):
+                    # Kill first: a result already in the pipe finished
+                    # within budget.
+                    worker.proc.kill()
+                    worker.proc.join()
+                    while worker.conn.poll() and (values := receive(worker)):
+                        yield "result", values[0]
+                    stop(worker)
+                    queue.appendleft(worker.pending)
+                for batch in queue:
+                    for job in batch:
+                        yield "timeout", job, SCOPE_CAMPAIGN
                 return
-            for conn in list(running):
-                proc, job, deadline = running[conn]
-                if deadline is not None and now >= deadline:
-                    if conn.poll():
-                        # Finished at deadline-epsilon: the next
-                        # _connection_wait pass drains it as a result.
-                        continue
-                    _kill(proc)
-                    conn.close()
-                    del running[conn]
-                    yield ("timeout", job, SCOPE_SPEC)
+            for worker in list(workers.values()):
+                if now < worker.started + spec_timeout or worker.conn.poll():
+                    continue  # not overdue, or finished at deadline-epsilon
+                stop(worker)
+                job = worker.pending.popleft()
+                if worker.pending:
+                    queue.appendleft(worker.pending)
+                if queue:
+                    start(1)
+                yield "timeout", job, SCOPE_SPEC
     finally:
-        # Caller abandoned the generator (or a child raised): reap
-        # everything still running so no orphan keeps simulating.
-        for conn, (proc, _, _) in list(running.items()):
-            _kill(proc)
-            conn.close()
-        running.clear()
+        # Normal end, a raising job or an abandoned generator: reap every
+        # process so no orphan keeps simulating.
+        for worker in list(workers.values()):
+            stop(worker)

@@ -1,10 +1,11 @@
 """The parallel campaign engine.
 
 A campaign is a list of :class:`~repro.campaign.spec.ScenarioSpec`; the
-:class:`CampaignRunner` shards it across a :mod:`multiprocessing` pool.
-Each worker process builds its **own** :class:`~repro.kernel.simulator
-.Simulator` from the spec — runs are fully isolated and deterministic per
-seed — and sends back a small picklable record.  Three guarantees matter:
+:class:`CampaignRunner` runs it inline or on long-lived worker processes
+(:func:`~repro.campaign.orchestrator.budget.run_with_budget`).  Each run
+builds its **own** :class:`~repro.kernel.simulator.Simulator` from the
+spec — runs are fully isolated and deterministic per seed — and a worker
+sends back a small picklable record.  Three guarantees matter:
 
 * **Worker-count transparency** — the aggregated result (every field of
   :meth:`CampaignResult.aggregate_rows` and therefore
@@ -20,9 +21,9 @@ seed — and sends back a small picklable record.  Three guarantees matter:
   halves of a pair are **independent jobs**: each worker ships back the
   digest of its reordered trace (:class:`PairHalf`) and the digests are
   compared at aggregation, so a mostly-pairable campaign keeps every
-  worker busy instead of serializing both runs inside one job.  Pool jobs
-  travel in contiguous batches sized from the job count (see
-  :func:`_batch_size`).
+  worker busy instead of serializing both runs inside one job.  Jobs
+  travel to the workers in contiguous batches sized from the job count
+  (see :func:`~repro.campaign.orchestrator.budget._batch_size`).
 * **Shard transparency** — :meth:`CampaignRunner.shard_specs` partitions a
   campaign deterministically into ``N`` shards; running each shard on its
   own machine (``--shard i/N``), streaming the rows to JSONL and merging
@@ -69,8 +70,10 @@ the worker sink kind (``"list"`` restores the historical collector,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -105,7 +108,7 @@ DEFAULT_TRACE_SINK = "digest"
 MERGED_TELEMETRY = "telemetry.jsonl"
 
 #: Per-process cache of worker telemetry handles, keyed by
-#: ``(telemetry_dir, pid)``.  A pool worker reuses one appending
+#: ``(telemetry_dir, pid)``.  A worker process reuses one appending
 #: ``worker-<pid>.jsonl`` sideband for all its jobs; keying by pid keeps a
 #: forked child from writing through an entry inherited from its parent.
 _WORKER_TELEMETRY: Dict[Tuple[str, int], Telemetry] = {}
@@ -504,34 +507,14 @@ def execute_pair(spec: ScenarioSpec) -> PairRecord:
 #: job; a mode string marks one half of a split pair.
 _JOB_SINGLE = None
 
-#: Batches each pool worker receives over a campaign (see _batch_size).
-_BATCHES_PER_WORKER = 16
-
-
-def _batch_size(job_count: int, processes: int) -> int:
-    """Jobs per pool task: about :data:`_BATCHES_PER_WORKER` batches per
-    worker, and 1 for campaigns of at most ``processes * 16`` jobs.
-
-    Campaign jobs take a millisecond or two, so sending them one at a time
-    makes pool traffic (pickling, the task and result queues, the pool's
-    threads) cost as much as the simulations.  Sixteen batches per worker
-    keep the tail short: when the queue drains, the other workers idle for
-    at most the one batch still running, about 1/16 of a worker's share.
-    Batches are contiguous slices of the job list, so the two halves of a
-    pair usually share a batch and recombine as soon as it returns.  A
-    killed campaign loses at most the batch in flight on each worker;
-    ``resume`` re-runs exactly the specs whose rows are missing.
-    """
-    return max(1, job_count // (processes * _BATCHES_PER_WORKER))
-
 
 def _execute_job(job):
     """Dispatch one tagged campaign job (see ``CampaignRunner._execute``).
 
     ``job`` is ``(spec_index, half_mode, spec, trace_sink, trace_out)``,
     optionally extended with ``(telemetry_dir, enqueued_monotonic)``; the
-    index rides along so completion-order mappers (``imap_unordered``)
-    can be matched back to their spec without relying on submission order.
+    index rides along so results arriving in completion order can be
+    matched back to their spec without relying on submission order.
 
     With a telemetry directory the worker opens (once per process) an
     appending ``worker-<pid>.jsonl`` sideband and wraps the job in
@@ -567,12 +550,17 @@ def _execute_job(job):
     record = outcome if half_mode is _JOB_SINGLE else outcome.record
     with telemetry.span("campaign.serialize", spec=spec.name, mode=mode):
         # The canonical-row encode is the worker's share of getting the
-        # result onto the wire; the pool's own pickling cannot be timed
+        # result onto the wire; the pipe's own pickling cannot be timed
         # from inside the job.
         json.dumps(record.deterministic_row(), sort_keys=True)
     telemetry.counter("campaign.jobs_done")
     telemetry.flush()
     return index, half_mode, outcome
+
+
+def _run_inline(func, jobs):
+    """The inline executor: every job in order, in the calling process."""
+    return (("result", func(job)) for job in jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,7 +1249,8 @@ class CampaignRunner:
     ----------
     workers:
         Number of worker processes.  ``1`` (the default) runs inline in
-        the calling process — no pool, bit-identical aggregate.
+        the calling process; more start ``min(workers, jobs)`` long-lived
+        workers once per campaign.  Bit-identical aggregate either way.
     paired:
         When True (default) every pairable spec additionally runs the
         reference/Smart equivalence diff.  The two runs of a pair are
@@ -1287,13 +1276,13 @@ class CampaignRunner:
         shards will not partition consistently.
     budget:
         Optional :class:`~repro.campaign.orchestrator.budget.RunBudget`.
-        When a limit is set, jobs run in killable child processes (even
-        at ``workers=1``): an overrunning job is terminated and recorded
-        as a deterministic ``timeout`` row (see
-        :class:`~repro.campaign.orchestrator.budget.TimeoutRecord`);
-        ``--resume`` re-runs timed-out specs.  A budgeted campaign in
-        which nothing times out aggregates byte-identically to an
-        unbudgeted one.
+        When a limit is set, jobs run on worker processes (even at
+        ``workers=1``) that report every job: an overrunning job kills
+        only its own worker and is recorded as a deterministic ``timeout``
+        row (see :class:`~repro.campaign.orchestrator.budget
+        .TimeoutRecord`); ``--resume`` re-runs timed-out specs.  A
+        budgeted campaign in which nothing times out aggregates
+        byte-identically to an unbudgeted one.
     trace_sink:
         Kind of :class:`~repro.kernel.tracing.TraceSink` every worker
         simulation emits into (one of
@@ -1403,7 +1392,7 @@ class CampaignRunner:
         self.shard = shard
         self.shard_by_cost = shard_by_cost
         self.cost_model = cost_model
-        self.budget = budget
+        self.budget = budget if budget is not None else RunBudget()
         self.trace_sink = trace_sink
         self.trace_out = trace_out
         self.auto_replay = auto_replay
@@ -1433,7 +1422,7 @@ class CampaignRunner:
         simulated by the normal job path, and the rows produced here (one
         plain simulated row per recorded anchor, one replay-tagged row per
         successfully replayed point).  Persisted to ``sink`` immediately,
-        like pool results.
+        like worker results.
         """
         # Imported here: evaluators imports execute_spec/_record_from from
         # this module, so a module-level import would be circular.
@@ -1477,20 +1466,20 @@ class CampaignRunner:
         return remaining, rows
 
     # ------------------------------------------------------------------
-    def _execute(self, specs: Sequence[ScenarioSpec], mapper, sink=None):
+    def _execute(self, specs: Sequence[ScenarioSpec], executor, sink=None):
         """Run the campaign body with a completion-order job executor.
 
         Each spec becomes either one ``single`` job, or — when ``paired``
         is on and the spec is pairable — two independent half jobs (one per
         mode) whose results are recombined here; the half matching
         ``spec.mode`` doubles as the spec's single-mode run, so no
-        (spec, mode) simulates twice.  ``mapper`` yields completed
-        ``(spec_index, half_mode, outcome)`` triples in any order, which is
-        what lets pool workers stream results back as they finish (and the
-        JSONL sink persist them immediately).  A budget-killed job arrives
-        as a :class:`TimeoutRecord` outcome: it is persisted and
-        aggregated but never recombined — a pair with a timed-out half
-        simply has no pair row (the timeout row excuses it at merge time).
+        (spec, mode) simulates twice.  ``executor(func, jobs)`` yields
+        :func:`~repro.campaign.orchestrator.budget.run_with_budget` events
+        in completion order, so the JSONL sink persists each result as it
+        arrives.  A budget-killed job becomes a :class:`TimeoutRecord`: it
+        is persisted and aggregated but never recombined — a pair with a
+        timed-out half simply has no pair row (the timeout row excuses it
+        at merge time).
         """
         jobs = []
         for index, spec in enumerate(specs):
@@ -1504,15 +1493,25 @@ class CampaignRunner:
         ticker = self._ticker
         runs, pairs, timeouts = [], [], []
         halves: Dict[int, Dict[str, PairHalf]] = {}
-        for index, half_mode, outcome in mapper(_execute_job, jobs):
-            spec = specs[index]
-            if isinstance(outcome, TimeoutRecord):
-                timeouts.append(outcome)
+        for event in executor(_execute_job, jobs):
+            if event[0] == "timeout":
+                _, job, scope = event
+                half_mode, spec = job[1:3]
+                mode = spec.mode if half_mode is _JOB_SINGLE else half_mode
+                limit = (
+                    self.budget.campaign_budget_s
+                    if scope == SCOPE_CAMPAIGN
+                    else self.budget.spec_timeout_s
+                )
+                record = TimeoutRecord.for_spec(spec, mode, scope, limit)
+                timeouts.append(record)
                 if sink is not None:
-                    sink.timeout_completed(outcome)
+                    sink.timeout_completed(record)
                 if ticker is not None:
                     ticker.item_done(spec.name, detail=f"timeout {spec.name}")
                 continue
+            index, half_mode, outcome = event[1]
+            spec = specs[index]
             if half_mode is _JOB_SINGLE:
                 runs.append(outcome)
                 if sink is not None:
@@ -1535,7 +1534,7 @@ class CampaignRunner:
                     pending[MODE_REFERENCE], pending[MODE_SMART]
                 )
                 if not pair.equivalent and self.trace_sink != "null":
-                    # Failure path: the pool halves carry digests only, so
+                    # Failure path: the worker halves carry digests only, so
                     # re-run the pair inline over trace spools to upgrade
                     # the report to the full line-level diff
                     # (deterministic, hence identical for any worker
@@ -1583,42 +1582,6 @@ class CampaignRunner:
         # An inline (workers=1) run wrote its worker file from this very
         # process; drop the cached handle so a later run starts fresh.
         _WORKER_TELEMETRY.pop((self.telemetry_dir, os.getpid()), None)
-
-    def _budget_mapper(self, func, jobs):
-        """Completion-order mapper over killable child processes.
-
-        The budgeted twin of the pool mapper: jobs run through
-        :func:`repro.campaign.orchestrator.budget.run_with_budget`, which
-        terminates any job overrunning ``budget.spec_timeout_s`` and
-        abandons everything once ``budget.campaign_budget_s`` expires.  A
-        killed/abandoned job is translated into its deterministic
-        :class:`TimeoutRecord` here (the job tuple carries the spec).
-        """
-        import multiprocessing
-
-        context = multiprocessing.get_context(self.mp_start_method)
-        processes = max(1, min(self.workers, len(jobs)))
-        for event in run_with_budget(
-            func,
-            jobs,
-            budget=self.budget,
-            processes=processes,
-            mp_context=context,
-        ):
-            if event[0] == "result":
-                yield event[1]
-                continue
-            _, job, scope = event
-            index, half_mode, spec = job[0], job[1], job[2]
-            mode = half_mode if half_mode is not _JOB_SINGLE else spec.mode
-            limit = (
-                self.budget.campaign_budget_s
-                if scope == SCOPE_CAMPAIGN
-                else self.budget.spec_timeout_s
-            )
-            yield index, half_mode, TimeoutRecord.for_spec(
-                spec, mode, scope, limit
-            )
 
     def run(
         self,
@@ -1736,42 +1699,17 @@ class CampaignRunner:
             replay_rows: List[SpecRunRecord] = []
             if self.auto_replay and specs:
                 specs, replay_rows = self._auto_replay_pass(specs, sink=sink)
-            if self.budget is not None and self.budget.active and specs:
-                # Budgeted execution always runs jobs in killable child
-                # processes (even at workers=1): enforcing a wall-clock
-                # limit on an inline simulation would require cooperation
-                # from the overrunning code — exactly what a stuck spec
-                # does not give.
-                runs, pairs, timeouts = self._execute(
-                    specs, self._budget_mapper, sink=sink
+            executor = _run_inline
+            if self.workers > 1 or self.budget.active:
+                # Even at workers=1 a budget needs a worker process: a
+                # stuck inline simulation cannot be killed.
+                executor = functools.partial(
+                    run_with_budget,
+                    budget=self.budget,
+                    processes=self.workers,
+                    mp_context=multiprocessing.get_context(self.mp_start_method),
                 )
-            elif self.workers == 1 or not specs:
-                runs, pairs, timeouts = self._execute(
-                    specs,
-                    lambda func, items: (func(item) for item in items),
-                    sink=sink,
-                )
-            else:
-                import multiprocessing
-
-                context = multiprocessing.get_context(self.mp_start_method)
-                # Up to two jobs per spec (the split pair halves).
-                processes = max(1, min(self.workers, 2 * len(specs)))
-                # One pool serves the whole campaign, so with workers > 1 all
-                # simulations run in worker processes (the parent only
-                # aggregates).  Jobs travel in contiguous batches (see
-                # _batch_size) and imap_unordered streams each batch back
-                # in completion order, so the JSONL sink persists a
-                # batch's rows as soon as the batch returns.
-                with context.Pool(processes=processes) as pool:
-                    runs, pairs, timeouts = self._execute(
-                        specs,
-                        lambda func, items: pool.imap_unordered(
-                            func, items,
-                            chunksize=_batch_size(len(items), processes),
-                        ),
-                        sink=sink,
-                    )
+            runs, pairs, timeouts = self._execute(specs, executor, sink=sink)
         finally:
             if sink_file is not None:
                 sink_file.close()

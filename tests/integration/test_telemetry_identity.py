@@ -98,14 +98,13 @@ class TestSidebandSeparation:
         assert sorted(os.listdir(tele_dir)) == [MERGED_TELEMETRY]
         events = load_events(str(tele_dir / MERGED_TELEMETRY))
         pids = {event["pid"] for event in events}
-        # The parent plus the pool workers that ran a job: with 8 short
-        # jobs, a late-starting third worker may run none and write no
-        # events, so at least 2 workers are required, not all 3.
+        # The parent plus all 3 workers: every started worker gets a
+        # batch at start, so each runs at least one of the 8 jobs.
         parent = os.getpid()
         workers = set(result.worker_pids())
         assert parent in pids
-        assert pids <= {parent} | workers
-        assert len(pids & workers) >= 2
+        assert pids == {parent} | workers
+        assert len(workers) == 3
         components = {
             event["component"]
             for event in events

@@ -8,6 +8,9 @@ twin.
 """
 
 import json
+import multiprocessing
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +21,10 @@ from repro.campaign import (
     TimeoutRecord,
     merge_jsonl,
 )
+from repro.campaign import runner
+from repro.campaign.orchestrator.budget import _batch_size
+
+from .test_runner import job_count, replicated_default_campaign
 
 #: Per-burst busy wait of the slow spec; two bursts => >= 2x this wall
 #: time per mode, far above SPEC_TIMEOUT on any machine.
@@ -192,6 +199,25 @@ class TestCampaignBudget:
         assert len(result.timeouts) == 4
         assert not result.runs and not result.pairs
 
+    def test_expired_budget_honours_every_finished_job(self):
+        # 39 single jobs travel 2 to a batch on one worker; the slow spec
+        # runs second in its batch, so its batch mate has finished (and
+        # reported) when the budget expires during the spin.
+        slow = replace(SLOW, params={**SLOW.params, "slow_spin_ms": 600})
+        specs = replicated_default_campaign(2)
+        specs.insert(11, slow)
+        assert _batch_size(len(specs), 1) == 2
+        result = CampaignRunner(
+            workers=1, paired=False, budget=RunBudget(campaign_budget_s=1.0)
+        ).run(specs)
+        assert sorted(r.name for r in result.runs) == sorted(
+            spec.name for spec in specs[:11]
+        )
+        assert sorted(t.name for t in result.timeouts) == sorted(
+            spec.name for spec in specs[11:]
+        )
+        assert all(t.scope == "campaign" for t in result.timeouts)
+
     def test_worker_exception_still_propagates(self):
         # A failing spec must raise, not be mistaken for a timeout.
         bad = ScenarioSpec("bad", "writer_reader", depth=2,
@@ -200,6 +226,68 @@ class TestCampaignBudget:
             CampaignRunner(
                 workers=1, budget=RunBudget(spec_timeout_s=30.0)
             ).run([bad])
+
+
+class TestProcessExecutor:
+    """Budgeted and unbudgeted campaigns share long-lived workers."""
+
+    def test_budgeted_campaign_reuses_its_workers(self):
+        specs = replicated_default_campaign(4)
+        assert _batch_size(job_count(specs), 2) > 1
+        unbudgeted = CampaignRunner(workers=2).run(specs)
+        budgeted = CampaignRunner(
+            workers=2, budget=RunBudget(spec_timeout_s=600)
+        ).run(specs)
+        assert budgeted.complete
+        assert budgeted.fingerprint() == unbudgeted.fingerprint()
+        assert len(budgeted.worker_pids()) <= 2
+
+    def test_timeout_kills_one_job_not_its_batch(self, tmp_path):
+        # Unpaired, so the slow spec is a single job: 153 jobs travel 4 to
+        # a batch and the slow one runs second in its batch.
+        slow = replace(SLOW, params={**SLOW.params, "slow_spin_ms": 600})
+        specs = replicated_default_campaign(8)
+        specs.insert(41, slow)
+        assert _batch_size(len(specs), 2) == 4
+        path = str(tmp_path / "budget.jsonl")
+        result = CampaignRunner(
+            workers=2, paired=False, budget=RunBudget(spec_timeout_s=0.5)
+        ).run(specs, jsonl=path)
+        assert [(t.name, t.scope) for t in result.timeouts] == [
+            ("slow", "spec")
+        ]
+        assert sorted(r.name for r in result.runs) == sorted(
+            spec.name for spec in specs if spec is not slow
+        )
+        # Two workers plus the one that replaced the killed worker.
+        assert len(result.worker_pids()) == 3
+        healed = CampaignRunner(workers=2, paired=False).run(
+            specs, jsonl=path, resume=True
+        )
+        unbudgeted = CampaignRunner(workers=2, paired=False).run(specs)
+        assert healed.fingerprint() == unbudgeted.fingerprint()
+
+    @pytest.mark.parametrize("budget", [None, RunBudget(spec_timeout_s=60)])
+    def test_worker_death_names_its_job(self, monkeypatch, budget):
+        execute_job = runner._execute_job
+
+        def dying(job):
+            if job[2].name == "slow":
+                os._exit(3)
+            return execute_job(job)
+
+        monkeypatch.setattr(runner, "_execute_job", dying)
+        with pytest.raises(RuntimeError, match="died without reporting.*'slow'"):
+            CampaignRunner(
+                workers=2, mp_start_method="fork", budget=budget
+            ).run(CAMPAIGN)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_reproduce_the_inline_fingerprint(self):
+        inline = CampaignRunner(workers=1).run([FAST])
+        spawned = CampaignRunner(workers=2, mp_start_method="spawn").run([FAST])
+        assert spawned.fingerprint() == inline.fingerprint()
+        assert len(spawned.worker_pids()) == 2
 
 
 class TestTimeoutRecordRows:

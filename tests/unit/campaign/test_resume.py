@@ -110,7 +110,7 @@ class TestResume:
 
     def test_batched_pool_file_resumes_exactly(self, tmp_path):
         from repro.campaign import spec_is_pairable
-        from repro.campaign.runner import _batch_size
+        from repro.campaign.orchestrator.budget import _batch_size
         from repro.telemetry import load_events
 
         from .test_runner import job_count, replicated_default_campaign

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Campaign shard/merge smoke gate (used by ``make campaign-smoke`` and CI).
 
-Runs a small campaign, and one larger one, nine ways and asserts the
+Runs a small campaign, and one larger one, ten ways and asserts the
 scale-out invariant:
 
 1. unsharded, inline (the reference fingerprint);
@@ -24,9 +24,12 @@ scale-out invariant:
    fingerprint must still equal the pinned PR 3 constant (telemetry is
    a sideband, never an input), and the merged ``telemetry.jsonl`` is
    left in the out dir for CI to upload;
-9. a campaign large enough for the pool to batch its jobs (the default
-   campaign four times over, under new names) on the worker pool — the
-   fingerprint must equal the inline run's byte for byte.
+9. a campaign large enough for the workers to batch its jobs (the
+   default campaign four times over, under new names) on worker
+   processes — the fingerprint must equal the inline run's byte for byte;
+10. the same campaign under a generous run budget — the budgeted workers
+    report every job yet must reproduce the inline fingerprint, and the
+    campaign must reuse at most ``--workers`` worker processes.
 
 The merged fingerprint must equal the unsharded one byte for byte — that
 is the property that makes multi-machine campaigns trustworthy.  The burst
@@ -48,13 +51,14 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.campaign import (  # noqa: E402
     CampaignRunner,
+    RunBudget,
     ScenarioSpec,
     default_campaign,
     merge_jsonl,
     run_replay_sweep,
     sweep_point_specs,
 )
-from repro.campaign.runner import _batch_size  # noqa: E402
+from repro.campaign.orchestrator.budget import _batch_size  # noqa: E402
 from repro.campaign.spec import spec_is_pairable  # noqa: E402
 from repro.telemetry import load_events  # noqa: E402
 
@@ -340,6 +344,32 @@ def main(argv=None) -> int:
         )
         return 1
     print("[smoke] OK: batched pool reproduces the inline fingerprint")
+
+    print("[smoke] budgeted batched run (spec timeout 600 s, budget 3600 s)...")
+    budgeted = CampaignRunner(
+        workers=args.workers,
+        budget=RunBudget(spec_timeout_s=600, campaign_budget_s=3600),
+    ).run(large)
+    print(f"[smoke] budgeted fingerprint:  {budgeted.fingerprint()}")
+    if budgeted.fingerprint() != large_inline.fingerprint():
+        print(
+            "FAIL: budgeted fingerprint differs from the inline run "
+            f"({large_inline.fingerprint()})",
+            file=sys.stderr,
+        )
+        return 1
+    pids = budgeted.worker_pids()
+    if len(pids) > args.workers:
+        print(
+            f"FAIL: the budgeted campaign used {len(pids)} worker processes; "
+            f"expected at most {args.workers} long-lived workers",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"[smoke] OK: budgeted run reproduces the inline fingerprint on "
+        f"{len(pids)} worker processes"
+    )
     return 0
 
 
