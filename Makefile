@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench-check bench campaign-smoke orchestrate-smoke \
+.PHONY: test bench-quick bench-check bench campaign-smoke \
 	perfbench-smoke perfbench-compare
 
 # Tier-1 verification: the full unit/property/integration suite.
@@ -14,13 +14,6 @@ test:
 # the last phase runs a campaign big enough for the pool to batch jobs.
 campaign-smoke:
 	$(PYTHON) tools/campaign_smoke.py
-
-# Distributed-orchestrator gate: record a COSTS.json, drive 2 local
-# subprocess hosts x 2 workers through a cost-sharded campaign, and
-# assert the merged fingerprint equals the pinned unsharded one (leaves
-# orchestrate-smoke/{shard*,merged}.jsonl behind for CI artifacts).
-orchestrate-smoke:
-	$(PYTHON) tools/orchestrator_smoke.py
 
 # The benchmark declared in BENCHMARK.json (see perfbench/README.md): a
 # tiny run of every workload and metric, then the bound-by-bound verdict

@@ -32,9 +32,7 @@ the wall-clock shape in a machine-independent way.
 
 from __future__ import annotations
 
-import os
 import sys
-import tempfile
 import time
 from typing import Callable, Dict, List, Tuple
 
@@ -42,19 +40,11 @@ from repro.analysis import experiments
 from repro.campaign import (
     MODE_SMART,
     CampaignRunner,
-    CostModel,
     ScenarioSpec,
     default_campaign,
     execute_spec,
     run_replay_sweep,
     sweep_point_specs,
-)
-from repro.campaign.orchestrator import (
-    Orchestrator,
-    cost_shards,
-    estimated_makespans,
-    local_hosts,
-    makespan_spread,
 )
 from repro.kernel import Simulator
 from repro.kernel.simtime import TimeUnit
@@ -92,7 +82,6 @@ METRICS: Dict[str, bool] = {
     "case_study.smart_wall_s": False,
     "campaign.specs_per_s": True,
     "campaign.paired_specs_per_s": True,
-    "campaign.orchestrated_specs_per_s": True,
     "replay.points_per_s": True,
     "replay.speedup_vs_simulate": True,
     "replay.conditional_points_per_s": True,
@@ -100,12 +89,9 @@ METRICS: Dict[str, bool] = {
 }
 
 #: Metrics reported in the comparison but exempt from the regression gate
-#: (``tools/run_benchmarks.py --check``).  The orchestrated campaign is
-#: dominated by subprocess launch and poll-tick timing, which jitter far
-#: beyond the 20% threshold on a loaded CI box; its regressions print as
+#: (``tools/run_benchmarks.py --check``); their regressions print as
 #: ADVISORY instead of failing the run.
 ADVISORY_METRICS = {
-    "campaign.orchestrated_specs_per_s",
     # A ratio of two ~10ms walls hovering at 1.0: run-to-run jitter of a
     # few percent is normal and meaningless as a trajectory.  The hard
     # bound lives in bench_micro itself (TELEMETRY_OVERHEAD_LIMIT),
@@ -122,13 +108,6 @@ TELEMETRY_OVERHEAD_LIMIT = 1.05
 #: Worker processes used by the campaign scenario (the point of the metric
 #: is pool throughput, so > 1; kept small to stay meaningful on any CI box).
 CAMPAIGN_WORKERS = 2
-
-#: Shape of the orchestrated-campaign scenario: 2 local-subprocess hosts,
-#: each running its cost-balanced shard across 2 workers (so the metric
-#: covers subprocess launch, 4-way parallel simulation, JSONL collection
-#: and the merge).
-ORCHESTRATOR_HOSTS = 2
-ORCHESTRATOR_WORKERS_PER_HOST = 2
 
 #: Depths of the Fig. 5 sweep used by the harness (a subset of the pytest
 #: sweep, chosen to keep the committed numbers fast to regenerate).
@@ -367,98 +346,6 @@ def bench_campaign(repeats: int) -> Tuple[Dict[str, float], Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# Scenario: orchestrated multi-host campaign
-# ---------------------------------------------------------------------------
-def bench_orchestrator(repeats: int) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Throughput of the distributed orchestrator (repro.campaign.orchestrator).
-
-    The default campaign runs across ``ORCHESTRATOR_HOSTS`` local
-    subprocess hosts x ``ORCHESTRATOR_WORKERS_PER_HOST`` workers, sharded
-    by a ``COSTS.json`` recorded from a warm-up campaign — so the metric
-    covers host launch, the cost-balanced partition, 4-way parallel
-    simulation, shard collection and the merge.  ``detail`` additionally
-    reports the measured per-shard makespans of the cost partition
-    against a round-robin control run: the cost-balanced spread (max/min
-    shard wall) is the number the partitioner is accountable to.
-
-    Orchestrated runs are the most expensive scenario (every repeat is a
-    whole campaign plus process launches), so repeats are capped at 3;
-    the round-robin control runs once.
-    """
-    specs = default_campaign()
-    names = [spec.name for spec in specs]
-    with tempfile.TemporaryDirectory(prefix="bench_orchestrator_") as tmp:
-        costs_path = os.path.join(tmp, "COSTS.json")
-        warmup = CampaignRunner(workers=ORCHESTRATOR_WORKERS_PER_HOST).run(specs)
-        if not warmup.all_pairs_equivalent:
-            raise AssertionError("orchestrator warm-up: non-equivalent pair")
-        model = CostModel()
-        model.observe_result(warmup)
-        model.save(costs_path)
-
-        def orchestrate(label: str, by_cost: bool):
-            outcome = Orchestrator(
-                local_hosts(ORCHESTRATOR_HOSTS),
-                os.path.join(tmp, label),
-                workers_per_host=ORCHESTRATOR_WORKERS_PER_HOST,
-                shard_by_cost=by_cost,
-                costs_path=costs_path if by_cost else None,
-                poll_interval=0.02,
-            ).run(names)
-            if outcome.fingerprint() != warmup.fingerprint():
-                raise AssertionError(
-                    "orchestrator: merged fingerprint differs from the "
-                    "unsharded campaign"
-                )
-            return outcome
-
-        wall, outcome = _best_wall(
-            lambda: orchestrate("cost", True), min(repeats, 3)
-        )
-        control = orchestrate("round_robin", False)
-
-    # Shard makespans from the *recorded* per-spec wall times: the sum of
-    # measured spec walls per shard is the load each partitioner actually
-    # balances (the orchestrator-observed host walls, also reported, fold
-    # in interpreter start-up and poll-tick resolution, which swamp the
-    # signal at scale=quick).
-    shards_by_cost = cost_shards(specs, ORCHESTRATOR_HOSTS, model, paired=True)
-    shards_round_robin = [
-        CampaignRunner.shard_specs(specs, index, ORCHESTRATOR_HOSTS)
-        for index in range(ORCHESTRATOR_HOSTS)
-    ]
-    cost_spans = estimated_makespans(shards_by_cost, model, paired=True)
-    rr_spans = estimated_makespans(shards_round_robin, model, paired=True)
-
-    simulations = len(outcome.result.runs) + len(outcome.result.pairs)
-    metrics = {
-        "campaign.orchestrated_specs_per_s": simulations / wall,
-    }
-    detail = {
-        "hosts": ORCHESTRATOR_HOSTS,
-        "workers_per_host": ORCHESTRATOR_WORKERS_PER_HOST,
-        "simulations": simulations,
-        "wall_s": wall,
-        "fingerprint": outcome.fingerprint(),
-        "cost_balanced": {
-            "shard_sizes": [len(shard) for shard in shards_by_cost],
-            "makespans_recorded_s": cost_spans,
-            "spread_recorded": makespan_spread(cost_spans),
-            "host_walls_s": outcome.makespans(),
-            "host_wall_spread": outcome.makespan_spread(),
-        },
-        "round_robin": {
-            "shard_sizes": [len(shard) for shard in shards_round_robin],
-            "makespans_recorded_s": rr_spans,
-            "spread_recorded": makespan_spread(rr_spans),
-            "host_walls_s": control.makespans(),
-            "host_wall_spread": control.makespan_spread(),
-        },
-    }
-    return metrics, detail
-
-
-# ---------------------------------------------------------------------------
 # Scenario: record-and-replay depth sweep
 # ---------------------------------------------------------------------------
 def _replay_anchor_spec() -> ScenarioSpec:
@@ -619,7 +506,6 @@ SCENARIOS = {
     "bench_fig5_depth_sweep": bench_fig5,
     "bench_case_study_soc": bench_case_study,
     "bench_campaign": bench_campaign,
-    "bench_orchestrator": bench_orchestrator,
     "bench_replay_sweep": bench_replay,
     "bench_auto_replay_sweep": bench_auto_replay,
 }

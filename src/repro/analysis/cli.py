@@ -37,28 +37,14 @@ per-run trace files::
     python -m repro.analysis.cli campaign --jsonl out.jsonl --resume
     python -m repro.analysis.cli campaign --trace-sink spool --trace-out traces/
 
-Production-scale campaigns use the orchestrator layer
-(:mod:`repro.campaign.orchestrator`): ``--record-costs`` writes observed
-per-spec wall times to a ``COSTS.json`` sideband (never into the
-deterministic rows), ``--shard-by-cost i/N`` partitions the campaign with
-the cost-balanced LPT partitioner instead of round-robin, and
+Wall-clock run budgets (:mod:`repro.campaign.executor`):
 ``--spec-timeout`` / ``--campaign-budget`` kill overrunning jobs,
 persisting deterministic ``timeout`` rows that ``--resume`` re-runs::
 
-    python -m repro.analysis.cli campaign --record-costs COSTS.json
-    python -m repro.analysis.cli campaign --shard-by-cost 0/2 --costs COSTS.json \
-        --jsonl s0.jsonl --spec-timeout 120 --campaign-budget 3600
+    python -m repro.analysis.cli campaign --shard 0/2 --jsonl s0.jsonl \
+        --spec-timeout 120 --campaign-budget 3600
 
-The ``orchestrate`` subcommand drives the whole flow across N hosts (local
-subprocesses by default, ssh hosts via ``--hosts-file``), each running one
-cost-balanced shard, then collects and merges the shard JSONLs — the
-merged fingerprint is byte-identical to an unsharded single-pool run::
-
-    python -m repro.analysis.cli orchestrate --hosts 2 --workers-per-host 2
-    python -m repro.analysis.cli orchestrate --hosts-file hosts.json \
-        --costs COSTS.json --record-costs COSTS.json --merged-jsonl merged.jsonl
-
-Observability: ``campaign`` and ``orchestrate`` accept ``--telemetry DIR``
+Observability: ``campaign`` accepts ``--telemetry DIR``
 (write the spans/counters sideband described in :mod:`repro.telemetry` to
 ``DIR/telemetry.jsonl``; deterministic rows and fingerprints are
 byte-identical with it on or off) and ``--progress`` (a live stderr
@@ -73,14 +59,12 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import socket
 from typing import List, Optional, Sequence, Tuple
 
 from ..campaign import (
     DEFAULT_TRACE_SINK,
     CampaignResumeError,
     CampaignRunner,
-    CostModel,
     JsonlSink,
     RunBudget,
     default_campaign,
@@ -90,12 +74,6 @@ from ..campaign import (
     sweep_point_specs,
 )
 from ..replay import ReplayError
-from ..campaign.orchestrator import (
-    Orchestrator,
-    OrchestratorError,
-    local_hosts,
-    parse_hosts_file,
-)
 from ..kernel.tracing import SINK_KINDS
 from ..soc import SocConfig
 from ..telemetry import NULL_TELEMETRY, Telemetry, render_report
@@ -253,31 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--merge-jsonl to reproduce the unsharded fingerprint)",
     )
     campaign.add_argument(
-        "--shard-by-cost",
-        type=_shard,
-        default=None,
-        metavar="i/N",
-        help="like --shard, but partition with the cost-balanced LPT "
-        "partitioner over the estimates in --costs (cold start falls back "
-        "to a static per-workload heuristic); shard files still merge to "
-        "the byte-identical unsharded fingerprint",
-    )
-    campaign.add_argument(
-        "--costs",
-        default=None,
-        metavar="COSTS.JSON",
-        help="with --shard-by-cost: the recorded wall-time sideband to "
-        "partition by (ship the same file to every shard of a campaign)",
-    )
-    campaign.add_argument(
-        "--record-costs",
-        default=None,
-        metavar="COSTS.JSON",
-        help="after the campaign, fold the observed per-spec wall times "
-        "into this COSTS.json sideband (created if missing; wall clock "
-        "never enters the deterministic JSONL rows)",
-    )
-    campaign.add_argument(
         "--spec-timeout",
         type=_positive_float,
         default=None,
@@ -413,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="live single-line progress ticker on stderr (specs done, "
-        "rate, ETA; cost-weighted when --costs is given); display only, "
+        "rate, ETA); display only, "
         "never touches stdout or deterministic outputs",
     )
     campaign.add_argument(
@@ -421,127 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_csv_flag(campaign)
 
-    orchestrate = subparsers.add_parser(
-        "orchestrate",
-        help="drive a cost-sharded campaign across N hosts and merge the "
-        "shard JSONLs (fingerprint identical to an unsharded run)",
-    )
-    orchestrate.add_argument(
-        "--hosts",
-        type=_positive_int,
-        default=2,
-        help="number of local-subprocess hosts (ignored with --hosts-file)",
-    )
-    orchestrate.add_argument(
-        "--hosts-file",
-        default=None,
-        metavar="HOSTS.JSON",
-        help="JSON host declarations (local and/or ssh hosts; see "
-        "repro.campaign.orchestrator.hosts)",
-    )
-    orchestrate.add_argument(
-        "--workers-per-host",
-        type=_positive_int,
-        default=1,
-        help="worker processes each shard campaign runs with",
-    )
-    orchestrate.add_argument(
-        "--specs",
-        default=None,
-        help="comma-separated spec names (default: the whole default "
-        "campaign; hosts rebuild specs by name)",
-    )
-    orchestrate.add_argument(
-        "--no-paired",
-        action="store_true",
-        help="skip the paired reference/Smart equivalence runs",
-    )
-    orchestrate.add_argument(
-        "--out-dir",
-        default="orchestrate-out",
-        metavar="DIR",
-        help="local directory for host workdirs, logs and collected shard "
-        "JSONLs",
-    )
-    orchestrate.add_argument(
-        "--costs",
-        default=None,
-        metavar="COSTS.JSON",
-        help="wall-time sideband shipped to every host so they compute "
-        "the identical cost partition (missing file = cold-start "
-        "heuristic)",
-    )
-    orchestrate.add_argument(
-        "--record-costs",
-        default=None,
-        metavar="COSTS.JSON",
-        help="have every host record its shard's wall times; the per-host "
-        "cost files are collected and merged into this local path",
-    )
-    orchestrate.add_argument(
-        "--round-robin",
-        action="store_true",
-        help="partition round-robin (--shard) instead of by cost — for "
-        "comparing shard makespans against --shard-by-cost",
-    )
-    orchestrate.add_argument(
-        "--spec-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="forwarded to every shard campaign (see campaign "
-        "--spec-timeout)",
-    )
-    orchestrate.add_argument(
-        "--campaign-budget",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="forwarded to every shard campaign (see campaign "
-        "--campaign-budget)",
-    )
-    orchestrate.add_argument(
-        "--merged-jsonl",
-        default=None,
-        metavar="OUT.JSONL",
-        help="also write the merged rows as one unsharded campaign JSONL "
-        "(itself re-mergeable; what CI uploads as an artifact)",
-    )
-    orchestrate.add_argument(
-        "--expect-fingerprint",
-        default=None,
-        metavar="SHA256",
-        help="fail unless the merged fingerprint equals this value (the "
-        "pinned-fingerprint gate of the orchestrator smoke)",
-    )
-    orchestrate.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="DIR",
-        help="write the orchestrator's own launch/poll/collect telemetry "
-        "and every host's collected campaign telemetry to "
-        "DIR/telemetry.jsonl (sideband only; merged rows are unchanged)",
-    )
-    orchestrate.add_argument(
-        "--progress",
-        action="store_true",
-        help="live single-line progress ticker on stderr (local shards "
-        "report per-row progress; remote shards on host completion)",
-    )
-    add_csv_flag(orchestrate)
-
     report = subparsers.add_parser(
         "telemetry-report",
         help="aggregate one or more telemetry sidebands (files or "
         "directories of *.jsonl) into top-span / worker-utilization / "
-        "per-host tables",
+        "replay tables",
     )
     report.add_argument(
         "paths",
         nargs="+",
         metavar="PATH",
         help="telemetry JSONL files or directories holding them (e.g. "
-        "the --telemetry DIR of a campaign or orchestrate run)",
+        "the --telemetry DIR of a campaign run)",
     )
     report.add_argument(
         "--top",
@@ -753,8 +597,6 @@ def run_campaign(args: argparse.Namespace) -> str:
                 ("--resume", args.resume),
                 ("--merge-jsonl", args.merge_jsonl is not None),
                 ("--shard", args.shard is not None),
-                ("--shard-by-cost", args.shard_by_cost is not None),
-                ("--record-costs", args.record_costs is not None),
                 ("--spec-timeout", args.spec_timeout is not None),
                 ("--campaign-budget", args.campaign_budget is not None),
                 ("--specs", args.specs is not None),
@@ -776,24 +618,12 @@ def run_campaign(args: argparse.Namespace) -> str:
         raise SystemExit("--resume requires --jsonl (the file to resume from)")
     if args.trace_out and args.trace_sink != "spool":
         raise SystemExit("--trace-out requires --trace-sink spool")
-    if args.shard and args.shard_by_cost:
-        raise SystemExit(
-            "--shard and --shard-by-cost are two partitioners of the same "
-            "campaign; pick one"
-        )
-    if args.costs and not (args.shard_by_cost or args.progress):
-        raise SystemExit(
-            "--costs is only read by --shard-by-cost (partitioning) and "
-            "--progress (cost-weighted ETA)"
-        )
     if args.merge_jsonl:
         conflicting = [
             flag for flag, active in (
                 ("--jsonl", args.jsonl is not None),
                 ("--resume", args.resume),
                 ("--shard", args.shard is not None),
-                ("--shard-by-cost", args.shard_by_cost is not None),
-                ("--record-costs", args.record_costs is not None),
                 ("--spec-timeout", args.spec_timeout is not None),
                 ("--campaign-budget", args.campaign_budget is not None),
                 ("--specs", args.specs is not None),
@@ -863,17 +693,9 @@ def run_campaign(args: argparse.Namespace) -> str:
             spec_timeout_s=args.spec_timeout,
             campaign_budget_s=args.campaign_budget,
         )
-    cost_model = None
-    if args.shard_by_cost is not None or (args.progress and args.costs):
-        try:
-            cost_model = CostModel.load(args.costs)
-        except ValueError as exc:
-            raise SystemExit(f"cannot read --costs: {exc}")
     runner = CampaignRunner(
         workers=args.workers, paired=not args.no_paired,
-        shard=args.shard if args.shard else args.shard_by_cost,
-        shard_by_cost=args.shard_by_cost is not None,
-        cost_model=cost_model, budget=budget,
+        shard=args.shard, budget=budget,
         trace_sink=args.trace_sink, trace_out=args.trace_out,
         auto_replay=args.auto_replay,
         auto_replay_validate=args.validate,
@@ -886,75 +708,9 @@ def run_campaign(args: argparse.Namespace) -> str:
         # Only resume problems get the friendly one-liner; a ValueError
         # from inside a simulation is a real bug and keeps its traceback.
         raise SystemExit(f"cannot resume campaign: {exc}")
-    if args.record_costs:
-        try:
-            recorded = CostModel.load(args.record_costs)
-        except ValueError as exc:
-            raise SystemExit(f"cannot read --record-costs: {exc}")
-        recorded.observe_result(result)
-        if result.wall_seconds > 0 and specs:
-            # Advisory whole-host throughput for capacity planning; the
-            # LPT partitioner never reads it (see orchestrator/costs.py).
-            recorded.observe_host(
-                socket.gethostname(),
-                len(specs) / result.wall_seconds,
-            )
-        recorded.save(args.record_costs)
     if args.csv:
         write_csv(result.run_rows(), args.csv)
     return _campaign_output(result)
-
-
-def run_orchestrate(args: argparse.Namespace) -> tuple:
-    if args.round_robin and args.costs:
-        raise SystemExit(
-            "--costs is only read by the cost partitioner and has no "
-            "effect with --round-robin"
-        )
-    if args.hosts_file:
-        try:
-            hosts = parse_hosts_file(args.hosts_file)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read --hosts-file: {exc}")
-    else:
-        hosts = local_hosts(args.hosts)
-    spec_names = None
-    if args.specs:
-        spec_names = [
-            name.strip() for name in args.specs.split(",") if name.strip()
-        ]
-    orchestrator = Orchestrator(
-        hosts,
-        args.out_dir,
-        workers_per_host=args.workers_per_host,
-        paired=not args.no_paired,
-        shard_by_cost=not args.round_robin,
-        costs_path=args.costs,
-        spec_timeout_s=args.spec_timeout,
-        campaign_budget_s=args.campaign_budget,
-        record_costs_path=args.record_costs,
-        telemetry_dir=args.telemetry,
-        progress=args.progress,
-    )
-    try:
-        outcome = orchestrator.run(spec_names, merged_jsonl=args.merged_jsonl)
-    except OrchestratorError as exc:
-        raise SystemExit(f"orchestrated campaign failed: {exc}")
-    result = outcome.result
-    if args.csv:
-        write_csv(result.run_rows(), args.csv)
-    sections = [outcome.hosts_table(), result.table()]
-    if result.pairs:
-        sections.append(result.pairs_table())
-    sections.append(outcome.summary())
-    code = 0 if result.all_pairs_equivalent and result.complete else 1
-    if args.expect_fingerprint and outcome.fingerprint() != args.expect_fingerprint:
-        sections.append(
-            f"FINGERPRINT MISMATCH: merged {outcome.fingerprint()} != "
-            f"expected {args.expect_fingerprint}"
-        )
-        code = 1
-    return "\n\n".join(sections), code
 
 
 def run_telemetry_report(args: argparse.Namespace) -> str:
@@ -971,7 +727,6 @@ _COMMANDS = {
     "quantum": run_quantum,
     "context-switches": run_context_switches,
     "campaign": run_campaign,
-    "orchestrate": run_orchestrate,
     "telemetry-report": run_telemetry_report,
 }
 

@@ -18,20 +18,20 @@ campaign-scale engine:
   :class:`~repro.kernel.simulator.Simulator`), and the paired
   reference/Smart equivalence campaign built on
   :mod:`repro.analysis.trace_diff`;
-* :mod:`repro.campaign.orchestrator` — the distributed layer: the
-  ``COSTS.json`` wall-time cost model, the cost-balanced
-  ``--shard-by-cost`` partitioner, wall-clock run budgets with
-  deterministic ``timeout`` rows, and the multi-host
-  :class:`~repro.campaign.orchestrator.Orchestrator` driving local or
-  ssh hosts through the same launch/poll/collect protocol.
+* :mod:`repro.campaign.executor` — the process executor of long-lived,
+  killable workers behind every multi-worker campaign, and the wall-clock
+  run budgets (``--spec-timeout`` / ``--campaign-budget``) with their
+  deterministic ``timeout`` rows;
+* :mod:`repro.campaign.evaluators` — record-and-replay sweeps
+  (``--replay-sweep``, ``--auto-replay``).
 
 The aggregated result is **byte-identical for any worker count** — the
 deterministic rows carry simulated dates, kernel counters and trace digests
 only — so ``CampaignResult.fingerprint()`` is a stable handle for
 regression tracking.
 
-Entry points: ``python -m repro.analysis.cli campaign --workers 4`` and the
-``campaign.*`` metric of ``benchmarks/bench_harness.py``.
+Entry points: ``python -m repro.analysis.cli campaign --workers 4`` and
+the ``equivalence_campaign`` / ``dense_sweep`` workloads of ``perfbench/``.
 """
 
 from .evaluators import (
@@ -44,8 +44,7 @@ from .evaluators import (
     run_replay_sweep,
     sweep_point_specs,
 )
-from .orchestrator.budget import RunBudget, TimeoutRecord
-from .orchestrator.costs import CostModel
+from .executor import RunBudget, TimeoutRecord
 from .runner import (
     DEFAULT_TRACE_SINK,
     CampaignResumeError,
@@ -84,7 +83,6 @@ __all__ = [
     "CampaignResumeError",
     "CampaignResult",
     "CampaignRunner",
-    "CostModel",
     "JsonlSink",
     "ReplayEvaluator",
     "ReplaySweepResult",

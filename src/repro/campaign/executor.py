@@ -7,9 +7,11 @@ provides the pieces the :class:`~repro.campaign.runner.CampaignRunner`
 uses whenever its jobs leave the calling process:
 
 * :class:`RunBudget` — the declarative limits: a per-spec timeout (each
-  worker job is killed once it has run that long) and a whole-campaign
-  budget (when the campaign has run that long, every outstanding and
-  queued job is abandoned).  A budget with no limit set is inactive.
+  worker job is killed once it has run that long; ``campaign
+  --spec-timeout``) and a whole-campaign budget (when the campaign has
+  run that long, every outstanding and queued job is abandoned;
+  ``campaign --campaign-budget``).  A budget with no limit set is
+  inactive.
 * :func:`run_with_budget` — the completion-order executor of long-lived
   worker processes behind every multi-worker campaign.  Each worker owns
   a private pipe, so killing the worker of an overrunning job never
@@ -44,7 +46,7 @@ from multiprocessing.connection import wait as _connection_wait
 from queue import SimpleQueue
 from typing import Deque, Dict, Iterator, Optional, Tuple
 
-from ..spec import ScenarioSpec
+from .spec import ScenarioSpec
 
 #: Scope values of a :class:`TimeoutRecord`.
 SCOPE_SPEC = "spec"

@@ -2,7 +2,7 @@
 
 A campaign is a list of :class:`~repro.campaign.spec.ScenarioSpec`; the
 :class:`CampaignRunner` runs it inline or on long-lived worker processes
-(:func:`~repro.campaign.orchestrator.budget.run_with_budget`).  Each run
+(:func:`~repro.campaign.executor.run_with_budget`).  Each run
 builds its **own** :class:`~repro.kernel.simulator.Simulator` from the
 spec — runs are fully isolated and deterministic per seed — and a worker
 sends back a small picklable record.  Three guarantees matter:
@@ -23,7 +23,7 @@ sends back a small picklable record.  Three guarantees matter:
   compared at aggregation, so a mostly-pairable campaign keeps every
   worker busy instead of serializing both runs inside one job.  Jobs
   travel to the workers in contiguous batches sized from the job count
-  (see :func:`~repro.campaign.orchestrator.budget._batch_size`).
+  (see :func:`~repro.campaign.executor._batch_size`).
 * **Shard transparency** — :meth:`CampaignRunner.shard_specs` partitions a
   campaign deterministically into ``N`` shards; running each shard on its
   own machine (``--shard i/N``), streaming the rows to JSONL and merging
@@ -39,7 +39,7 @@ schema (one JSON object per line)::
 
     {"type": "campaign", "schema": 1, "specs": [...], "workers": N,
      "paired": true, "shard": "0/2" | null,
-     "shard_by": "index" | "cost" | null}            # header, first line
+     "shard_by": "index"}          # header, first line (shard_by if sharded)
     {"type": "run", ...SpecRunRecord.deterministic_row()}
     {"type": "pair", ...PairRecord.deterministic_row()}
     {"type": "timeout", ...TimeoutRecord.deterministic_row()}
@@ -47,7 +47,7 @@ schema (one JSON object per line)::
 Rows carry deterministic fields only (never wall clock or PIDs), so the
 merge of shard files is byte-identical to the unsharded aggregate.  A
 ``timeout`` row is the outcome of a job killed by a
-:class:`~repro.campaign.orchestrator.budget.RunBudget`; it stands in for
+:class:`~repro.campaign.executor.RunBudget`; it stands in for
 the spec's run/pair rows at merge time and is dropped (the spec re-runs)
 on resume.
 
@@ -89,14 +89,12 @@ from ..telemetry import (
     Telemetry,
     merge_telemetry_files,
 )
-from .orchestrator.budget import (
+from .executor import (
     SCOPE_CAMPAIGN,
     RunBudget,
     TimeoutRecord,
     run_with_budget,
 )
-from .orchestrator.costs import CostModel
-from .orchestrator.partition import cost_shards
 from .scenarios import build_scenario
 from .spec import MODE_REFERENCE, MODE_SMART, ScenarioSpec, spec_is_pairable
 
@@ -574,17 +572,18 @@ def campaign_header_row(
     workers: int,
     paired: bool,
     shard: Optional[Tuple[int, int]] = None,
-    shard_by_cost: bool = False,
 ) -> Dict[str, object]:
     """The campaign header row of a JSONL file (first line).
 
-    ``shard_by`` records *how* a sharded campaign was partitioned
-    (``"index"`` = round-robin, ``"cost"`` = the cost-balanced LPT
-    partitioner): a resume must re-derive the identical shard membership,
-    so mixing partitioners on one file is rejected.  The key only exists
-    on sharded headers — unsharded files stay byte-identical to the
-    pre-orchestrator format — and sharded files written before the field
-    existed carry no key and are read as ``"index"``.
+    ``shard_by`` records *how* a sharded campaign was partitioned.  It is
+    always written as ``"index"`` (round-robin, see
+    :meth:`CampaignRunner.shard_specs`); older files may carry ``"cost"``
+    from a retired cost-balanced partitioner.  Such files still merge —
+    :func:`merge_jsonl` never reads the key — but a resume must re-derive
+    the identical shard membership, so resuming one is rejected.  The key
+    only exists on sharded headers, so unsharded files keep their original
+    format, and sharded files written before the field existed carry no
+    key and are read as ``"index"``.
     """
     row = {
         "type": "campaign",
@@ -595,7 +594,7 @@ def campaign_header_row(
         "shard": f"{shard[0]}/{shard[1]}" if shard else None,
     }
     if shard:
-        row["shard_by"] = "cost" if shard_by_cost else "index"
+        row["shard_by"] = "index"
     return row
 
 
@@ -623,7 +622,6 @@ class JsonlSink:
         paired: bool,
         shard: Optional[Tuple[int, int]] = None,
         header_row: Optional[Dict[str, object]] = None,
-        shard_by_cost: bool = False,
     ):
         self._stream = stream
         self._skip_runs: Set[Tuple[str, str]] = set()
@@ -631,9 +629,7 @@ class JsonlSink:
         self._write(
             header_row
             if header_row is not None
-            else campaign_header_row(
-                campaign_specs, workers, paired, shard, shard_by_cost
-            )
+            else campaign_header_row(campaign_specs, workers, paired, shard)
         )
 
     def _write(self, row: Dict[str, object]) -> None:
@@ -738,25 +734,24 @@ def load_resume_state(
     paired: bool,
     shard: Optional[Tuple[int, int]],
     shard_specs: Optional[Sequence[ScenarioSpec]] = None,
-    shard_by_cost: bool = False,
 ):
     """Parse a partially written campaign JSONL for ``resume=True``.
 
     Returns ``(header_row, runs, pairs)``.  The header must describe the
     *same* campaign as the one being resumed — identical spec list, paired
-    flag, shard (including the partitioner: a round-robin shard file
-    cannot be resumed as a cost shard or vice versa) and schema —
-    otherwise the resume is rejected: silently appending rows of one
-    campaign to the file of another would merge into a plausible-looking
-    fingerprint that corresponds to no real run.  (A differing ``workers``
+    flag, shard (including the partitioner: a shard file written by the
+    retired cost partitioner cannot be resumed as a round-robin shard) and
+    schema — otherwise the resume is rejected: silently appending rows of
+    one campaign to the file of another would merge into a
+    plausible-looking fingerprint that corresponds to no real run.  (A differing ``workers``
     value is fine: worker count never affects the rows.)  Every recovered
     row must belong to a known spec, and run rows must match the spec's
     identity columns (workload, mode, depth, quantum_ns, seed, timing).
     When resuming one shard of a campaign, ``shard_specs`` names the specs
     of *this* shard: only their rows may appear in the file — a row from
-    another shard (the signature of a re-partitioned cost shard, e.g.
-    after ``COSTS.json`` changed) is rejected, because replaying it would
-    produce a shard file the merge rightly refuses.  Rows do **not**
+    another shard (the signature of a re-partitioned campaign) is
+    rejected, because replaying it would produce a shard file the merge
+    rightly refuses.  Rows do **not**
     record ``params`` or the trace-sink kind, so a resume cannot detect
     those changing between invocations — resuming assumes both are
     unchanged, like sharding does.  ``timeout`` rows are validated like
@@ -816,7 +811,7 @@ def load_resume_state(
         raise CampaignResumeError(
             f"{path} does not start with a campaign header row"
         )
-    expected = campaign_header_row(campaign_specs, 0, paired, shard, shard_by_cost)
+    expected = campaign_header_row(campaign_specs, 0, paired, shard)
     for key in ("schema", "specs", "paired", "shard"):
         if header.get(key) != expected[key]:
             raise CampaignResumeError(
@@ -825,8 +820,8 @@ def load_resume_state(
                 f"file belongs to a different campaign"
             )
     if shard is not None:
-        # Pre-PR 5 files carry no shard_by key; they were always
-        # round-robin ("index") partitioned.
+        # Files written before the shard_by key existed carry none; they
+        # were always round-robin ("index") partitioned.
         recorded_by = header.get("shard_by") or "index"
         if recorded_by != expected["shard_by"]:
             raise CampaignResumeError(
@@ -844,8 +839,7 @@ def load_resume_state(
             raise CampaignResumeError(
                 f"cannot resume {path}: {kind} row for spec {name!r} does "
                 f"not belong to shard {expected['shard']} (the file mixes "
-                f"rows of another shard — was the campaign re-partitioned, "
-                f"e.g. by a changed COSTS.json?)"
+                f"rows of another shard — was the campaign re-partitioned?)"
             )
 
     seen_runs: Set[Tuple[str, str]] = set()
@@ -1115,7 +1109,7 @@ class CampaignResult:
     wall_seconds: float
     #: ``(index, count)`` when this result covers one shard of a campaign.
     shard: Optional[Tuple[int, int]] = None
-    #: Budget-killed jobs (see :class:`~repro.campaign.orchestrator.budget
+    #: Budget-killed jobs (see :class:`~repro.campaign.executor
     #: .TimeoutRecord`); empty for an unbudgeted or on-budget campaign.
     timeouts: List[TimeoutRecord] = field(default_factory=list)
 
@@ -1264,25 +1258,15 @@ class CampaignRunner:
         shard of the spec list (see :meth:`shard_specs`).  Merging the JSONL
         of all ``count`` shards with :func:`merge_jsonl` reproduces the
         unsharded fingerprint.
-    shard_by_cost:
-        With ``shard``: partition by estimated per-spec cost (the LPT
-        partitioner of :mod:`repro.campaign.orchestrator.partition`)
-        instead of round-robin.  Shard membership changes; the merged
-        fingerprint does not.
-    cost_model:
-        The :class:`~repro.campaign.orchestrator.costs.CostModel` feeding
-        ``shard_by_cost`` (``None`` = the cold-start heuristic).  Every
-        shard of one campaign must use identical cost inputs, or the
-        shards will not partition consistently.
     budget:
-        Optional :class:`~repro.campaign.orchestrator.budget.RunBudget`.
+        Optional :class:`~repro.campaign.executor.RunBudget`.
         When a limit is set, jobs run on worker processes (even at
         ``workers=1``) that report every job: an overrunning job kills
         only its own worker and is recorded as a deterministic ``timeout``
-        row (see :class:`~repro.campaign.orchestrator.budget
-        .TimeoutRecord`); ``--resume`` re-runs timed-out specs.  A
-        budgeted campaign in which nothing times out aggregates
-        byte-identically to an unbudgeted one.
+        row (see :class:`~repro.campaign.executor.TimeoutRecord`);
+        ``--resume`` re-runs timed-out specs.  A budgeted campaign in
+        which nothing times out aggregates byte-identically to an
+        unbudgeted one.
     trace_sink:
         Kind of :class:`~repro.kernel.tracing.TraceSink` every worker
         simulation emits into (one of
@@ -1336,8 +1320,8 @@ class CampaignRunner:
         off.  ``None`` (the default) costs one attribute check per run.
     progress:
         When True, render a live single-line progress ticker on stderr
-        (specs done/total, rate, ETA — cost-weighted when ``cost_model``
-        is given).  Display only; never touches stdout or the rows.
+        (specs done/total, rate, ETA).  Display only; never touches
+        stdout or the rows.
     """
 
     def __init__(
@@ -1348,8 +1332,6 @@ class CampaignRunner:
         shard: Optional[Tuple[int, int]] = None,
         trace_sink: str = DEFAULT_TRACE_SINK,
         trace_out: Optional[str] = None,
-        shard_by_cost: bool = False,
-        cost_model: Optional[CostModel] = None,
         budget: Optional[RunBudget] = None,
         auto_replay: bool = False,
         auto_replay_validate: int = 1,
@@ -1367,12 +1349,6 @@ class CampaignRunner:
                     f"shard index must be in [0, {count}), got {index}"
                 )
             shard = (index, count)
-        if shard_by_cost and shard is None:
-            raise ValueError("shard_by_cost requires a shard=(index, count)")
-        if cost_model is not None and not shard_by_cost and not progress:
-            raise ValueError(
-                "cost_model is only used with shard_by_cost or progress"
-            )
         if trace_sink not in SINK_KINDS:
             raise ValueError(
                 f"trace_sink must be one of {', '.join(SINK_KINDS)}, "
@@ -1390,8 +1366,6 @@ class CampaignRunner:
         self.paired = paired
         self.mp_start_method = mp_start_method
         self.shard = shard
-        self.shard_by_cost = shard_by_cost
-        self.cost_model = cost_model
         self.budget = budget if budget is not None else RunBudget()
         self.trace_sink = trace_sink
         self.trace_out = trace_out
@@ -1431,7 +1405,7 @@ class CampaignRunner:
         telemetry = self._telemetry
         ticker = self._ticker
         on_row = None if ticker is None else (
-            lambda name: ticker.item_done(name, detail=name)
+            lambda name: ticker.item_done(detail=name)
         )
         groups: Dict[Tuple[object, ...], List[ScenarioSpec]] = {}
         for spec in specs:
@@ -1474,7 +1448,7 @@ class CampaignRunner:
         mode) whose results are recombined here; the half matching
         ``spec.mode`` doubles as the spec's single-mode run, so no
         (spec, mode) simulates twice.  ``executor(func, jobs)`` yields
-        :func:`~repro.campaign.orchestrator.budget.run_with_budget` events
+        :func:`~repro.campaign.executor.run_with_budget` events
         in completion order, so the JSONL sink persists each result as it
         arrives.  A budget-killed job becomes a :class:`TimeoutRecord`: it
         is persisted and aggregated but never recombined — a pair with a
@@ -1508,7 +1482,7 @@ class CampaignRunner:
                 if sink is not None:
                     sink.timeout_completed(record)
                 if ticker is not None:
-                    ticker.item_done(spec.name, detail=f"timeout {spec.name}")
+                    ticker.item_done(detail=f"timeout {spec.name}")
                 continue
             index, half_mode, outcome = event[1]
             spec = specs[index]
@@ -1517,7 +1491,7 @@ class CampaignRunner:
                 if sink is not None:
                     sink.run_completed(outcome)
                 if ticker is not None:
-                    ticker.item_done(spec.name, detail=spec.name)
+                    ticker.item_done(detail=spec.name)
                 continue
             half = outcome
             if half.mode == spec.mode:
@@ -1552,7 +1526,7 @@ class CampaignRunner:
                 if sink is not None:
                     sink.pair_completed(pair)
                 if ticker is not None:
-                    ticker.item_done(spec.name, detail=spec.name)
+                    ticker.item_done(detail=spec.name)
                 del halves[index]
         return runs, pairs, timeouts
 
@@ -1609,16 +1583,7 @@ class CampaignRunner:
             spec.validate()
         campaign_specs = specs
         if self.shard is not None:
-            if self.shard_by_cost:
-                shards = cost_shards(
-                    campaign_specs,
-                    self.shard[1],
-                    self.cost_model,
-                    self.paired,
-                )
-                specs = shards[self.shard[0]]
-            else:
-                specs = self.shard_specs(specs, *self.shard)
+            specs = self.shard_specs(specs, *self.shard)
         if resume and not jsonl:
             raise CampaignResumeError(
                 "resume=True requires a jsonl path to resume from"
@@ -1631,7 +1596,6 @@ class CampaignRunner:
             header_row, done_runs, done_pairs = load_resume_state(
                 jsonl, campaign_specs, self.paired, self.shard,
                 shard_specs=specs if self.shard is not None else None,
-                shard_by_cost=self.shard_by_cost,
             )
         seen_runs = {(record.name, record.mode) for record in done_runs}
         seen_pairs = {pair.name for pair in done_pairs}
@@ -1652,15 +1616,7 @@ class CampaignRunner:
             )
         self._telemetry = telemetry
         if self.progress:
-            costs = None
-            if self.cost_model is not None:
-                costs = {
-                    spec.name: self.cost_model.spec_cost(spec, self.paired)
-                    for spec in todo
-                }
-            self._ticker = ProgressTicker(
-                len(todo), label="campaign", costs=costs
-            )
+            self._ticker = ProgressTicker(len(todo), label="campaign")
         start = time.perf_counter()
         start_mono = time.monotonic()
         sink_file = None
@@ -1687,7 +1643,7 @@ class CampaignRunner:
                 sink_file = open(jsonl, "w")
                 sink = JsonlSink(
                     sink_file, campaign_specs, self.workers, self.paired,
-                    self.shard, shard_by_cost=self.shard_by_cost,
+                    self.shard,
                 )
             specs = todo
             if telemetry.enabled:

@@ -3,11 +3,10 @@
 The campaign's deterministic JSONL rows must never contain wall-clock
 values or PIDs — that property is what makes shard files merge byte for
 byte (see :mod:`repro.campaign.runner`).  Everything wall-clock therefore
-lives *beside* the rows, the way ``COSTS.json`` already does: a
-:class:`Telemetry` instance records monotonic-clock spans, scalar
-counters and gauges into a bounded in-memory buffer and flushes them as a
-JSONL *sideband* file that tooling (``repro.analysis.cli
-telemetry-report``) folds into human tables.
+lives *beside* the rows: a :class:`Telemetry` instance records
+monotonic-clock spans, scalar counters and gauges into a bounded
+in-memory buffer and flushes them as a JSONL *sideband* file that tooling
+(``repro.analysis.cli telemetry-report``) folds into human tables.
 
 Disabled is the default and must cost (almost) nothing: hot paths guard
 with one attribute check — ``if telemetry.enabled:`` — against the
@@ -142,7 +141,7 @@ class Telemetry:
     ----------
     component:
         Writer identity stamped into the file's meta line
-        (``"campaign-worker"``, ``"orchestrator"``, ...).
+        (``"campaign"``, ``"campaign-worker"``, ...).
     path:
         Sideband JSONL file :meth:`flush` appends to.  ``None`` keeps
         events purely in memory (unit tests, ad-hoc inspection via

@@ -1,11 +1,8 @@
 """The ``--progress`` live stderr ticker.
 
-A tiny single-line progress renderer for long campaigns and orchestrated
-runs: items done / total, observed rate, an ETA and a free-form detail
-tail (the orchestrator shows its per-host state there).  When a cost map
-from ``COSTS.json`` is supplied the ETA weights the *remaining work* by
-estimated per-item cost instead of assuming uniform items — exactly what
-the cost model exists for.
+A tiny single-line progress renderer for long campaigns: items done /
+total, observed rate, an ETA (elapsed time scaled by remaining over
+completed items) and a free-form detail tail (the last finished spec).
 
 The ticker writes to stderr only (stdout stays machine-parsable), uses
 carriage-return rewriting on TTYs and rate-limited plain lines on pipes,
@@ -16,7 +13,6 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, Optional
 
 
 def _format_eta(seconds: float) -> str:
@@ -34,14 +30,9 @@ class ProgressTicker:
     Parameters
     ----------
     total:
-        Number of items expected (specs, hosts, ...).
+        Number of items expected (specs).
     label:
         Prefix shown in brackets.
-    costs:
-        Optional ``{item_name: estimated_cost}`` (arbitrary units, e.g.
-        the cost model's per-spec estimates).  With it, the ETA scales
-        elapsed time by remaining *cost* over completed cost; without
-        it, by remaining count over completed count.
     stream:
         Output stream (default ``sys.stderr``).
     min_interval_s:
@@ -53,42 +44,26 @@ class ProgressTicker:
         self,
         total: int,
         label: str = "campaign",
-        costs: Optional[Dict[str, float]] = None,
         stream=None,
         min_interval_s: float = 0.5,
     ):
         self.total = max(total, 0)
         self.label = label
-        self.costs = dict(costs) if costs else None
         self.stream = sys.stderr if stream is None else stream
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._min_interval_s = (
             min_interval_s if self._tty else min_interval_s * 10
         )
         self.done = 0
-        self._done_cost = 0.0
-        self._total_cost = (
-            sum(self.costs.values()) if self.costs else float(self.total)
-        )
         self._start = time.monotonic()
         self._last_render = 0.0
         self._last_width = 0
         self._detail = ""
 
     # ------------------------------------------------------------------
-    def item_done(self, name: Optional[str] = None, detail: str = "") -> None:
+    def item_done(self, detail: str = "") -> None:
         """Mark one item complete and re-render (rate limited)."""
         self.done += 1
-        if self.costs is not None:
-            self._done_cost += self.costs.get(name or "", 1.0)
-        else:
-            self._done_cost = float(self.done)
-        if detail:
-            self._detail = detail
-        self._render()
-
-    def tick(self, detail: str = "") -> None:
-        """Re-render without progress (e.g. each orchestrator poll)."""
         if detail:
             self._detail = detail
         self._render()
@@ -102,10 +77,10 @@ class ProgressTicker:
 
     # ------------------------------------------------------------------
     def _eta_s(self, elapsed: float) -> float:
-        if self._done_cost <= 0:
+        if self.done <= 0:
             return float("inf")
-        remaining = max(self._total_cost - self._done_cost, 0.0)
-        return elapsed * remaining / self._done_cost
+        remaining = max(self.total - self.done, 0)
+        return elapsed * remaining / self.done
 
     def _render(self, force: bool = False) -> None:
         now = time.monotonic()

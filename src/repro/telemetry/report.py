@@ -2,16 +2,14 @@
 
 Backs the ``repro.analysis.cli telemetry-report`` subcommand: one or many
 sideband JSONL files (or directories of them — a campaign ``--telemetry``
-directory, an orchestrator directory with per-host files) aggregate into
+directory) aggregate into
 
 * **top spans** ranked by total and self time,
 * **counters** and the latest **gauges**,
 * **worker utilization** — per campaign-worker busy/queue-wait split over
   the observed wall window,
 * a **replay routing breakdown** (simulated vs replayed points, envelope
-  refusals by probing construct),
-* a **per-host table** for orchestrated runs (launch/poll/collect spans,
-  shard makespan, observed specs/s).
+  refusals by probing construct).
 
 Everything here is read-side only: it consumes the schema written by
 :mod:`repro.telemetry.core` and renders with the repo's standard ASCII
@@ -20,7 +18,7 @@ tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .core import load_events, telemetry_files
 
@@ -58,9 +56,6 @@ class TelemetryAggregate:
         #: ``pid -> (busy_s, queue_wait_s, first_t0, last_end)`` for
         #: campaign workers (busy = execute + serialize span time).
         self.workers: Dict[int, List[float]] = {}
-        #: ``host -> {span name -> total_s, "polls": n, ...}``.
-        self.hosts: Dict[str, Dict[str, float]] = {}
-        self.host_gauges: Dict[str, Dict[str, object]] = {}
         self.event_count = 0
 
     # ------------------------------------------------------------------
@@ -92,7 +87,6 @@ class TelemetryAggregate:
             agg = self.spans[name] = SpanAgg(name)
         agg.add(dur_s, self_s)
         pid = event.get("pid")
-        attrs = event.get("attrs") or {}
         if isinstance(pid, int) and name in (
             "campaign.execute", "campaign.serialize", "campaign.queue_wait"
         ):
@@ -108,11 +102,6 @@ class TelemetryAggregate:
                 window[2] = t0
             if t0 + dur_s > window[3]:
                 window[3] = t0 + dur_s
-        host = attrs.get("host") if isinstance(attrs, dict) else None
-        if host is not None and name.startswith("orchestrate."):
-            entry = self.hosts.setdefault(str(host), {})
-            entry[name] = entry.get(name, 0.0) + dur_s
-            entry[name + ".count"] = entry.get(name + ".count", 0) + 1
 
     # ------------------------------------------------------------------
     def span_rows(self, top: int) -> List[Dict[str, object]]:
@@ -169,28 +158,6 @@ class TelemetryAggregate:
             if name.startswith("replay.")
         ]
 
-    def host_rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for host in sorted(self.hosts):
-            entry = self.hosts[host]
-            specs_per_s = self.gauges.get(f"orchestrate.specs_per_s.{host}")
-            rows.append(
-                {
-                    "host": host,
-                    "launch_s": f"{entry.get('orchestrate.launch', 0.0):.4f}",
-                    "poll_s": f"{entry.get('orchestrate.poll', 0.0):.4f}",
-                    "polls": int(entry.get("orchestrate.poll.count", 0)),
-                    "collect_s": f"{entry.get('orchestrate.collect', 0.0):.4f}",
-                    "makespan_s": f"{entry.get('orchestrate.host', 0.0):.4f}",
-                    "specs_per_s": (
-                        f"{specs_per_s:.3f}"
-                        if isinstance(specs_per_s, (int, float))
-                        else "-"
-                    ),
-                }
-            )
-        return rows
-
 
 def aggregate_telemetry(paths: Sequence[str]) -> TelemetryAggregate:
     """Load and fold every sideband file under ``paths`` (files or dirs)."""
@@ -230,16 +197,6 @@ def render_report(
                 worker_rows,
                 ["worker", "busy_s", "queue_wait_s", "window_s", "utilization"],
                 title="Worker utilization (execute+serialize over observed window)",
-            )
-        )
-    host_rows = aggregate.host_rows()
-    if host_rows:
-        sections.append(
-            dict_rows_table(
-                host_rows,
-                ["host", "launch_s", "poll_s", "polls", "collect_s",
-                 "makespan_s", "specs_per_s"],
-                title="Orchestrated hosts (launch/poll/collect, shard makespan)",
             )
         )
     replay_rows = aggregate.replay_rows()

@@ -217,8 +217,8 @@ class TestCampaignScaleOutFlags:
                       "--spec-timeout", "10"])
 
 
-class TestCampaignOrchestratorFlags:
-    """``--shard-by-cost``/``--costs``/``--record-costs``/budget flags."""
+class TestCampaignBudgetFlags:
+    """``--spec-timeout``/``--campaign-budget``."""
 
     @pytest.mark.parametrize("flag", ["--spec-timeout", "--campaign-budget"])
     @pytest.mark.parametrize("value", ["0", "-2", "soon"])
@@ -227,46 +227,6 @@ class TestCampaignOrchestratorFlags:
             cli.main(["campaign", flag, value])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
-
-    def test_shard_and_shard_by_cost_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit, match="pick one"):
-            cli.main(["campaign", "--shard", "0/2", "--shard-by-cost", "0/2"])
-
-    def test_costs_requires_shard_by_cost(self):
-        with pytest.raises(SystemExit, match="--shard-by-cost"):
-            cli.main(["campaign", "--costs", "COSTS.json"])
-
-    def test_shard_by_cost_merge_round_trip(self, capsys, tmp_path):
-        specs = "writer_reader_d1,writer_reader_d4,bursty_s3_d4,mixed_d3"
-        paths = []
-        for index in range(2):
-            path = os.path.join(tmp_path, f"cost{index}.jsonl")
-            paths.append(path)
-            assert cli.main([
-                "campaign", "--specs", specs,
-                "--shard-by-cost", f"{index}/2", "--jsonl", path,
-            ]) == 0
-        capsys.readouterr()
-        assert cli.main(["campaign", "--specs", specs]) == 0
-        unsharded = capsys.readouterr().out
-        assert cli.main(["campaign", "--merge-jsonl", ",".join(paths)]) == 0
-        merged = capsys.readouterr().out
-        fingerprint = [
-            line for line in unsharded.splitlines() if "fingerprint" in line
-        ]
-        assert fingerprint and fingerprint[0] in merged
-
-    def test_record_costs_writes_the_sideband(self, capsys, tmp_path):
-        costs = os.path.join(tmp_path, "COSTS.json")
-        assert cli.main([
-            "campaign", "--specs", "writer_reader_d1",
-            "--record-costs", costs,
-        ]) == 0
-        from repro.campaign import CostModel
-
-        model = CostModel.load(costs)
-        assert model.recorded("writer_reader_d1", "smart") is not None
-        assert model.recorded("writer_reader_d1", "reference") is not None
 
     def test_generous_spec_timeout_wiring_exits_0_without_rows(
         self, capsys, tmp_path

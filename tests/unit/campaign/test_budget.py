@@ -22,7 +22,7 @@ from repro.campaign import (
     merge_jsonl,
 )
 from repro.campaign import runner
-from repro.campaign.orchestrator.budget import _batch_size
+from repro.campaign.executor import _batch_size
 
 from .test_runner import job_count, replicated_default_campaign
 

@@ -1,11 +1,20 @@
 """Campaign JSONL resume: skip persisted rows, reproduce the fingerprint."""
 
 import json
+import os
+import shutil
 
 import pytest
 
-from repro.campaign import CampaignRunner, ScenarioSpec, load_resume_state, merge_jsonl
-from repro.campaign.orchestrator.costs import CostModel
+from repro.analysis import cli
+from repro.campaign import (
+    CampaignResumeError,
+    CampaignRunner,
+    ScenarioSpec,
+    default_campaign,
+    load_resume_state,
+    merge_jsonl,
+)
 
 CAMPAIGN = [
     ScenarioSpec("writer_reader_d2", "writer_reader", depth=2),
@@ -110,7 +119,7 @@ class TestResume:
 
     def test_batched_pool_file_resumes_exactly(self, tmp_path):
         from repro.campaign import spec_is_pairable
-        from repro.campaign.orchestrator.budget import _batch_size
+        from repro.campaign.executor import _batch_size
         from repro.telemetry import load_events
 
         from .test_runner import job_count, replicated_default_campaign
@@ -285,48 +294,81 @@ class TestShardedResume:
         merged = merge_jsonl([str(path0), str(path1)])
         assert merged.fingerprint() == unsharded.fingerprint()
 
-    def test_cost_shard_resume_round_trips(self, tmp_path):
-        model = CostModel()
-        model.observe("bursty_s3", "smart", 5.0)
-        path = tmp_path / "cost0.jsonl"
-        full = self.shard_runner(0, shard_by_cost=True, cost_model=model).run(
-            CAMPAIGN, jsonl=str(path)
-        )
-        truncate_file(path, keep_lines=2)
-        resumed = self.shard_runner(
-            0, shard_by_cost=True, cost_model=model
-        ).run(CAMPAIGN, jsonl=str(path), resume=True)
-        assert resumed.fingerprint() == full.fingerprint()
 
-    def test_cost_shard_file_cannot_resume_as_round_robin(self, tmp_path):
-        model = CostModel()
-        model.observe("bursty_s3", "smart", 5.0)
-        path = tmp_path / "cost0.jsonl"
-        self.shard_runner(0, shard_by_cost=True, cost_model=model).run(
-            CAMPAIGN, jsonl=str(path)
-        )
-        with pytest.raises(ValueError, match="shards by"):
-            self.shard_runner(0).run(CAMPAIGN, jsonl=str(path), resume=True)
+#: Shard files written by an older release, kept byte for byte:
+#:
+#:   python -m repro.analysis.cli campaign --specs FIXTURE_SPECS \
+#:       --shard i/2 --jsonl tests/data/shard_index_<i>of2.jsonl
+#:   python -m repro.analysis.cli campaign --specs FIXTURE_SPECS \
+#:       --shard-by-cost i/2 --jsonl tests/data/shard_cost_<i>of2.jsonl
+#:
+#: for i in 0 and 1.  ``--shard-by-cost`` (a cost-balanced partitioner,
+#: since retired) wrote ``"shard_by": "cost"`` headers and a different
+#: shard membership than round-robin.
+DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "data")
+FIXTURE_SPECS = "writer_reader_d1,writer_reader_d4,streaming_d2"
 
-    def test_repartitioned_cost_shard_rejected(self, tmp_path):
-        # Resuming after COSTS.json changed enough to move specs between
-        # shards must fail loudly, not replay foreign rows.
-        heavy_bursty = CostModel()
-        heavy_bursty.observe("bursty_s3", "smart", 100.0)
-        heavy_writer = CostModel()
-        heavy_writer.observe("writer_reader_d2", "smart", 100.0)
-        from repro.campaign.orchestrator.partition import cost_shards
 
-        before = cost_shards(CAMPAIGN, 2, heavy_bursty, paired=True)
-        after = cost_shards(CAMPAIGN, 2, heavy_writer, paired=True)
-        assert [[s.name for s in sh] for sh in before] != [
-            [s.name for s in sh] for sh in after
-        ]
+def fixture_path(kind, index):
+    return os.path.join(DATA_DIR, f"shard_{kind}_{index}of2.jsonl")
+
+
+def fixture_campaign():
+    by_name = {spec.name: spec for spec in default_campaign()}
+    return [by_name[name] for name in FIXTURE_SPECS.split(",")]
+
+
+def printed_fingerprint(output):
+    (line,) = [line for line in output.splitlines() if "fingerprint" in line]
+    return line.split()[-1]
+
+
+class TestOldShardFiles:
+    """Committed shard files of both partitioners stay readable."""
+
+    @pytest.mark.parametrize("kind", ["index", "cost"])
+    def test_fixture_pair_merges_to_the_unsharded_fingerprint(
+        self, capsys, kind
+    ):
+        unsharded = CampaignRunner(workers=1).run(fixture_campaign())
+        paths = [fixture_path(kind, index) for index in range(2)]
+        assert merge_jsonl(paths).fingerprint() == unsharded.fingerprint()
+        assert cli.main(["campaign", "--merge-jsonl", ",".join(paths)]) == 0
+        merged = printed_fingerprint(capsys.readouterr().out)
+        assert merged == unsharded.fingerprint()
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_index_shards_are_written_byte_identically(
+        self, capsys, tmp_path, index
+    ):
+        path = tmp_path / f"shard{index}.jsonl"
+        assert cli.main([
+            "campaign", "--specs", FIXTURE_SPECS,
+            "--shard", f"{index}/2", "--jsonl", str(path),
+        ]) == 0
+        with open(fixture_path("index", index), "rb") as handle:
+            assert path.read_bytes() == handle.read()
+
+    def test_cost_shard_cannot_resume_as_round_robin(self, tmp_path):
         path = tmp_path / "cost0.jsonl"
-        self.shard_runner(0, shard_by_cost=True, cost_model=heavy_bursty).run(
-            CAMPAIGN, jsonl=str(path)
-        )
-        with pytest.raises(ValueError, match="does not belong to shard"):
-            self.shard_runner(
-                0, shard_by_cost=True, cost_model=heavy_writer
-            ).run(CAMPAIGN, jsonl=str(path), resume=True)
+        shutil.copyfile(fixture_path("cost", 0), path)
+        before = path.read_bytes()
+        with pytest.raises(CampaignResumeError, match="cost"):
+            CampaignRunner(workers=1, shard=(0, 2)).run(
+                fixture_campaign(), jsonl=str(path), resume=True
+            )
+        assert path.read_bytes() == before
+
+    def test_torn_index_shard_heals_via_resume(self, capsys, tmp_path):
+        path = tmp_path / "index0.jsonl"
+        shutil.copyfile(fixture_path("index", 0), path)
+        lines = path.read_text().splitlines()
+        truncate_file(path, keep_lines=3, torn_tail=lines[3][:40])
+        assert cli.main([
+            "campaign", "--specs", FIXTURE_SPECS,
+            "--shard", "0/2", "--jsonl", str(path), "--resume",
+        ]) == 0
+        assert sorted(path.read_text().splitlines()) == sorted(lines)
+        unsharded = CampaignRunner(workers=1).run(fixture_campaign())
+        merged = merge_jsonl([str(path), fixture_path("index", 1)])
+        assert merged.fingerprint() == unsharded.fingerprint()

@@ -16,7 +16,7 @@ from repro.campaign import (
     spec_is_pairable,
     sweep_point_specs,
 )
-from repro.campaign.orchestrator.budget import _batch_size
+from repro.campaign.executor import _batch_size
 
 SMALL_CAMPAIGN = [
     ScenarioSpec("writer_reader_d2", "writer_reader", depth=2),

@@ -58,7 +58,7 @@ from repro.campaign import (  # noqa: E402
     run_replay_sweep,
     sweep_point_specs,
 )
-from repro.campaign.orchestrator.budget import _batch_size  # noqa: E402
+from repro.campaign.executor import _batch_size  # noqa: E402
 from repro.campaign.spec import spec_is_pairable  # noqa: E402
 from repro.telemetry import load_events  # noqa: E402
 
