@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench-check bench campaign-smoke \
-	perfbench-smoke perfbench-compare
+.PHONY: test campaign-smoke perfbench-smoke perfbench-compare
 
 # Tier-1 verification: the full unit/property/integration suite.
 test:
@@ -20,23 +19,7 @@ campaign-smoke:
 # of result file B against result file A (both written by
 # `python3 perfbench/run.py --set --seed N --out FILE`).
 perfbench-smoke:
-	python3 perfbench/run.py --set --smoke
+	python3 perfbench/run.py --set --smoke --seconds 0
 
 perfbench-compare:
 	python3 perfbench/run.py --compare $(A) $(B)
-
-# Legacy trail: the BENCH_*.json harness below predates perfbench.
-# Fast smoke run of the persistent benchmark harness (no file written,
-# single repeat; prints the comparison against the latest BENCH_*.json).
-bench-quick:
-	$(PYTHON) tools/run_benchmarks.py --repeats 1 --no-output
-
-# Perf gate: fails when any metric regresses >20% versus the newest
-# committed BENCH_*.json.  Best-of-9 to ride out machine noise.
-bench-check:
-	$(PYTHON) tools/run_benchmarks.py --check --no-output --repeats 9
-
-# Full measured run writing BENCH_<LABEL>.json (default LABEL=dev).
-LABEL ?= dev
-bench:
-	$(PYTHON) tools/run_benchmarks.py --label $(LABEL)

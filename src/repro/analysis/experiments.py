@@ -1,9 +1,9 @@
 """Experiment drivers.
 
 One driver per table/figure of the paper (see DESIGN.md, "Per-experiment
-index").  The benchmark harness under ``benchmarks/`` and the
-EXPERIMENTS.md generator call these functions; they can also be used
-interactively::
+index").  The EXPERIMENTS.md generator
+(``tools/generate_experiments_report.py``) calls these functions; they
+can also be used interactively::
 
     from repro.analysis import experiments
     rows = experiments.fig5_depth_sweep(depths=[1, 2, 4, 8, 16])

@@ -9,7 +9,7 @@ from repro.workloads import PipelineModel, StreamingConfig, StreamingPipeline
 
 
 class TestPipelineTimingEquality:
-    @pytest.mark.parametrize("depth", [1, 2, 4, 16, 64])
+    @pytest.mark.parametrize("depth", [1, 2, 4, 8, 16, 64])
     def test_completion_date_independent_of_model(self, depth):
         """For every FIFO depth, TDfull must finish at exactly the TDless date."""
         config = StreamingConfig(n_blocks=3, words_per_block=40, fifo_depth=depth)

@@ -90,9 +90,12 @@ class TestQuantumAblation:
         assert labels[0] == "tdless_reference"
         assert "smart_fifo" in labels
         assert any(str(row["quantum_ns"]) == "1000" for row in rows)
-        # The Smart FIFO row must have zero timing error.
+        # The Smart FIFO row must have zero timing error, and so must
+        # quantum 0, which disables decoupling.
         smart_row = [row for row in rows if row["label"] == "smart_fifo"][0]
         assert smart_row["timing_error_ns"] == 0.0
+        zero_row = [row for row in rows if row["quantum_ns"] == 0][0]
+        assert zero_row["timing_error_ns"] == 0.0
         table = experiments.quantum_table(rows)
         assert "timing_error_ns" in table
 

@@ -133,6 +133,16 @@ class TestPureObservers:
         assert fifo.size_at(ns(26)) == 1
         assert fifo.size_at(ns(35)) == 2
 
+    @pytest.mark.parametrize("depth", (4, 64, 1024))
+    def test_size_at_counts_every_word_written_now(self, sim, depth):
+        fifo = SmartFifo(sim, "fifo", depth=depth)
+        for value in range(depth // 2):
+            fifo.nb_write(value)
+        assert fifo.size_at(sim.now) == depth // 2
+        assert not fifo.is_empty()
+        assert [fifo.nb_read() for _ in range(depth // 2)] == list(range(depth // 2))
+        assert fifo.total_read == depth // 2
+
     def test_peek_size_uses_caller_local_date(self, sim, host):
         fifo = SmartFifo(sim, "fifo", depth=4)
         observed = {}

@@ -13,6 +13,8 @@ import os
 
 import pytest
 
+from repro.fifo import SmartFifo
+from repro.kernel import Simulator
 from repro.telemetry import (
     NULL_TELEMETRY,
     TELEMETRY_SCHEMA,
@@ -25,6 +27,30 @@ from repro.telemetry import (
     render_report,
     telemetry_files,
 )
+
+from ..fifo.helpers import DecoupledReader, DecoupledWriter
+
+
+class _RaisingTelemetry(NullTelemetry):
+    """Disabled telemetry that fails on any call."""
+
+    def _called(self, *args, **kwargs):
+        raise AssertionError("disabled telemetry was called")
+
+    span = span_at = counter = gauge = flush = close = _called
+
+
+def _run_stream(telemetry):
+    sim = Simulator("stream")
+    sim.telemetry = sim.scheduler.telemetry = telemetry
+    fifo = SmartFifo(sim, "fifo", depth=4)
+    DecoupledWriter(sim, "writer", fifo, range(200), period_ns=1)
+    DecoupledReader(sim, "reader", fifo, 200, period_ns=3)
+    sim.run()
+    counters = sim.stats.snapshot()
+    counters.update(now_fs=sim.now_fs, words=fifo.total_read,
+                    blocking_waits=fifo.blocking_waits)
+    return counters
 
 
 class TestNullTelemetry:
@@ -43,6 +69,14 @@ class TestNullTelemetry:
         NULL_TELEMETRY.gauge("g", 7)
         NULL_TELEMETRY.flush()
         NULL_TELEMETRY.close()
+
+    def test_disabled_run_makes_no_telemetry_call(self):
+        # Simulator.run and the scheduler loop guard every telemetry call
+        # with `enabled`, so a telemetry that raises on any call must run
+        # the stream exactly like NULL_TELEMETRY.
+        counters = _run_stream(_RaisingTelemetry())
+        assert counters == _run_stream(NULL_TELEMETRY)
+        assert counters["words"] == 200 and counters["blocking_waits"] > 0
 
 
 class TestSchemaAndRoundTrip:

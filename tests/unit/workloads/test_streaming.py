@@ -1,5 +1,7 @@
 """Unit tests for the streaming workloads (Fig. 1/2/3 example, Fig. 5 pipeline)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.kernel import Simulator
@@ -72,6 +74,14 @@ class TestStreamingConfig:
 
 
 SMALL = StreamingConfig(n_blocks=4, words_per_block=25, fifo_depth=4)
+#: The 1,000-word pipeline of the context-switch bounds below.
+SWEEP = StreamingConfig(n_blocks=20, words_per_block=50)
+
+
+def context_switches(model, config):
+    sim = Simulator(f"{model.value}_d{config.fifo_depth}")
+    StreamingPipeline(sim, model, config).run()
+    return sim.stats.context_switches
 
 
 class TestStreamingPipeline:
@@ -102,22 +112,31 @@ class TestStreamingPipeline:
         assert completions[PipelineModel.TDLESS] == completions[PipelineModel.TDFULL]
 
     def test_tdfull_uses_fewer_context_switches_for_deep_fifos(self):
-        config = StreamingConfig(n_blocks=4, words_per_block=25, fifo_depth=32)
-        switches = {}
-        for model in (PipelineModel.TDLESS, PipelineModel.TDFULL):
-            sim = Simulator(model.value)
-            StreamingPipeline(sim, model, config).run()
-            switches[model] = sim.stats.context_switches
-        assert switches[PipelineModel.TDFULL] < switches[PipelineModel.TDLESS] / 4
+        # (config, k): TDfull needs under 1/k of TDless's switches and at
+        # most 2.5x those of the untimed lower bound.
+        inputs = [(StreamingConfig(n_blocks=4, words_per_block=25, fifo_depth=32), 4)]
+        inputs += [(replace(SWEEP, fifo_depth=depth), 2) for depth in (4, 8, 32)]
+        for config, k in inputs:
+            switches = {
+                model: context_switches(model, config)
+                for model in (PipelineModel.TDLESS, PipelineModel.TDFULL,
+                              PipelineModel.UNTIMED)
+            }
+            tdfull = switches[PipelineModel.TDFULL]
+            assert tdfull < switches[PipelineModel.TDLESS] / k, config
+            assert tdfull <= switches[PipelineModel.UNTIMED] * 2.5, config
 
     def test_deeper_fifos_reduce_tdfull_context_switches(self):
         def switches(depth):
             config = StreamingConfig(n_blocks=4, words_per_block=25, fifo_depth=depth)
-            sim = Simulator(f"d{depth}")
-            StreamingPipeline(sim, PipelineModel.TDFULL, config).run()
-            return sim.stats.context_switches
+            return context_switches(PipelineModel.TDFULL, config)
 
         assert switches(16) < switches(2) < switches(1)
+        # A single cell blocks on every access: TDfull keeps no advantage.
+        single = replace(SWEEP, fifo_depth=1)
+        assert context_switches(PipelineModel.TDFULL, single) >= (
+            0.5 * context_switches(PipelineModel.TDLESS, single)
+        )
 
     def test_timing_modes_exposed(self):
         sim = Simulator()
