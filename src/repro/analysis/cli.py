@@ -57,8 +57,6 @@ ticker).  ``telemetry-report`` renders a collected sideband::
 from __future__ import annotations
 
 import argparse
-import os
-import re
 from typing import List, Optional, Sequence, Tuple
 
 from ..campaign import (
@@ -70,13 +68,12 @@ from ..campaign import (
     default_campaign,
     describe_specs,
     merge_jsonl,
-    run_replay_sweep,
     sweep_point_specs,
 )
 from ..replay import ReplayError
 from ..kernel.tracing import SINK_KINDS
 from ..soc import SocConfig
-from ..telemetry import NULL_TELEMETRY, Telemetry, render_report
+from ..telemetry import render_report
 from ..workloads import StreamingConfig
 from . import experiments
 from .reporting import dict_rows_table, write_csv
@@ -86,17 +83,29 @@ def _int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (e.g. ``--workers``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
+def _int_at_least(minimum: int, what: str):
+    """argparse type for integer flags that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            )
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be {what} integer, got {value}"
+            )
+        return value
+
+    return parse
+
+
+#: For counts that must be >= 1 (e.g. ``--workers``).
+_positive_int = _int_at_least(1, "a positive")
+#: For counts that may be 0 (e.g. ``--validate``).
+_non_negative_int = _int_at_least(0, "a non-negative")
 
 
 def _positive_float(text: str) -> float:
@@ -173,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig5.add_argument(
         "--validate",
-        type=int,
+        type=_non_negative_int,
         default=2,
         metavar="N",
         help="with --replay: cross-validate N replayed points per curve "
@@ -307,34 +316,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay-sweep",
         default=None,
         metavar="SPEC",
-        help="record the named campaign spec once and price every "
-        "--sweep-depths / --sweep-quanta point by replaying its dependency "
-        "spool (rows tagged evaluator=replay; --validate points are "
-        "re-simulated and compared exactly)",
+        help="shorthand for --specs SPEC --auto-replay --no-paired: record "
+        "the named campaign spec once and price every --sweep-depths / "
+        "--sweep-quanta point by replaying its dependency spool (rows "
+        "tagged evaluator=replay), then print the sweep table",
     )
     campaign.add_argument(
         "--sweep-depths",
         type=_int_list,
         default=None,
         metavar="D1,D2,...",
-        help="with --replay-sweep or --auto-replay: the FIFO depths to "
-        "evaluate (with --auto-replay, every selected spec is expanded "
-        "into one point per depth)",
+        help="with --replay-sweep or --auto-replay: expand every selected "
+        "spec into one point per FIFO depth",
     )
     campaign.add_argument(
         "--sweep-quanta",
         type=_int_list,
         default=None,
         metavar="Q1,Q2,...",
-        help="with --replay-sweep: global quanta (ns) to evaluate "
-        "(needs a timing=quantum anchor spec)",
+        help="with --replay-sweep or --auto-replay: expand every selected "
+        "spec into one point per global quantum (ns; needs timing=quantum "
+        "specs)",
     )
     campaign.add_argument(
         "--validate",
-        type=int,
+        type=_non_negative_int,
         default=1,
         metavar="N",
-        help="with --replay-sweep / --auto-replay: cross-validate N "
+        help="with --replay-sweep or --auto-replay: cross-validate N "
         "replayed points per anchor against fresh simulations (0 = trust "
         "the anchor self-check); the N are evenly spaced over the points, "
         "each taken at the first replayed point at or after its position, "
@@ -349,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         "spec is simulated once with a recorder, every other member is "
         "priced by replay (rows tagged evaluator=replay); poisoned "
         "recordings and out-of-envelope points fall back to plain "
-        "simulation; paired specs are never routed (pairs diff traces); "
-        "combine with --sweep-depths/--sweep-quanta to expand each "
-        "selected spec into a sweep grid first",
+        "simulation; paired specs are never routed (pairs diff traces; "
+        "add --no-paired); combine with --sweep-depths/--sweep-quanta to "
+        "expand each selected spec into a sweep grid first",
     )
     campaign.add_argument(
         "--telemetry",
@@ -428,8 +437,7 @@ def run_fig5(args: argparse.Namespace):
             raise SystemExit(f"fig5 --replay failed: {exc}")
         if args.csv:
             write_csv(result.rows(), args.csv)
-        output = "\n\n".join([result.table(), result.summary()])
-        return output, 0 if result.all_validated else 1
+        return "\n\n".join([result.table(), result.summary()])
     rows = experiments.fig5_depth_sweep(
         depths=args.depths, base_config=_streaming_config(args)
     )
@@ -497,123 +505,21 @@ def _campaign_output(result) -> tuple:
     return (output, 0) if ok else (output, 1)
 
 
-def _run_replay_sweep(args: argparse.Namespace) -> tuple:
-    """The ``campaign --replay-sweep`` body: record once, replay the sweep."""
-    specs = default_campaign(burst=args.burst)
-    by_name = {spec.name: spec for spec in specs}
-    if args.replay_sweep not in by_name:
-        raise SystemExit(
-            f"unknown spec name: {args.replay_sweep}; "
-            f"known: {', '.join(sorted(by_name))}"
-        )
-    anchor = by_name[args.replay_sweep]
-    depths = args.sweep_depths or []
-    quanta = args.sweep_quanta or []
-    if not depths and not quanta:
-        raise SystemExit(
-            "--replay-sweep needs --sweep-depths and/or --sweep-quanta"
-        )
-    telemetry = NULL_TELEMETRY
-    if args.telemetry:
-        os.makedirs(args.telemetry, exist_ok=True)
-        telemetry = Telemetry(
-            "replay-sweep",
-            path=os.path.join(args.telemetry, "telemetry.jsonl"),
-        )
-    try:
-        sweep = run_replay_sweep(
-            anchor,
-            depths=depths,
-            quanta_ns=quanta,
-            validate=args.validate,
-            trace_sink=args.trace_sink,
-            telemetry=telemetry,
-        )
-    except ReplayError as exc:
-        telemetry.close()
-        poisoned = re.match(
-            r"recording is not replayable: (?P<construct>.+?)"
-            r"(?: \[in process (?P<process>.+?)\])?$",
-            str(exc),
-        )
-        if poisoned is not None:
-            construct = poisoned.group("construct")
-            process = poisoned.group("process") or "<unknown>"
-            raise SystemExit(
-                f"spec {anchor.name!r} cannot be replay-swept: its "
-                f"recording was poisoned by `{construct}` in process "
-                f"{process!r}.  That construct's behaviour depends on "
-                f"state the recorder cannot pin, so replayed sweeps would "
-                f"be unsound.  Price this spec by plain simulation "
-                f"(drop --replay-sweep), or use --auto-replay, which "
-                f"falls back to simulation for exactly these specs."
-            )
-        raise SystemExit(f"replay sweep failed: {exc}")
-    telemetry.close()
-    if args.jsonl:
-        row_specs = [anchor] + sweep_point_specs(anchor, depths, quanta)
-        with open(args.jsonl, "w") as stream:
-            sink = JsonlSink(stream, row_specs, workers=1, paired=False)
-            for record in sweep.rows:
-                sink.run_completed(record)
-    rows = sweep.summary_rows()
-    if args.csv:
-        write_csv(rows, args.csv)
-    table = dict_rows_table(
-        rows,
-        ["name", "evaluator", "depth", "quantum_ns", "sim_end_fs",
-         "context_switches", "delta_cycles"],
-        title=f"Replay sweep — {anchor.name}",
-    )
-    replayed = sum(1 for r in sweep.rows if r.evaluator == "replay")
-    validated = sum(1 for v in sweep.validations if v.ok)
-    per_replay = sweep.replay_seconds / replayed if replayed else float("nan")
-    speedup = sweep.record_seconds / per_replay if replayed else float("nan")
-    summary = (
-        f"1 simulation + {replayed} replays; {sweep.points_per_s:.0f} "
-        f"points/s ({speedup:.0f}x per point vs simulate); validated "
-        f"{validated}/{len(sweep.validations)} sampled points exactly"
-    )
-    return "\n\n".join([table, summary]), 0 if sweep.all_validated else 1
-
-
 def run_campaign(args: argparse.Namespace) -> str:
-    if (args.sweep_depths or args.sweep_quanta) and not (
-        args.replay_sweep or args.auto_replay
-    ):
+    if args.replay_sweep:
+        if args.specs is not None:
+            raise SystemExit(
+                "--replay-sweep SPEC and --specs both pick the specs; use one"
+            )
+        if not (args.sweep_depths or args.sweep_quanta):
+            raise SystemExit(
+                "--replay-sweep needs --sweep-depths and/or --sweep-quanta"
+            )
+    elif (args.sweep_depths or args.sweep_quanta) and not args.auto_replay:
         raise SystemExit(
             "--sweep-depths/--sweep-quanta are only read by "
             "--replay-sweep and --auto-replay"
         )
-    if args.replay_sweep and args.auto_replay:
-        raise SystemExit(
-            "--replay-sweep (one explicit anchor) and --auto-replay "
-            "(grouping over the campaign) are two drivers of the same "
-            "engine; pick one"
-        )
-    if args.replay_sweep:
-        conflicting = [
-            flag for flag, active in (
-                ("--resume", args.resume),
-                ("--merge-jsonl", args.merge_jsonl is not None),
-                ("--shard", args.shard is not None),
-                ("--spec-timeout", args.spec_timeout is not None),
-                ("--campaign-budget", args.campaign_budget is not None),
-                ("--specs", args.specs is not None),
-                ("--workers", args.workers != 1),
-                ("--no-paired", args.no_paired),
-                ("--list", args.list),
-                ("--trace-out", args.trace_out is not None),
-                ("--progress", args.progress),
-            ) if active
-        ]
-        if conflicting:
-            raise SystemExit(
-                f"--replay-sweep records one spec and replays the sweep "
-                f"in-process; it cannot be combined with "
-                f"{', '.join(conflicting)}"
-            )
-        return _run_replay_sweep(args)
     if args.resume and not args.jsonl:
         raise SystemExit("--resume requires --jsonl (the file to resume from)")
     if args.trace_out and args.trace_sink != "spool":
@@ -627,6 +533,7 @@ def run_campaign(args: argparse.Namespace) -> str:
                 ("--spec-timeout", args.spec_timeout is not None),
                 ("--campaign-budget", args.campaign_budget is not None),
                 ("--specs", args.specs is not None),
+                ("--replay-sweep", args.replay_sweep is not None),
                 ("--workers", args.workers != 1),
                 ("--no-paired", args.no_paired),
                 ("--list", args.list),
@@ -648,6 +555,10 @@ def run_campaign(args: argparse.Namespace) -> str:
         if args.csv:
             write_csv(result.run_rows(), args.csv)
         return _campaign_output(result)
+    if args.replay_sweep:
+        args.specs, args.auto_replay, args.no_paired = (
+            args.replay_sweep, True, True
+        )
     specs = default_campaign(burst=args.burst)
     if args.specs:
         wanted = [name.strip() for name in args.specs.split(",") if name.strip()]
@@ -708,9 +619,26 @@ def run_campaign(args: argparse.Namespace) -> str:
         # Only resume problems get the friendly one-liner; a ValueError
         # from inside a simulation is a real bug and keeps its traceback.
         raise SystemExit(f"cannot resume campaign: {exc}")
+    except ReplayError as exc:
+        # A replayed point diverged from its fresh cross-validation run.
+        raise SystemExit(f"replay sweep failed: {exc}")
     if args.csv:
         write_csv(result.run_rows(), args.csv)
-    return _campaign_output(result)
+    output, code = _campaign_output(result)
+    if args.replay_sweep:
+        order = {spec.name: index for index, spec in enumerate(specs)}
+        records = sorted(result.runs, key=lambda record: order[record.name])
+        columns = ["name", "evaluator", "depth", "quantum_ns", "sim_end_fs",
+                   "context_switches", "delta_cycles"]
+        table = dict_rows_table(
+            [{col: getattr(r, col) for col in columns} for r in records],
+            columns,
+            title=f"Replay sweep — {args.replay_sweep}",
+        )
+        output = "\n\n".join(
+            [output, table, experiments.sweep_summary(records)]
+        )
+    return output, code
 
 
 def run_telemetry_report(args: argparse.Namespace) -> str:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..campaign.evaluators import ReplaySweepResult, run_replay_sweep
+from ..campaign.evaluators import sweep_point_specs
+from ..campaign.runner import CampaignRunner, SpecRunRecord
 from ..campaign.spec import MODE_REFERENCE, MODE_SMART, ScenarioSpec
 from ..kernel.simtime import SimTime, TimeUnit, ns
 from ..kernel.simulator import Simulator
@@ -205,6 +206,28 @@ def fig5_speedup_table(rows: Sequence[Dict[str, object]]) -> str:
 # ---------------------------------------------------------------------------
 # EXP-FIG5-REPLAY — the same sweep from one simulation per curve
 # ---------------------------------------------------------------------------
+def sweep_summary(records: Sequence[SpecRunRecord]) -> str:
+    """One line pricing a sweep's replays against its simulations.
+
+    Works from the rows' ``wall_seconds`` alone: simulated rows (anchors
+    and refused points) against replayed ones.
+    """
+    simulated = [r.wall_seconds for r in records if r.evaluator != "replay"]
+    replayed = [r.wall_seconds for r in records if r.evaluator == "replay"]
+    plural = "" if len(simulated) == 1 else "s"
+    line = f"{len(simulated)} simulation{plural} + {len(replayed)} replays"
+    if not replayed:
+        return f"{line}; no point replayed"
+    replay_s = sum(replayed)
+    if replay_s <= 0.0 or sum(simulated) <= 0.0:
+        return line  # rows recovered from a file carry no wall clock
+    speedup = (sum(simulated) / len(simulated)) / (replay_s / len(replayed))
+    return (
+        f"{line}; {len(replayed) / replay_s:.0f} points/s "
+        f"({speedup:.0f}x per point vs simulate)"
+    )
+
+
 @dataclass
 class Fig5ReplayResult:
     """Fig. 5 depth curves computed by record-and-replay.
@@ -217,16 +240,14 @@ class Fig5ReplayResult:
     delta cycles), which are the machine-independent Fig. 5 companions.
     """
 
-    sweeps: Dict[str, ReplaySweepResult]
-
-    @property
-    def all_validated(self) -> bool:
-        return all(sweep.all_validated for sweep in self.sweeps.values())
+    #: Campaign rows (see :class:`~repro.campaign.runner.SpecRunRecord`)
+    #: per mode.
+    runs: Dict[str, List[SpecRunRecord]]
 
     def rows(self) -> List[Dict[str, object]]:
         rows: List[Dict[str, object]] = []
-        for mode, sweep in self.sweeps.items():
-            for record in sorted(sweep.rows, key=lambda r: r.depth):
+        for mode, records in self.runs.items():
+            for record in sorted(records, key=lambda r: r.depth):
                 rows.append(
                     {
                         "depth": record.depth,
@@ -248,23 +269,10 @@ class Fig5ReplayResult:
         )
 
     def summary(self) -> str:
-        lines = []
-        for mode, sweep in self.sweeps.items():
-            replayed = sum(1 for r in sweep.rows if r.evaluator == "replay")
-            validated = sum(1 for v in sweep.validations if v.ok)
-            per_replay = (
-                sweep.replay_seconds / replayed if replayed else float("nan")
-            )
-            speedup = (
-                sweep.record_seconds / per_replay if replayed else float("nan")
-            )
-            lines.append(
-                f"{mode}: 1 simulation + {replayed} replays "
-                f"({sweep.points_per_s:.0f} points/s, {speedup:.0f}x per "
-                f"point vs simulate); validated {validated}/"
-                f"{len(sweep.validations)} sampled points exactly"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"{mode}: {sweep_summary(records)}"
+            for mode, records in self.runs.items()
+        )
 
 
 def fig5_replay_sweep(
@@ -278,14 +286,16 @@ def fig5_replay_sweep(
 
     Records the streaming pipeline once per mode at ``anchor_depth``
     (default: the middle of ``depths``) and replays the recording at every
-    other depth; ``validate`` sampled points per curve are re-simulated and
-    compared exactly (see
-    :func:`repro.campaign.evaluators.run_replay_sweep`).
+    other depth, as one auto-replayed campaign (one routing group per
+    mode); ``validate`` sampled points per curve are re-simulated and
+    compared exactly, and a divergence raises
+    :class:`~repro.replay.ReplayError` (see
+    :func:`repro.campaign.evaluators.route_group`).
     """
     base = base_config or StreamingConfig()
     if anchor_depth is None:
         anchor_depth = sorted(depths)[len(depths) // 2]
-    sweeps: Dict[str, ReplaySweepResult] = {}
+    specs: List[ScenarioSpec] = []
     for mode in modes:
         anchor = ScenarioSpec(
             name=f"fig5_replay_{mode}",
@@ -297,10 +307,17 @@ def fig5_replay_sweep(
                 "words_per_block": base.words_per_block,
             },
         )
-        sweeps[mode] = run_replay_sweep(
-            anchor, depths=depths, validate=validate
-        )
-    return Fig5ReplayResult(sweeps=sweeps)
+        specs += [anchor] + sweep_point_specs(anchor, depths=depths)
+    result = CampaignRunner(
+        workers=1, paired=False, auto_replay=True,
+        auto_replay_validate=validate,
+    ).run(specs)
+    return Fig5ReplayResult(
+        runs={
+            mode: [run for run in result.runs if run.mode == mode]
+            for mode in modes
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

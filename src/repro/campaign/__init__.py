@@ -22,8 +22,10 @@ campaign-scale engine:
   killable workers behind every multi-worker campaign, and the wall-clock
   run budgets (``--spec-timeout`` / ``--campaign-budget``) with their
   deterministic ``timeout`` rows;
-* :mod:`repro.campaign.evaluators` — record-and-replay sweeps
-  (``--replay-sweep``, ``--auto-replay``).
+* :mod:`repro.campaign.evaluators` — the record-and-replay router
+  behind the runner's ``auto_replay`` pass, the one route of every sweep
+  (``--auto-replay``, its ``--replay-sweep SPEC`` shorthand and
+  ``fig5 --replay``).
 
 The aggregated result is **byte-identical for any worker count** — the
 deterministic rows carry simulated dates, kernel counters and trace digests
@@ -37,11 +39,9 @@ the ``equivalence_campaign`` / ``dense_sweep`` workloads of ``perfbench/``.
 from .evaluators import (
     ReplayEvaluator,
     ReplaySweepResult,
-    ValidationRecord,
     compare_replay_to_spool,
     record_spool,
     replay_group_key,
-    run_replay_sweep,
     sweep_point_specs,
 )
 from .executor import RunBudget, TimeoutRecord
@@ -86,11 +86,9 @@ __all__ = [
     "JsonlSink",
     "ReplayEvaluator",
     "ReplaySweepResult",
-    "ValidationRecord",
     "compare_replay_to_spool",
     "record_spool",
     "replay_group_key",
-    "run_replay_sweep",
     "sweep_point_specs",
     "RunBudget",
     "TimeoutRecord",

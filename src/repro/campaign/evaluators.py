@@ -16,8 +16,10 @@ Replayed points produce :class:`~repro.campaign.runner.SpecRunRecord`
 rows in the campaign's JSONL schema, tagged ``"evaluator": "replay"``
 (simulated rows omit the key, so pre-replay files are byte-identical).
 :func:`route_group` is the one routing loop — anchor simulation, N
-replays, fresh-simulation cross-validation of a sampled subset — behind
-both :func:`run_replay_sweep` and the campaign's ``--auto-replay``.
+replays, fresh-simulation cross-validation of a sampled subset.  Its one
+caller is the campaign runner's ``auto_replay`` pass, the route of every
+sweep (``campaign --auto-replay``, its ``--replay-sweep SPEC`` shorthand
+and ``fig5 --replay``), which simulates the points the router refuses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import (
@@ -38,7 +40,7 @@ from ..kernel.tracing import (
 )
 from ..replay import ReplayEngine, ReplayError, ReplayInvalid, ReplayResult
 from ..telemetry import NULL_TELEMETRY
-from .runner import DEFAULT_TRACE_SINK, SpecRunRecord, _record_from, execute_spec
+from .runner import DEFAULT_TRACE_SINK, SpecRunRecord, _record_from
 from .scenarios import build_scenario
 from .spec import ScenarioSpec
 
@@ -197,8 +199,14 @@ def sweep_point_specs(
 
     Depth points are named ``{anchor}_d{depth}``, quantum points
     ``{anchor}_q{ns}ns``; the anchor's own depth/quantum is skipped (its
-    row comes from the recording simulation itself).
+    row comes from the recording simulation itself).  A repeated depth or
+    quantum would name two points alike and raises
+    :class:`~repro.replay.ReplayError`.
     """
+    for kind, values in (("depths", depths), ("quanta", quanta_ns)):
+        values = list(values)
+        if len(set(values)) != len(values):
+            raise ReplayError(f"sweep {kind} repeat a value: {values}")
     points: List[ScenarioSpec] = []
     for depth in depths:
         if depth == anchor.depth:
@@ -280,63 +288,20 @@ def compare_replay_to_spool(
 
 
 @dataclass
-class ValidationRecord:
-    """Outcome of cross-validating one replayed point."""
-
-    name: str
-    ok: bool
-    diffs: List[str] = field(default_factory=list)
-
-
-@dataclass
 class ReplaySweepResult:
     """What the replay router (:func:`route_group`) made of one anchor
-    and its points, and what :func:`run_replay_sweep` returns."""
+    and its points."""
 
-    #: The anchor's simulated row (None only when :attr:`unreplayable`).
-    anchor: Optional[SpecRunRecord]
-    #: The anchor's row, then one row per point.  A refused point's row
-    #: is None until the caller prices it (``run_replay_sweep`` simulates
-    #: it).
-    rows: List[Optional[SpecRunRecord]]
-    validations: List[ValidationRecord]
-    record_seconds: float
-    replay_seconds: float
-    validate_seconds: float
+    #: The anchor's simulated row, then one row per point; a point refused
+    #: by the validity envelope has a None row (the caller simulates it).
+    rows: List[Optional[SpecRunRecord]] = field(default_factory=list)
+    #: Names of the cross-validated points, in the order they were checked.
+    validations: List[str] = field(default_factory=list)
     #: ``(point name, reason)`` for points outside the validity envelope.
     invalid_points: List[Tuple[str, str]] = field(default_factory=list)
-    #: Wall time of the fresh-simulation fallbacks (0.0 when none).
-    simulate_seconds: float = 0.0
     #: Why the anchor cannot be replayed at all (a poisoned recording or
-    #: a failed self-check); set only by :func:`route_group`, which then
-    #: leaves every other field empty.
+    #: a failed self-check); every other field is then empty.
     unreplayable: Optional[ReplayError] = None
-
-    @property
-    def all_validated(self) -> bool:
-        return all(v.ok for v in self.validations)
-
-    @property
-    def points_per_s(self) -> float:
-        replayed = sum(1 for r in self.rows if r.evaluator == "replay")
-        if self.replay_seconds <= 0.0:
-            return float("inf") if replayed else 0.0
-        return replayed / self.replay_seconds
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """Compact table rows (anchor first) for reporting."""
-        return [
-            {
-                "name": record.name,
-                "evaluator": record.evaluator,
-                "depth": record.depth,
-                "quantum_ns": record.quantum_ns,
-                "sim_end_fs": record.sim_end_fs,
-                "context_switches": record.context_switches,
-                "delta_cycles": record.delta_cycles,
-            }
-            for record in self.rows
-        ]
 
 
 def _validation_sample(count: int, validate: int) -> List[int]:
@@ -357,7 +322,7 @@ def _validation_sample(count: int, validate: int) -> List[int]:
 def _cross_validate(
     point: ScenarioSpec, result: ReplayResult, strict: bool, trace_sink: str,
     telemetry,
-) -> ValidationRecord:
+) -> None:
     """Diff ``result`` against a fresh recorded run of ``point``; raise
     :class:`~repro.replay.ReplayError` on any difference."""
     with telemetry.span("replay.validate", spec=point.name):
@@ -376,7 +341,6 @@ def _cross_validate(
             f"replayed point {point.label} diverges from a fresh "
             f"simulation: " + "; ".join(diffs[:6])
         )
-    return ValidationRecord(point.name, True)
 
 
 def route_group(
@@ -406,37 +370,27 @@ def route_group(
     per-construct ``replay.refusals.*`` counters.  ``on_row`` is called
     with the anchor's name and each replayed point's as its row is ready.
     """
-    start = time.perf_counter()
     try:
         with telemetry.span("replay.record", spec=anchor.name):
             evaluator = ReplayEvaluator(anchor, trace_sink=trace_sink)
     except ReplayError as exc:
-        return ReplaySweepResult(None, [], [], 0.0, 0.0, 0.0, unreplayable=exc)
-    sweep = ReplaySweepResult(
-        anchor=evaluator.anchor_record,
-        rows=[evaluator.anchor_record],
-        validations=[],
-        record_seconds=time.perf_counter() - start,
-        replay_seconds=0.0,
-        validate_seconds=0.0,
-    )
+        return ReplaySweepResult(unreplayable=exc)
+    sweep = ReplaySweepResult(rows=[evaluator.anchor_record])
     if on_row is not None:
         on_row(anchor.name)
 
     def check(point: ScenarioSpec, result: ReplayResult) -> None:
-        t0 = time.perf_counter()
-        sweep.validations.append(_cross_validate(
+        _cross_validate(
             point, result, evaluator.engine.strict, trace_sink, telemetry
-        ))
-        sweep.validate_seconds += time.perf_counter() - t0
+        )
+        sweep.validations.append(point.name)
 
     targets = _validation_sample(len(points), validate)
     served = 0  # targets[:served] have been validated
     # The latest replayed points not yet validated, for the tail.
     held: Deque[Tuple[ScenarioSpec, ReplayResult]] = deque()
     for index, point in enumerate(points):
-        point_t0 = time.monotonic() if telemetry.enabled else 0.0
-        start = time.perf_counter()
+        start = time.monotonic()
         try:
             result = evaluator.replay_point(point)
         except ReplayInvalid as exc:
@@ -445,18 +399,12 @@ def route_group(
                 telemetry.counter(f"replay.refusals.{construct}")
             sweep.invalid_points.append((point.name, str(exc)))
             sweep.rows.append(None)
-            sweep.replay_seconds += time.perf_counter() - start
             continue
+        wall = time.monotonic() - start
         if telemetry.enabled:
-            telemetry.span_at(
-                "replay.point", point_t0, time.monotonic() - point_t0,
-                spec=point.name,
-            )
+            telemetry.span_at("replay.point", start, wall, spec=point.name)
             telemetry.counter("replay.points_replayed")
-        sweep.rows.append(
-            replay_record(point, result, time.perf_counter() - start)
-        )
-        sweep.replay_seconds += time.perf_counter() - start
+        sweep.rows.append(replay_record(point, result, wall))
         if on_row is not None:
             on_row(point.name)
         due = served < len(targets) and targets[served] <= index
@@ -472,50 +420,4 @@ def route_group(
         del result
     while held:
         check(*held.popleft())
-    return sweep
-
-
-def run_replay_sweep(
-    anchor: ScenarioSpec,
-    depths: Sequence[int] = (),
-    quanta_ns: Sequence[int] = (),
-    validate: int = 1,
-    trace_sink: str = DEFAULT_TRACE_SINK,
-    telemetry=NULL_TELEMETRY,
-) -> ReplaySweepResult:
-    """One simulation per sweep: record the anchor, replay every point.
-
-    The :func:`sweep_point_specs` of ``depths`` and ``quanta_ns`` go
-    through :func:`route_group`.  ``validate`` replayed points — evenly
-    spaced, each the first replayed point at or after its position
-    (``validate=1`` checks the first replayed point) — are re-run as
-    *fresh recorded simulations* and compared against the replay: end
-    dates, counters, per-word completion dates, final local times.  Each
-    is checked as soon as it has replayed, so at most ``validate + 1``
-    replay results with their per-word dates are held at a time.  Any
-    difference raises :class:`~repro.replay.ReplayError` with the full
-    diff; a sweep that validates is exact on the sampled subset by
-    checking, and exact everywhere by the engine's construction.
-
-    Points outside the recording's validity envelope
-    (:class:`~repro.replay.ReplayInvalid` — a recorded branch outcome is
-    not reproducible at that depth/quantum) fall back to a fresh
-    simulation for exactly those points: their rows are plain simulated
-    rows and the refusals are reported in ``invalid_points``.
-
-    ``telemetry`` (an optional :mod:`repro.telemetry` sideband) gets the
-    router's spans and counters plus one ``replay.simulate_fallback``
-    span per refused point; the default ``NULL_TELEMETRY`` makes every
-    emission a no-op.
-    """
-    points = sweep_point_specs(anchor, depths, quanta_ns)
-    sweep = route_group(anchor, points, validate, telemetry, trace_sink)
-    if sweep.unreplayable is not None:
-        raise sweep.unreplayable
-    start = time.perf_counter()
-    for index, point in enumerate(points, 1):
-        if sweep.rows[index] is None:
-            with telemetry.span("replay.simulate_fallback", spec=point.name):
-                sweep.rows[index] = execute_spec(point, trace_sink)
-    sweep.simulate_seconds = time.perf_counter() - start
     return sweep

@@ -1292,8 +1292,10 @@ class CampaignRunner:
         and any point outside the recording's validity envelope
         (:class:`~repro.replay.ReplayInvalid`), falls back to plain
         simulation — auto-replay never changes *which* rows exist, only
-        how the eligible ones were computed.  Specs that would run as
-        pairs are never routed (a pair diffs traces; replay produces
+        how the eligible ones were computed.  Groups span the whole
+        campaign, so a shard or a resumed run replays its points from the
+        same anchor as the uninterrupted campaign.  Specs that would run
+        as pairs are never routed (a pair diffs traces; replay produces
         none).  The routing pass runs inline in the parent — replay is an
         order of magnitude cheaper than simulation — and is therefore not
         covered by ``budget``.
@@ -1389,34 +1391,44 @@ class CampaignRunner:
         return list(specs[index::count])
 
     # ------------------------------------------------------------------
-    def _auto_replay_pass(self, specs: Sequence[ScenarioSpec], sink=None):
+    def _auto_replay_pass(
+        self, campaign_specs: Sequence[ScenarioSpec],
+        todo: Sequence[ScenarioSpec], sink=None,
+    ):
         """Route sweep groups through record-and-replay (see ``auto_replay``).
 
-        Returns ``(remaining_specs, rows)``: the specs that must still be
-        simulated by the normal job path, and the rows produced here (one
-        plain simulated row per recorded anchor, one replay-tagged row per
-        successfully replayed point).  Persisted to ``sink`` immediately,
-        like worker results.
+        Groups are formed over the whole campaign, so a shard or a resumed
+        run replays its points from the same anchor as the uninterrupted
+        campaign: a group with a point still to run records its
+        campaign-level anchor, even when the anchor's own row is done or
+        belongs to another shard.  Returns ``(remaining_specs, rows)``: the
+        ``todo`` specs that must still be simulated by the normal job path,
+        and the ``todo`` rows produced here (one plain simulated row per
+        recorded anchor, one replay-tagged row per successfully replayed
+        point).  Persisted to ``sink`` like worker results.
         """
-        # Imported here: evaluators imports execute_spec/_record_from from
-        # this module, so a module-level import would be circular.
+        # Imported here: evaluators imports _record_from from this module,
+        # so a module-level import would be circular.
         from .evaluators import replay_group_key, route_group
 
         telemetry = self._telemetry
         ticker = self._ticker
-        on_row = None if ticker is None else (
-            lambda name: ticker.item_done(detail=name)
-        )
+        wanted = {spec.name for spec in todo}
+
+        def on_row(name: str) -> None:
+            if ticker is not None and name in wanted:
+                ticker.item_done(detail=name)
+
         groups: Dict[Tuple[object, ...], List[ScenarioSpec]] = {}
-        for spec in specs:
+        for spec in campaign_specs:
             if self.paired and spec_is_pairable(spec):
                 continue  # pairs diff traces; replay rows carry none
             groups.setdefault(replay_group_key(spec), []).append(spec)
         routed: Dict[str, SpecRunRecord] = {}
-        for members in groups.values():
-            if len(members) < 2:
+        for anchor, *members in groups.values():
+            points = [spec for spec in members if spec.name in wanted]
+            if not points:
                 continue
-            anchor, points = members[0], members[1:]
             route = route_group(
                 anchor, points, self.auto_replay_validate, telemetry,
                 self.trace_sink, on_row,
@@ -1429,14 +1441,14 @@ class CampaignRunner:
             telemetry.counter("replay.groups_routed")
             # Refused points (None rows) stay on the simulation path; the
             # router counted them by construct.
-            for spec, row in zip(members, route.rows):
-                if row is not None:
+            for spec, row in zip([anchor] + points, route.rows):
+                if row is not None and spec.name in wanted:
                     routed[spec.name] = row
-        rows = [routed[spec.name] for spec in specs if spec.name in routed]
+        rows = [routed[spec.name] for spec in todo if spec.name in routed]
         if sink is not None:
             for row in rows:
                 sink.run_completed(row)
-        remaining = [spec for spec in specs if spec.name not in routed]
+        remaining = [spec for spec in todo if spec.name not in routed]
         return remaining, rows
 
     # ------------------------------------------------------------------
@@ -1654,7 +1666,9 @@ class CampaignRunner:
                     sink = _TimedSink(sink, telemetry)
             replay_rows: List[SpecRunRecord] = []
             if self.auto_replay and specs:
-                specs, replay_rows = self._auto_replay_pass(specs, sink=sink)
+                specs, replay_rows = self._auto_replay_pass(
+                    campaign_specs, specs, sink=sink
+                )
             executor = _run_inline
             if self.workers > 1 or self.budget.active:
                 # Even at workers=1 a budget needs a worker process: a

@@ -660,8 +660,9 @@ class DependencyRecorder:
         """Mark the recording as non-replayable (first reason wins).
 
         The name of the process executing the poisoning construct is
-        captured so ``--replay-sweep`` on a non-replayable workload can
-        name both the construct and its source process.
+        appended, so the :class:`~repro.replay.ReplayError` that refuses
+        the recording (and sends its sweep group back to plain
+        simulation) names both the construct and its source process.
         """
         if self.poison_reason is None:
             process = self._scheduler.current_process

@@ -23,12 +23,14 @@ from hypothesis import strategies as st
 from repro.campaign import (
     MODE_REFERENCE,
     MODE_SMART,
+    CampaignRunner,
     ReplayEvaluator,
     ScenarioSpec,
     compare_replay_to_spool,
     record_spool,
-    run_replay_sweep,
+    sweep_point_specs,
 )
+from repro.campaign.evaluators import route_group
 from repro.replay import ReplayEngine, ReplayInvalid
 
 #: Replayable workloads with small fixed sizes (kept modest: every
@@ -193,10 +195,17 @@ def test_conditional_full_sweep_validates_in_envelope(workload, params, mode):
         params=dict(params),
     )
     depths = (2, 4, 6, 12, 16)
-    result = run_replay_sweep(anchor, depths=depths, validate=len(depths))
-    assert result.all_validated
-    refused = {name for name, _ in result.invalid_points}
-    rows = {row.name: row for row in result.rows if row.name != anchor.name}
+    points = sweep_point_specs(anchor, depths)
+    route = route_group(anchor, points, validate=len(depths))
+    refused = {name for name, _ in route.invalid_points}
+    assert route.validations == [
+        point.name for point in points if point.name not in refused
+    ]
+    result = CampaignRunner(
+        workers=1, paired=False, auto_replay=True,
+        auto_replay_validate=len(depths),
+    ).run([anchor] + points)
+    rows = {row.name: row for row in result.runs if row.name != anchor.name}
     assert set(rows) == {f"{anchor.name}_d{d}" for d in depths}
     for name, row in rows.items():
         assert row.evaluator == ("simulate" if name in refused else "replay")
@@ -228,12 +237,12 @@ def test_out_of_envelope_raises_replay_invalid():
     [(name, params) for name, params in WORKLOADS],
 )
 def test_full_sweep_validates_everywhere(workload, params, mode):
-    """The sweep driver cross-validates *every* point without a diff."""
+    """The router cross-validates *every* point without a diff."""
     anchor = _anchor(workload, params, mode, depth=4)
     depths = (1, 2, 8, 16)
-    result = run_replay_sweep(anchor, depths=depths, validate=len(depths))
-    assert result.all_validated
-    assert len(result.validations) == len(depths)
-    replayed = [row for row in result.rows if row.evaluator == "replay"]
+    points = sweep_point_specs(anchor, depths)
+    route = route_group(anchor, points, validate=len(depths))
+    assert route.validations == [point.name for point in points]
+    replayed = [row for row in route.rows if row.evaluator == "replay"]
     assert len(replayed) == len(depths)
     assert all(row.name.startswith(anchor.name) for row in replayed)

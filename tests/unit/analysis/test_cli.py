@@ -1,6 +1,8 @@
 """Unit tests for the experiment command-line interface."""
 
+import json
 import os
+import shlex
 
 import pytest
 
@@ -302,3 +304,161 @@ class TestCampaignTracePipelineFlags:
                 "campaign", "--specs", "writer_reader_d4",
                 "--jsonl", path, "--resume",
             ])
+
+
+def _jsonl_rows(path):
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
+class TestReplaySweepCommands:
+    """``campaign --replay-sweep`` and ``fig5 --replay`` end to end."""
+
+    @pytest.mark.parametrize("spec, grid", [
+        ("streaming_d8", ["--sweep-depths", "1,2,4,16,32"]),
+        ("streaming_quantum_d8", ["--sweep-quanta", "250,4000"]),
+    ])
+    def test_replay_sweep_is_auto_replay_spelled_short(
+        self, capsys, tmp_path, spec, grid
+    ):
+        short = os.path.join(tmp_path, "short.jsonl")
+        long = os.path.join(tmp_path, "long.jsonl")
+        assert cli.main(
+            ["campaign", "--replay-sweep", spec, *grid, "--jsonl", short]
+        ) == 0
+        assert cli.main([
+            "campaign", "--auto-replay", "--no-paired", "--specs", spec,
+            *grid, "--jsonl", long,
+        ]) == 0
+        with open(short, "rb") as a, open(long, "rb") as b:
+            assert a.read() == b.read()
+        tags = [row.get("evaluator") for row in _jsonl_rows(short)[1:]]
+        assert tags[0] is None and set(tags[1:]) == {"replay"}
+
+    def test_fig5_replay_simulates_the_anchor_and_replays_the_rest(
+        self, capsys
+    ):
+        assert cli.main(["fig5", "--replay", "--depths", "1,2,4,8,16"]) == 0
+        output = capsys.readouterr().out
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in output.splitlines()
+            if line.count("|") == 5 and line.split("|")[0].strip().isdigit()
+        ]
+        assert sorted((mode, int(depth)) for depth, mode, *_ in rows) == sorted(
+            (mode, depth)
+            for mode in ("smart", "reference")
+            for depth in (1, 2, 4, 8, 16)
+        )
+        for depth, mode, evaluator, *_ in rows:
+            assert evaluator == ("simulate" if depth == "4" else "replay")
+
+    def test_poisoned_anchor_falls_back_to_simulation(self, capsys, tmp_path):
+        # soc packets are 4 words, so depth 4 is the smallest valid point.
+        path = os.path.join(tmp_path, "soc.jsonl")
+        assert cli.main([
+            "campaign", "--replay-sweep", "soc_2x64", "--sweep-depths", "4,16",
+            "--jsonl", path,
+        ]) == 0
+        rows = _jsonl_rows(path)[1:]
+        assert len(rows) == 3
+        assert all("evaluator" not in row for row in rows)
+        assert "no point replayed" in capsys.readouterr().out
+
+    def test_sweep_without_replays_says_so(self, capsys):
+        # random_s7_d3's validity envelope refuses both points.
+        assert cli.main([
+            "campaign", "--replay-sweep", "random_s7_d3",
+            "--sweep-depths", "1,2",
+        ]) == 0
+        output = capsys.readouterr().out
+        assert "3 simulations + 0 replays; no point replayed" in output
+        assert "nan" not in output
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--replay-sweep", "streaming_d8", "--validate", "-1"],
+        ["campaign", "--auto-replay", "--validate", "-1"],
+        ["fig5", "--replay", "--validate", "-1"],
+    ])
+    def test_negative_validate_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "--validate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--replay-sweep", "streaming_d8"],
+        ["--auto-replay", "--no-paired", "--specs", "streaming_d8"],
+    ])
+    def test_repeated_sweep_point_is_refused(self, argv):
+        with pytest.raises(SystemExit, match="cannot expand.*repeat"):
+            cli.main(["campaign", *argv, "--sweep-depths", "4,4"])
+
+    def test_replay_sweep_refusals(self):
+        with pytest.raises(SystemExit, match="--specs both pick"):
+            cli.main(["campaign", "--replay-sweep", "streaming_d8",
+                      "--specs", "streaming_d8", "--sweep-depths", "1"])
+        with pytest.raises(SystemExit, match="needs --sweep-depths"):
+            cli.main(["campaign", "--replay-sweep", "streaming_d8"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--replay-sweep", "streaming_d8"],
+        ["--auto-replay", "--no-paired", "--specs", "streaming_d8"],
+    ])
+    def test_validation_divergence_exits_with_its_diff(self, monkeypatch, argv):
+        from repro.campaign import evaluators
+
+        record_spool = evaluators.record_spool
+        calls = []
+
+        def poisoned_after_anchor(spec, trace_sink):
+            spool, record = record_spool(spec, trace_sink)
+            calls.append(spec.name)
+            if len(calls) > 1:  # the first call records the anchor
+                spool.poison = "injected poison"
+            return spool, record
+
+        monkeypatch.setattr(evaluators, "record_spool", poisoned_after_anchor)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["campaign", *argv, "--sweep-depths", "1,16"])
+        assert excinfo.value.code == (
+            "replay sweep failed: validation run for streaming_d8_d1[smart] "
+            "is not recordable: injected poison"
+        )
+
+
+def _readme_sweep_commands():
+    """The ``repro.analysis.cli`` sweep commands quoted in the README."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))
+    )))
+    with open(os.path.join(root, "README.md")) as handle:
+        text = handle.read().replace("\\\n", " ")
+    commands = []
+    for line in text.splitlines():
+        if not line.startswith("python -m repro.analysis.cli "):
+            continue
+        argv = shlex.split(line, comments=True)[3:]
+        if {"--replay-sweep", "--auto-replay", "--replay"} & set(argv):
+            commands.append(argv)
+    return commands
+
+
+class TestReadmeSweepCommands:
+    def test_readme_quotes_sweep_commands(self):
+        assert len(_readme_sweep_commands()) >= 3
+
+    @pytest.mark.parametrize("argv", _readme_sweep_commands(), ids=" ".join)
+    def test_every_readme_sweep_replays_a_point(self, capsys, tmp_path, argv):
+        if argv[0] == "campaign":
+            path = os.path.join(tmp_path, "sweep.jsonl")
+            assert cli.main([*argv, "--jsonl", path]) == 0
+            tags = [row.get("evaluator") for row in _jsonl_rows(path)]
+        else:
+            assert cli.main(argv) == 0
+            tags = [
+                line.split("|")[2].strip()
+                for line in capsys.readouterr().out.splitlines()
+                if line.count("|") == 5
+            ]
+        assert "replay" in tags

@@ -1,21 +1,17 @@
-"""The one replay router behind ``run_replay_sweep`` and ``--auto-replay``.
+"""The one replay router behind every sweep (the campaign's auto-replay).
 
 Pins what :func:`repro.campaign.evaluators.route_group` promises: which
 replayed points it cross-validates, that it holds at most ``validate + 1``
 replay results (each carrying every per-word date) at any time, and that
-both entry points refuse a bad validation run with the same error.
+the router and the campaign that drives it refuse a bad validation run
+with the same error.
 """
 
 import weakref
 
 import pytest
 
-from repro.campaign import (
-    CampaignRunner,
-    ScenarioSpec,
-    run_replay_sweep,
-    sweep_point_specs,
-)
+from repro.campaign import CampaignRunner, ScenarioSpec, sweep_point_specs
 from repro.campaign import evaluators
 from repro.campaign.evaluators import _validation_sample, route_group
 from repro.replay import ReplayEngine, ReplayError
@@ -39,12 +35,8 @@ RANDOM_ANCHOR = ScenarioSpec(
 )
 
 
-def _validated(route):
-    return [record.name for record in route.validations]
-
-
-def _via_sweep(anchor, depths, validate):
-    return run_replay_sweep(anchor, depths=depths, validate=validate)
+def _via_router(anchor, depths, validate):
+    return route_group(anchor, sweep_point_specs(anchor, depths), validate)
 
 
 def _via_campaign(anchor, depths, validate):
@@ -56,7 +48,7 @@ def _via_campaign(anchor, depths, validate):
 
 
 class TestRetention:
-    @pytest.mark.parametrize("entry", [_via_sweep, _via_campaign])
+    @pytest.mark.parametrize("entry", [_via_router, _via_campaign])
     @pytest.mark.parametrize("validate", [1, 3])
     def test_live_results_never_exceed_validate_plus_one(
         self, monkeypatch, entry, validate
@@ -85,7 +77,7 @@ class TestPickRule:
         route = route_group(RANDOM_ANCHOR, points, 1)
         refused = {name for name, _ in route.invalid_points}
         assert refused == {"router_random_d1", "router_random_d2"}
-        assert _validated(route) == ["router_random_d3"]
+        assert route.validations == ["router_random_d3"]
 
     @pytest.mark.parametrize("validate", [1, 2, 3, 9])
     def test_without_refusals_the_even_sample_is_checked(self, validate):
@@ -95,7 +87,7 @@ class TestPickRule:
         expected = [
             points[i].name for i in _validation_sample(len(points), validate)
         ]
-        assert _validated(route) == expected
+        assert route.validations == expected
         if validate == 3:
             # 9 points, 3 picks: positions 0, 3 and 6 (depths 1, 5, 8).
             assert expected == [
@@ -113,7 +105,7 @@ class TestPickRule:
         assert len(replayed) == len(points) - 2
         picked = [
             index for index, point in enumerate(points)
-            if point.name in _validated(route)
+            if point.name in route.validations
         ]
         assert len(picked) == min(validate, len(replayed))
         positions = _validation_sample(len(points), validate)
@@ -129,7 +121,7 @@ class TestPickRule:
         assert [name for name, _ in route.invalid_points] == [
             "router_random_d2", "router_random_d1",
         ]
-        names = _validated(route)
+        names = route.validations
         assert len(names) == 11
         assert names[-1] == "router_random_d3"
 
@@ -140,7 +132,7 @@ class TestPickRule:
         )
         route = route_group(soc, sweep_point_specs(soc, (2, 8)), 1)
         assert isinstance(route.unreplayable, ReplayError)
-        assert route.anchor is None and route.rows == []
+        assert route.rows == [] and route.validations == []
 
 
 class TestPoisonedValidation:
@@ -157,7 +149,7 @@ class TestPoisonedValidation:
 
         monkeypatch.setattr(evaluators, "record_spool", poisoned_after_anchor)
         errors = []
-        for entry in (_via_sweep, _via_campaign):
+        for entry in (_via_router, _via_campaign):
             calls.clear()
             with pytest.raises(ReplayError) as caught:
                 entry(STREAMING_ANCHOR, (1, 16), 1)

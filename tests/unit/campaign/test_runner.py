@@ -500,3 +500,52 @@ class TestAutoReplay:
         assert {r.evaluator for r in result.runs} == {"simulate", "replay"}
         with pytest.raises(ValueError):
             CampaignRunner(auto_replay=True, auto_replay_validate=-1)
+
+
+class TestAutoReplayScaleOut:
+    """Sharding and resuming an auto-replayed sweep keep the fingerprint:
+    a point whose group anchor is done, or sits in another shard, is still
+    replayed from that anchor's recording."""
+
+    def _specs(self):
+        anchor = next(
+            spec for spec in default_campaign() if spec.name == "streaming_d8"
+        )
+        return [anchor] + sweep_point_specs(anchor, depths=(1, 2, 4, 16))
+
+    def _runner(self, **kwargs):
+        return CampaignRunner(
+            workers=1, paired=False, auto_replay=True, **kwargs
+        )
+
+    def test_sharded_auto_replay_reproduces_unsharded_fingerprint(
+        self, tmp_path
+    ):
+        from repro.campaign import merge_jsonl
+
+        specs = self._specs()
+        whole = self._runner().run(specs)
+        paths = [str(tmp_path / f"shard{index}.jsonl") for index in range(2)]
+        for index, path in enumerate(paths):
+            self._runner(shard=(index, 2)).run(specs, jsonl=path)
+        merged = merge_jsonl(paths)
+        assert merged.canonical_json() == whole.canonical_json()
+        assert merged.fingerprint() == whole.fingerprint()
+
+    def test_resumed_auto_replay_reproduces_uninterrupted_fingerprint(
+        self, tmp_path
+    ):
+        from repro.campaign import merge_jsonl
+
+        specs = self._specs()
+        path = tmp_path / "sweep.jsonl"
+        whole = self._runner().run(specs, jsonl=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        first_replayed = next(
+            index for index, line in enumerate(lines)
+            if json.loads(line).get("evaluator") == "replay"
+        )
+        path.write_text("".join(lines[:first_replayed + 1]))
+        resumed = self._runner().run(specs, jsonl=str(path), resume=True)
+        assert resumed.fingerprint() == whole.fingerprint()
+        assert merge_jsonl([str(path)]).fingerprint() == whole.fingerprint()

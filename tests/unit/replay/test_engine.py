@@ -166,6 +166,13 @@ class TestEvaluatorHelpers:
             anchor, quanta_ns=[10, 20]
         )] == ["engine_stream_q20ns"]
 
+    def test_repeated_point_is_refused(self):
+        with pytest.raises(ReplayError, match="sweep depths repeat"):
+            sweep_point_specs(STREAMING, depths=[1, 16, 1])
+        anchor = replace(STREAMING, timing="quantum", quantum_ns=10)
+        with pytest.raises(ReplayError, match="sweep quanta repeat"):
+            sweep_point_specs(anchor, quanta_ns=[20, 20])
+
     @pytest.mark.parametrize("count, validate, picked", [
         (5, 0, []),
         (0, 3, []),

@@ -9,17 +9,17 @@ scale-out invariant:
    their rows to JSONL files;
 3. the merge of the two JSONL files;
 4. unsharded again with ``burst=True`` (span FIFO transfers);
-5. a record-and-replay sweep: one recorded anchor simulation, two
-   replayed depth points, one of them cross-validated against a fresh
-   simulation (must match bit for bit);
+5. a record-and-replay sweep through ``auto_replay``: one recorded
+   anchor simulation, two replayed depth points, one of them
+   cross-validated against a fresh simulation (must match bit for bit;
+   counted from the ``replay.validate`` telemetry spans);
 6. an auto-routed conditional sweep: a branch-recording workload
    (random traffic) swept over depths through ``--auto-replay`` —
    the anchor simulates, every in-envelope point replays, and the
    campaign fingerprint must equal a pinned constant;
-7. one replay router behind both entry points: the same conditional
-   anchor and depth grid (one depth outside the validity envelope) sent
-   through ``run_replay_sweep`` and through ``--auto-replay`` must give
-   identical deterministic rows and cross-validate the same points;
+7. ``campaign --replay-sweep`` is shorthand for the ``--auto-replay``
+   campaign: both spellings of one strict (method-pinned) depth sweep
+   must write byte-identical JSONL;
 8. the unsharded campaign again with telemetry enabled — the
    fingerprint must still equal the pinned PR 3 constant (telemetry is
    a sideband, never an input), and the merged ``telemetry.jsonl`` is
@@ -42,6 +42,9 @@ workflow artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import os
 import sys
 from dataclasses import replace
@@ -49,13 +52,13 @@ from dataclasses import replace
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.analysis import cli  # noqa: E402
 from repro.campaign import (  # noqa: E402
     CampaignRunner,
     RunBudget,
     ScenarioSpec,
     default_campaign,
     merge_jsonl,
-    run_replay_sweep,
     sweep_point_specs,
 )
 from repro.campaign.executor import _batch_size  # noqa: E402
@@ -185,17 +188,27 @@ def main(argv=None) -> int:
         depth=4,
         params={"n_blocks": 3, "words_per_block": 10},
     )
-    sweep = run_replay_sweep(anchor, depths=(1, 16), validate=1)
-    replayed = sum(1 for row in sweep.rows if row.evaluator == "replay")
-    if replayed != 2 or not sweep.all_validated:
+    sweep_tele = os.path.join(args.out_dir, "sweep-telemetry")
+    sweep = CampaignRunner(
+        workers=1, paired=False, auto_replay=True, auto_replay_validate=1,
+        telemetry_dir=sweep_tele,
+    ).run([anchor] + sweep_point_specs(anchor, depths=(1, 16)))
+    replayed = sum(1 for row in sweep.runs if row.evaluator == "replay")
+    validated = [
+        event["attrs"]["spec"]
+        for event in load_events(os.path.join(sweep_tele, "telemetry.jsonl"))
+        if event["kind"] == "span" and event["name"] == "replay.validate"
+    ]
+    if replayed != 2 or len(validated) != 1:
         print(
-            "FAIL: replay sweep did not produce 2 validated replay rows",
+            "FAIL: replay sweep did not produce 2 replay rows, one of them "
+            f"cross-validated (validated {validated})",
             file=sys.stderr,
         )
         return 1
     print(
         f"[smoke] OK: {replayed} replayed points, "
-        f"{len(sweep.validations)} cross-validated against a fresh simulation"
+        f"{len(validated)} cross-validated against a fresh simulation"
     )
 
     print("[smoke] auto-routed conditional sweep (--auto-replay)...")
@@ -244,42 +257,35 @@ def main(argv=None) -> int:
         "fingerprint matches the PR 9 recorded value"
     )
 
-    print("[smoke] one router behind --replay-sweep and --auto-replay...")
-    router_depths = (1, 2, 4, 16)
-    swept = run_replay_sweep(cond_anchor, depths=router_depths, validate=2)
-    router_tele = os.path.join(args.out_dir, "router-telemetry")
-    routed = CampaignRunner(
-        workers=1, paired=False, auto_replay=True, auto_replay_validate=2,
-        telemetry_dir=router_tele,
-    ).run([cond_anchor] + sweep_point_specs(cond_anchor, router_depths))
-    swept_rows = {row.name: row.deterministic_row() for row in swept.rows}
-    routed_rows = {row.name: row.deterministic_row() for row in routed.runs}
-    if swept_rows != routed_rows:
-        print(
-            "FAIL: --replay-sweep and --auto-replay rows differ for the "
-            "same anchor and grid",
-            file=sys.stderr,
-        )
-        return 1
-    swept_checked = [record.name for record in swept.validations]
-    routed_checked = [
-        event["attrs"]["spec"]
-        for event in load_events(os.path.join(router_tele, "telemetry.jsonl"))
-        if event["kind"] == "span" and event["name"] == "replay.validate"
+    print("[smoke] --replay-sweep is --auto-replay spelled short...")
+    grid = ["--sweep-depths", "2,8,16"]
+    spellings = {
+        "short": ["--replay-sweep", "noc_stress_2x2"],
+        "long": ["--auto-replay", "--no-paired", "--specs", "noc_stress_2x2"],
+    }
+    written = {}
+    for label, spelling in spellings.items():
+        path = os.path.join(args.out_dir, f"sweep-{label}.jsonl")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["campaign", *spelling, *grid, "--jsonl", path])
+        with open(path, "rb") as handle:
+            written[label] = handle.read()
+        if code != 0:
+            print(f"FAIL: the {label} sweep exited {code}", file=sys.stderr)
+            return 1
+    tags = [
+        json.loads(line).get("evaluator", "simulate")
+        for line in written["short"].splitlines()[1:]
     ]
-    if not swept.invalid_points or swept_checked != routed_checked:
+    if written["short"] != written["long"] or tags.count("replay") != 3:
         print(
-            "FAIL: the two entry points validated different points "
-            f"({swept_checked} != {routed_checked}) or the grid had no "
-            "refused point",
+            "FAIL: --replay-sweep and --auto-replay wrote different JSONL "
+            f"for the same spec and grid, or did not replay its 3 points "
+            f"({tags})",
             file=sys.stderr,
         )
         return 1
-    print(
-        f"[smoke] OK: {len(swept_rows)} identical rows, "
-        f"{len(swept.invalid_points)} refused point(s) simulated, "
-        f"validated {', '.join(swept_checked)} through both entry points"
-    )
+    print(f"[smoke] OK: both spellings wrote the same {len(tags)} rows")
 
     print("[smoke] telemetry-on run (sideband only, fingerprint pinned)...")
     tele_dir = os.path.join(args.out_dir, "telemetry")
