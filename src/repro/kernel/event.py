@@ -25,23 +25,19 @@ from .simtime import SimTime, ZERO_TIME
 
 
 class _TimedRecord:
-    """Base class of the scheduler's timed-queue heap entries.
+    """Base class of the records the scheduler's timed queue carries.
 
-    Entries are pushed directly onto the heap (no wrapping tuple): they are
-    pre-keyed by ``(time_fs, seq)``, where ``seq`` is a scheduler-assigned
-    monotonic sequence number that keeps the pop order stable for equal
-    dates.  ``is_event`` discriminates the two concrete record kinds without
-    a string comparison or an ``isinstance`` check on the pop path.
+    The heap itself holds ``(time_fs, seq, record)`` tuples: ``heapq``
+    compares the int date, then the scheduler-assigned monotonic ``seq``
+    (which keeps equal dates in push order, and is unique, so the record
+    is never compared).  ``is_event`` discriminates the two concrete
+    record kinds without a string comparison or an ``isinstance`` check on
+    the pop path.
     """
 
-    __slots__ = ("time_fs", "seq")
+    __slots__ = ()
 
     is_event = False
-
-    def __lt__(self, other: "_TimedRecord") -> bool:
-        if self.time_fs != other.time_fs:
-            return self.time_fs < other.time_fs
-        return self.seq < other.seq
 
 
 class _TimedNotification(_TimedRecord):
@@ -54,14 +50,13 @@ class _TimedNotification(_TimedRecord):
     notification (the Smart FIFO external events) allocates only once.
     """
 
-    __slots__ = ("event", "cancelled")
+    __slots__ = ("event", "time_fs", "cancelled")
 
     is_event = True
 
     def __init__(self, event: "Event", time_fs: int):
         self.event = event
         self.time_fs = time_fs
-        self.seq = 0
         self.cancelled = False
 
 
@@ -78,6 +73,9 @@ class Event:
     """
 
     def __init__(self, name: str = "event", sim=None):
+        # The waiter lists, the static snapshot, the pending-delta flag and
+        # the trigger marker are read and reset by the scheduler itself
+        # when the event triggers (no per-trigger call into the event).
         self.name = name
         self._sim = sim
         # Scheduler of the owning simulator, resolved on first notification
@@ -217,13 +215,7 @@ class Event:
             self._pending_timed.cancelled = True
             self._pending_timed = None
 
-    # -- trigger (called by the scheduler) -------------------------------
-    def consume_pending_delta(self) -> bool:
-        """Return True (and clear the flag) if a delta notification is due."""
-        was_pending = self._pending_delta
-        self._pending_delta = False
-        return was_pending
-
+    # -- timed-record bookkeeping (called by the scheduler) --------------
     def clear_pending_timed(self, record: _TimedNotification) -> None:
         if self._pending_timed is record:
             self._pending_timed = None
@@ -240,21 +232,6 @@ class Event:
     def arm(self, scheduler, process, wait_id: int) -> None:
         """Wait-descriptor protocol: a bare event can be yielded directly."""
         self.add_waiting_thread(process, wait_id)
-
-    def collect_triggered_processes(self, marker: Tuple[int, int]):
-        """Return processes to wake and reset the dynamic waiting lists.
-
-        ``marker`` is a (timed-phase, delta-cycle) pair recorded so that
-        ``triggered`` queries can tell whether the event fired in the
-        current evaluation phase.
-        """
-        self._last_trigger_marker = marker
-        threads = self._waiting_threads
-        dyn_methods = self._dynamic_methods
-        self._waiting_threads = []
-        self._dynamic_methods = []
-        self.listener_count = len(self._static_methods)
-        return threads, self._static_snapshot, dyn_methods
 
     def triggered_at(self, marker: Tuple[int, int]) -> bool:
         """True if the event triggered in the evaluation phase ``marker``."""

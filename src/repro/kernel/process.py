@@ -45,19 +45,40 @@ class WaitDescriptor:
 
 
 class Timeout(WaitDescriptor):
-    """Suspend the calling thread for a fixed simulated duration."""
+    """Suspend the calling thread for a fixed simulated duration.
 
-    __slots__ = ("duration",)
+    The duration is held in femtoseconds: the scheduler arms it without a
+    :class:`SimTime` round trip, and the kernel's own hot paths build it
+    from an int with :meth:`from_femtoseconds`.
+    """
+
+    __slots__ = ("duration_fs",)
 
     def __init__(self, duration: SimTime):
         if not isinstance(duration, SimTime):
             raise ProcessError(f"Timeout expects a SimTime, got {duration!r}")
-        self.duration = duration
+        self.duration_fs = duration.femtoseconds
+
+    @classmethod
+    def from_femtoseconds(cls, duration_fs: int) -> "Timeout":
+        """Build a timeout from a non-negative femtosecond count (no
+        :class:`SimTime` allocated)."""
+        if duration_fs < 0:
+            raise ProcessError(
+                f"Timeout expects a non-negative duration, got {duration_fs} fs"
+            )
+        timeout = cls.__new__(cls)
+        timeout.duration_fs = duration_fs
+        return timeout
+
+    @property
+    def duration(self) -> SimTime:
+        return SimTime.from_femtoseconds(self.duration_fs)
 
     def arm(self, scheduler, process, wait_id: int) -> None:
-        scheduler.arm_timeout(process, wait_id, self.duration)
+        scheduler.arm_timeout(process, wait_id, self.duration_fs)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Timeout({self.duration})"
 
 
@@ -107,7 +128,7 @@ class WaitEventOrTimeout(WaitDescriptor):
 
     def arm(self, scheduler, process, wait_id: int) -> None:
         self.event.add_waiting_thread(process, wait_id)
-        scheduler.arm_timeout(process, wait_id, self.timeout)
+        scheduler.arm_timeout(process, wait_id, self.timeout.femtoseconds)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +189,9 @@ class ThreadProcess(Process):
 
     def __init__(self, name: str, func: Callable, sim):
         super().__init__(name, func, sim)
-        self._generator = None
+        #: The running generator; None until the first activation (and for
+        #: a body without ``yield``).  The scheduler resumes it directly.
+        self.generator = None
         #: Monotonic counter identifying the current wait; wake-ups carrying a
         #: stale identifier (e.g. the timeout half of an event-or-timeout wait
         #: that already completed) are ignored by the scheduler.
@@ -188,7 +211,6 @@ class ThreadProcess(Process):
             # The function body contained no yield: it ran to completion
             # synchronously (legal, like a SystemC thread that returns
             # immediately).
-            self._generator = None
             self.mark_terminated()
             return None
         if not hasattr(gen, "send"):
@@ -196,19 +218,8 @@ class ThreadProcess(Process):
                 f"thread {self.name}: process function must be a generator "
                 f"function (did you forget a 'yield'?)"
             )
-        self._generator = gen
+        self.generator = gen
         return gen
-
-    def resume(self, value=None):
-        """Advance the generator; return the next wait descriptor or None."""
-        if self.terminated:
-            raise ProcessError(f"thread {self.name} resumed after termination")
-        try:
-            descriptor = self._generator.send(value)
-        except StopIteration:
-            self.mark_terminated()
-            return None
-        return descriptor
 
 
 class MethodProcess(Process):

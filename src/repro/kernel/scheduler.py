@@ -13,17 +13,24 @@ The scheduler implements the SystemC evaluation model:
    advances to the earliest pending timed notification.
 
 Threads suspend by yielding a :class:`~repro.kernel.process.WaitDescriptor`;
-the scheduler arms the corresponding wake-up — via the descriptor's own
-``arm`` method, not an ``isinstance`` ladder — and resumes the generator
-when it fires.  Every resumption is counted as a *context switch* in
+the scheduler arms the corresponding wake-up and resumes the generator when
+it fires.  Every resumption is counted as a *context switch* in
 :class:`~repro.kernel.stats.KernelStats` — the quantity the Smart FIFO is
 designed to minimise.
 
-Hot-path design notes (this loop dominates every benchmark):
+Hot-path design notes (this loop dominates every benchmark; host time is
+context switches times the cost of one):
 
-* the timed queue holds slotted, pre-keyed records
-  (:class:`~repro.kernel.event._TimedRecord`) directly — no per-push tuple,
-  no string kind tags; popped process-wake records are pooled and reused;
+* one fused evaluation loop resumes threads inline — activation counting,
+  ``send``, termination, the wait-id bump and the arming of the two
+  descriptors every FIFO yields (:class:`~repro.kernel.process.Timeout`
+  and :class:`~repro.kernel.process.WaitEvent`); any other descriptor
+  goes through its own ``arm`` method;
+* event triggers, delta wakes and timed wakes mark threads runnable
+  inline, reading and resetting the event's waiter lists directly;
+* timed-queue entries are ``(time_fs, seq, record)`` tuples, so ``heapq``
+  orders them with C int comparisons; ``seq`` keeps equal dates in push
+  order, and popped process-wake records are pooled and reused;
 * wake values and the runnable flag live on the process objects themselves
   (no ``_resume_values`` / ``_runnable_pids`` dict and set churn);
 * update and delta-notification phases are skipped entirely when their
@@ -41,7 +48,7 @@ from typing import List, Optional
 
 from .errors import ProcessError, SchedulingError
 from .event import Event, EventList, _TimedRecord
-from .process import MethodProcess, Process, ThreadProcess
+from .process import MethodProcess, Process, ThreadProcess, Timeout, WaitEvent
 from .simtime import SimTime
 from .stats import KernelStats
 from ..telemetry import NULL_TELEMETRY
@@ -60,14 +67,11 @@ class _TimedWake(_TimedRecord):
     ``next_trigger`` with a duration (``token`` is the trigger id).
     """
 
-    __slots__ = ("process", "token", "is_method")
+    __slots__ = ("process", "token")
 
-    def __init__(self, process, token: int, is_method: bool):
+    def __init__(self, process, token: int):
         self.process = process
         self.token = token
-        self.is_method = is_method
-        self.time_fs = 0
-        self.seq = 0
 
 
 class Scheduler:
@@ -87,7 +91,7 @@ class Scheduler:
         self._delta_events: List[Event] = []
         self._delta_process_wakes: List[tuple] = []
 
-        self._timed_queue: List[_TimedRecord] = []
+        self._timed_queue: List[tuple] = []
         self._seq = itertools.count()
         self._wake_pool: List[_TimedWake] = []
 
@@ -141,12 +145,7 @@ class Scheduler:
         self._delta_events.append(event)
 
     def schedule_timed_notification(self, record: _TimedRecord) -> None:
-        record.seq = next(self._seq)
-        heapq.heappush(self._timed_queue, record)
-
-    def trigger_event_now(self, event: Event) -> None:
-        """Immediate notification: wake waiters during the current phase."""
-        self._trigger_event(event)
+        heapq.heappush(self._timed_queue, (record.time_fs, next(self._seq), record))
 
     # ------------------------------------------------------------------
     # Runnable management
@@ -158,32 +157,27 @@ class Scheduler:
         process.resume_value = value
         self._runnable.append(process)
 
-    def _wake_thread(self, process: ThreadProcess, wait_id: int, value=None) -> None:
-        """Wake a thread if the wake-up matches its current wait."""
-        if process.terminated or process.runnable:
+    def _wake_dynamic_method(self, process: MethodProcess, token: int) -> None:
+        """Fire a method's ``next_trigger`` if ``token`` is still current."""
+        if process.terminated or not process.dynamic_trigger_active:
             return
-        if wait_id != process.wait_id:
-            return  # stale wake-up (e.g. the timeout half of a finished wait)
-        process.runnable = True
-        process.resume_value = value
-        self._runnable.append(process)
-
-    def _trigger_method(self, process: MethodProcess, dynamic: bool, token: int) -> None:
-        if process.terminated:
+        if token != process.trigger_id:
             return
-        if dynamic:
-            if not process.dynamic_trigger_active or token != process.trigger_id:
-                return
-            process.dynamic_trigger_active = False
-        else:
-            if process.dynamic_trigger_active:
-                return  # static sensitivity masked by a pending next_trigger
+        process.dynamic_trigger_active = False
         self._make_runnable(process)
 
     def _trigger_event(self, event: Event) -> None:
-        threads, static_methods, dynamic_methods = event.collect_triggered_processes(
-            self._phase_marker
-        )
+        """Wake every process ``event`` releases (the waiter lists are
+        detached and reset here, so each dynamic wait fires once)."""
+        event._last_trigger_marker = self._phase_marker
+        threads = event._waiting_threads
+        dynamic_methods = event._dynamic_methods
+        if threads:
+            event._waiting_threads = []
+        if dynamic_methods:
+            event._dynamic_methods = []
+        event.listener_count = len(event._static_methods)
+        runnable = self._runnable
         for process, wait_id in threads:
             pending = process.pending_all_events
             if pending:
@@ -193,69 +187,48 @@ class Scheduler:
                     pending.remove(event)
                 if pending:
                     continue
-                self._wake_thread(process, wait_id, value=event)
-            else:
-                self._wake_thread(process, wait_id, value=event)
-        for method in static_methods:
-            self._trigger_method(method, dynamic=False, token=0)
+            if process.runnable or process.terminated or wait_id != process.wait_id:
+                continue  # stale wake-up (e.g. the event half of a timed-out wait)
+            process.runnable = True
+            process.resume_value = event
+            runnable.append(process)
+        for method in event._static_snapshot:
+            if method.runnable or method.terminated or method.dynamic_trigger_active:
+                continue  # static sensitivity masked by a pending next_trigger
+            method.runnable = True
+            method.resume_value = None
+            runnable.append(method)
         for method, trigger_id in dynamic_methods:
-            self._trigger_method(method, dynamic=True, token=trigger_id)
+            self._wake_dynamic_method(method, trigger_id)
+
+    #: Immediate notification: wake waiters during the current phase.
+    trigger_event_now = _trigger_event
 
     # ------------------------------------------------------------------
     # Wait arming
     # ------------------------------------------------------------------
-    def arm_wait(self, process: ThreadProcess, descriptor) -> None:
-        process.pending_all_events = None
-        process.wait_id = wait_id = process.wait_id + 1
-        try:
-            arm = descriptor.arm
-        except AttributeError:
-            raise ProcessError(
-                f"thread {process.name} yielded {descriptor!r}, which is not a "
-                f"wait descriptor"
-            ) from None
-        arm(self, process, wait_id)
-
-    def arm_timeout(self, process: ThreadProcess, wait_id: int, duration: SimTime) -> None:
-        """Arm a thread wake-up ``duration`` from now (descriptor callback)."""
-        duration_fs = duration.femtoseconds
+    def arm_timeout(
+        self, process: ThreadProcess, wait_id: int, duration_fs: int
+    ) -> None:
+        """Arm a thread wake-up ``duration_fs`` from now (descriptor callback)."""
         if duration_fs == 0:
             self._delta_process_wakes.append((process, wait_id))
             return
-        self._push_wake(self.now_fs + duration_fs, process, wait_id, False)
+        self._push_wake(self.now_fs + duration_fs, process, wait_id)
 
-    def _push_wake(self, time_fs: int, process, token: int, is_method: bool) -> None:
+    def _push_wake(self, time_fs: int, process, token: int) -> None:
         pool = self._wake_pool
         if pool:
             record = pool.pop()
             record.process = process
             record.token = token
-            record.is_method = is_method
         else:
-            record = _TimedWake(process, token, is_method)
-        record.time_fs = time_fs
-        record.seq = next(self._seq)
-        heapq.heappush(self._timed_queue, record)
+            record = _TimedWake(process, token)
+        heapq.heappush(self._timed_queue, (time_fs, next(self._seq), record))
 
     # ------------------------------------------------------------------
     # Process execution
     # ------------------------------------------------------------------
-    def _execute_thread(self, process: ThreadProcess, value) -> None:
-        stats = self.stats
-        stats.thread_activations += 1
-        activations = stats.per_process_activations
-        name = process.name
-        activations[name] = activations.get(name, 0) + 1
-        if not process.started:
-            generator = process.start()
-            if generator is None:
-                return
-            value = None
-        descriptor = process.resume(value)
-        if descriptor is None:
-            return
-        self.arm_wait(process, descriptor)
-
     def _execute_method(self, process: MethodProcess) -> None:
         stats = self.stats
         stats.method_invocations += 1
@@ -277,9 +250,7 @@ class Scheduler:
         if isinstance(request, Event):
             request.add_dynamic_method(process, token)
         elif isinstance(request, SimTime):
-            self._push_wake(
-                self.now_fs + request.femtoseconds, process, token, True
-            )
+            self._push_wake(self.now_fs + request.femtoseconds, process, token)
         elif isinstance(request, EventList):
             for event in request.events:
                 event.add_dynamic_method(process, token)
@@ -387,22 +358,60 @@ class Scheduler:
         stats.delta_cycles += 1
         self._phase_marker = (stats.timed_phases, stats.delta_cycles)
         runnable = self._runnable
-        # Evaluation phase.  The loop body is the scheduler's innermost hot
-        # path; resume state lives on the process object, and the
-        # thread/method dispatch is a class attribute, not an isinstance.
-        while runnable:
-            process = runnable.popleft()
-            process.runnable = False
-            value = process.resume_value
-            process.resume_value = None
-            self.current_process = process
-            try:
-                if process.is_thread:
-                    self._execute_thread(process, value)
-                else:
+        activations = stats.per_process_activations
+        # Evaluation phase: the scheduler's innermost hot path.  Resume
+        # state lives on the process object, the thread/method dispatch is
+        # a class attribute, and a thread is resumed and re-armed inline.
+        try:
+            while runnable:
+                process = runnable.popleft()
+                process.runnable = False
+                value = process.resume_value
+                process.resume_value = None
+                self.current_process = process
+                if not process.is_thread:
                     self._execute_method(process)
-            finally:
-                self.current_process = None
+                    continue
+                stats.thread_activations += 1
+                name = process.name
+                activations[name] = activations.get(name, 0) + 1
+                if not process.started:
+                    if process.start() is None:
+                        continue
+                    value = None
+                elif process.terminated:
+                    raise ProcessError(f"thread {name} resumed after termination")
+                try:
+                    descriptor = process.generator.send(value)
+                except StopIteration:
+                    process.mark_terminated()
+                    continue
+                if descriptor is None:
+                    continue
+                process.pending_all_events = None
+                process.wait_id = wait_id = process.wait_id + 1
+                kind = type(descriptor)
+                if kind is WaitEvent:
+                    event = descriptor.event
+                    event._waiting_threads.append((process, wait_id))
+                    event.listener_count += 1
+                elif kind is Timeout:
+                    duration_fs = descriptor.duration_fs
+                    if duration_fs:
+                        self._push_wake(self.now_fs + duration_fs, process, wait_id)
+                    else:
+                        self._delta_process_wakes.append((process, wait_id))
+                else:
+                    try:
+                        arm = descriptor.arm
+                    except AttributeError:
+                        raise ProcessError(
+                            f"thread {name} yielded {descriptor!r}, which is "
+                            f"not a wait descriptor"
+                        ) from None
+                    arm(self, process, wait_id)
+        finally:
+            self.current_process = None
         # Update phase (skipped outright when no channel requested one).
         if self._update_requests:
             requests = self._update_requests
@@ -421,17 +430,23 @@ class Scheduler:
         wakes = self._delta_process_wakes
         self._delta_process_wakes = []
         for event in events:
-            if event.consume_pending_delta():
+            if event._pending_delta:
+                event._pending_delta = False
                 self._trigger_event(event)
+        runnable = self._runnable
         for process, wait_id in wakes:
-            self._wake_thread(process, wait_id)
+            if process.runnable or process.terminated or wait_id != process.wait_id:
+                continue
+            process.runnable = True
+            process.resume_value = None
+            runnable.append(process)
 
     def _advance_time(self, until_fs: Optional[int]) -> bool:
         """Advance to the next timed notification; return False to stop."""
         queue = self._timed_queue
         # Drop cancelled event notifications sitting at the head of the queue.
         while queue:
-            record = queue[0]
+            record = queue[0][2]
             if record.is_event and record.cancelled:
                 heapq.heappop(queue)
                 record.event.recycle_timed(record)
@@ -441,7 +456,7 @@ class Scheduler:
             if until_fs is not None and until_fs > self.now_fs:
                 self.now_fs = until_fs
             return False
-        next_time = queue[0].time_fs
+        next_time = queue[0][0]
         if until_fs is not None and next_time > until_fs:
             self.now_fs = until_fs
             return False
@@ -452,8 +467,9 @@ class Scheduler:
         stats.timed_phases += 1
         self._phase_marker = (stats.timed_phases, stats.delta_cycles)
         pool = self._wake_pool
-        while queue and queue[0].time_fs == next_time:
-            record = heapq.heappop(queue)
+        runnable = self._runnable
+        while queue and queue[0][0] == next_time:
+            record = heapq.heappop(queue)[2]
             if record.is_event:
                 if record.cancelled:
                     record.event.recycle_timed(record)
@@ -462,15 +478,18 @@ class Scheduler:
                 event.clear_pending_timed(record)
                 event.recycle_timed(record)
                 self._trigger_event(event)
-            else:
-                process = record.process
-                token = record.token
-                is_method = record.is_method
-                record.process = None
-                if len(pool) < _WAKE_POOL_LIMIT:
-                    pool.append(record)
-                if is_method:
-                    self._trigger_method(process, dynamic=True, token=token)
-                else:
-                    self._wake_thread(process, token)
+                continue
+            process = record.process
+            token = record.token
+            record.process = None
+            if len(pool) < _WAKE_POOL_LIMIT:
+                pool.append(record)
+            if not process.is_thread:
+                self._wake_dynamic_method(process, token)
+                continue
+            if process.runnable or process.terminated or token != process.wait_id:
+                continue
+            process.runnable = True
+            process.resume_value = None
+            runnable.append(process)
         return True

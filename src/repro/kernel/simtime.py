@@ -220,3 +220,14 @@ def as_time(value, unit: TimeUnit = TimeUnit.NS) -> SimTime:
     if isinstance(value, (int, float)):
         return SimTime(value, unit)
     raise SchedulingError(f"cannot interpret {value!r} as a simulated time")
+
+
+def as_femtoseconds(value, unit: TimeUnit = TimeUnit.NS) -> int:
+    """:func:`as_time` as an int: the same rounding and checks, without
+    building a :class:`SimTime` for a non-negative number."""
+    kind = type(value)
+    if kind is int and value >= 0:
+        return value * unit
+    if kind is float and value >= 0:
+        return round(value * unit)
+    return as_time(value, unit).femtoseconds

@@ -30,7 +30,7 @@ from .process import (
     WaitEventOrTimeout,
 )
 from .scheduler import Scheduler
-from .simtime import SimTime, TimeUnit, as_time
+from .simtime import SimTime, TimeUnit, as_femtoseconds, as_time
 from .stats import KernelStats
 from .tracing import ListSink, TraceSink
 from ..telemetry import NULL_TELEMETRY
@@ -157,10 +157,10 @@ class Simulator:
                     "explicit event-list wait (untracked suspension)"
                 )
             return WaitEventList(duration_or_event)
-        duration = as_time(duration_or_event, unit)
+        duration_fs = as_femtoseconds(duration_or_event, unit)
         if self.dep_recorder is not None:
-            self.dep_recorder.timed(duration.femtoseconds)
-        return Timeout(duration)
+            self.dep_recorder.timed(duration_fs)
+        return Timeout.from_femtoseconds(duration_fs)
 
     def next_trigger(self, trigger=None, unit: TimeUnit = TimeUnit.NS) -> None:
         """Record a dynamic trigger for the currently running method process."""

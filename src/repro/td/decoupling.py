@@ -13,10 +13,12 @@ primitives plus an accessor:
 They are offered both as free functions operating on the current process
 (the style used in the paper's pseudo-code) and as methods of
 :class:`DecoupledMixin` / :class:`DecoupledModule` for module-oriented code.
-``sync()`` is a generator and must be invoked as ``yield from sync()``
-from a thread body; calling it from a method process is an error, since
-method processes cannot wait (that is precisely why the Smart FIFO has a
-non-blocking interface).
+``sync()`` is a plain function that returns the waits to perform — an
+empty tuple when the caller is already synchronized, one
+:class:`~repro.kernel.process.Timeout` up to its local date otherwise —
+and is invoked as ``yield from sync()`` from a thread body.  Calling it
+from a method process is an error, since method processes cannot wait
+(that is precisely why the Smart FIFO has a non-blocking interface).
 """
 
 from __future__ import annotations
@@ -26,28 +28,10 @@ from typing import Optional
 from ..kernel import context
 from ..kernel.errors import ProcessError
 from ..kernel.module import Module
-from ..kernel.process import MethodProcess, Timeout
-from ..kernel.simtime import SimTime, TimeUnit, as_time
+from ..kernel.process import Timeout
+from ..kernel.simtime import SimTime, TimeUnit, as_femtoseconds, as_time
 from ..kernel.simulator import Simulator
 from .local_time import LocalTimeManager, get_local_time_manager
-
-
-def _duration_fs(duration, unit: TimeUnit) -> int:
-    """Femtoseconds of one annotation, with :func:`inc`'s exact rounding."""
-    kind = type(duration)
-    if kind is int and duration >= 0:
-        return duration * unit
-    if kind is float and duration >= 0:
-        return round(duration * unit)
-    return as_time(duration, unit).femtoseconds
-
-
-def _current(sim: Optional[Simulator] = None):
-    sim = sim or context.current_simulator()
-    process = sim.scheduler.current_process
-    if process is None:
-        raise ProcessError("temporal decoupling API used outside of a process")
-    return sim, process, get_local_time_manager(sim)
 
 
 def inc(duration, unit: TimeUnit = TimeUnit.NS, sim: Optional[Simulator] = None) -> SimTime:
@@ -93,23 +77,33 @@ def sync(sim: Optional[Simulator] = None):
     """Synchronize the calling thread: wait until global time reaches its
     local date.  Must be used as ``yield from sync()``.
 
-    If the process is already synchronized this is (almost) free: no wait is
-    executed and no context switch happens.
+    Returns the waits to perform: ``()`` when the process is already
+    synchronized (it is marked so on the spot: no wait, no context switch),
+    otherwise a single :class:`Timeout` of the local offset.  Waking at the
+    end of that timeout leaves the local date equal to the global date, so
+    nothing has to run after the wait.
     """
-    sim, process, manager = _current(sim)
-    if isinstance(process, MethodProcess):
+    sim = sim or context.current_simulator()
+    scheduler = sim.scheduler
+    process = scheduler.current_process
+    if process is None:
+        raise ProcessError("temporal decoupling API used outside of a process")
+    if not process.is_thread:
         raise ProcessError(
             f"sync() called from method process {process.name}: method "
             f"processes cannot wait; use the Smart FIFO non-blocking interface"
         )
-    scheduler = sim.scheduler
     now_fs = scheduler.now_fs
     offset_fs = process.local_fs - now_fs
     if offset_fs > 0:
-        yield Timeout(SimTime.from_femtoseconds(offset_fs))
-        now_fs = scheduler.now_fs
-    manager.set_synchronized(process)
-    return SimTime.from_femtoseconds(now_fs)
+        # Ahead of the kernel: the local date was set by the local-time
+        # manager, so the process is tracked already.
+        return (Timeout.from_femtoseconds(offset_fs),)
+    if process.lt_tracked:
+        process.local_fs = now_fs
+    else:
+        get_local_time_manager(sim).set_synchronized(process)
+    return ()
 
 
 def is_synchronized(sim: Optional[Simulator] = None) -> bool:
@@ -136,11 +130,12 @@ class DecoupledMixin:
         sim = self.sim
         recorder = sim.dep_recorder
         if recorder is not None:
-            recorder.inc(_duration_fs(duration, unit))
+            recorder.inc(as_femtoseconds(duration, unit))
         return inc(duration, unit, sim=sim)
 
     def sync(self):
-        """Synchronize the current thread; use as ``yield from self.sync()``."""
+        """Synchronize the current thread; use as ``yield from self.sync()``
+        (see :func:`sync` for what it returns)."""
         sim = self.sim
         recorder = sim.dep_recorder
         if recorder is not None:
@@ -171,13 +166,15 @@ class DecoupledMixin:
 
     def timed_wait(self, duration, unit: TimeUnit = TimeUnit.NS):
         """``inc`` followed by ``sync``: equivalent to a plain ``wait``.
+        Use as ``yield from self.timed_wait(d)``; like :meth:`sync`, it
+        returns the waits to perform.
 
         The paper notes that ``inc(d); sync()`` is equivalent to ``wait(d)``;
         this helper makes the non-decoupled reference implementations easy to
         express with the same code as the decoupled ones.
         """
         self.inc(duration, unit)
-        return (yield from self.sync())
+        return self.sync()
 
 
 class DecoupledModule(DecoupledMixin, Module):

@@ -116,10 +116,13 @@ class QuantumKeeper:
         return offset >= quantum
 
     def sync(self):
-        """Synchronize the current thread (``yield from qk.sync()``)."""
-        return (yield from sync(sim=self.sim))
+        """Synchronize the current thread (``yield from qk.sync()``);
+        returns the waits to perform, like :func:`~repro.td.decoupling.sync`."""
+        return sync(sim=self.sim)
 
     def sync_if_needed(self):
-        """Synchronize only when :meth:`need_sync` is true."""
+        """Synchronize only when :meth:`need_sync` is true
+        (``yield from qk.sync_if_needed()``)."""
         if self.need_sync():
-            yield from sync(sim=self.sim)
+            return sync(sim=self.sim)
+        return ()

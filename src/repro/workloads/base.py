@@ -24,7 +24,7 @@ from typing import Any, Callable, List, Optional, Sequence, Union
 from ..fifo.smart_fifo import SmartFifo
 from ..kernel.module import Module
 from ..kernel.process import Timeout
-from ..kernel.simtime import SimTime, TimeUnit, as_time
+from ..kernel.simtime import SimTime, TimeUnit, as_femtoseconds
 from ..kernel.simulator import Simulator
 from ..td.decoupling import DecoupledMixin
 
@@ -126,18 +126,18 @@ class WorkloadModule(DecoupledMixin, Module):
         if timing is TimingMode.UNTIMED:
             return ()
         if timing is TimingMode.TIMED_WAIT:
-            duration = as_time(duration, unit)
+            duration_fs = as_femtoseconds(duration, unit)
             if self._dep_rec is not None:
-                self._dep_rec.timed(duration.femtoseconds)
-            return (Timeout(duration),)
+                self._dep_rec.timed(duration_fs)
+            return (Timeout.from_femtoseconds(duration_fs),)
         return self._advance_quantum(duration, unit)
 
     def _advance_quantum(self, duration, unit: TimeUnit):
         """Quantum-keeper branch of :meth:`advance` (may actually wait)."""
         if self._dep_rec is not None:
-            self._dep_rec.quantum(as_time(duration, unit).femtoseconds)
+            self._dep_rec.quantum(as_femtoseconds(duration, unit))
         self.quantum_keeper.inc(duration, unit)
-        yield from self.quantum_keeper.sync_if_needed()
+        return self.quantum_keeper.sync_if_needed()
 
     # ------------------------------------------------------------------
     # Burst (span) helpers

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import ProcessError, Simulator, ns
+from repro.kernel import Event, ProcessError, Simulator, Timeout, ns
 from repro.kernel.simtime import TimeUnit
 
 
@@ -283,3 +283,145 @@ class TestMultipleSimulators:
         assert seen_b == [20.0]
         assert now_ns(sim_a) == 10.0
         assert now_ns(sim_b) == 20.0
+
+
+class _ArmedTimeout(Timeout):
+    """A Timeout subclass: the scheduler arms it through ``Timeout.arm``
+    instead of its inline fast path."""
+
+    __slots__ = ()
+
+
+_TIMEOUT_MAKERS = {
+    "simtime": lambda duration_ns: Timeout(ns(duration_ns)),
+    "femtoseconds": lambda duration_ns: Timeout.from_femtoseconds(
+        ns(duration_ns).femtoseconds
+    ),
+    "arm_protocol": lambda duration_ns: _ArmedTimeout(ns(duration_ns)),
+}
+
+
+class TestTimeoutConstructors:
+    def test_int_and_simtime_timeouts_expose_the_same_duration(self):
+        from_time = Timeout(ns(25))
+        from_int = Timeout.from_femtoseconds(25_000_000)
+        assert from_time.duration == from_int.duration == ns(25)
+        assert from_time.duration_fs == from_int.duration_fs == 25_000_000
+        assert repr(from_time) == repr(from_int) == "Timeout(25 ns)"
+
+    def test_constructors_reject_bad_durations(self):
+        with pytest.raises(ProcessError):
+            Timeout(25)
+        with pytest.raises(ProcessError):
+            Timeout.from_femtoseconds(-1)
+
+    @staticmethod
+    def _wake_log(make):
+        sim = Simulator("timeouts")
+        log = []
+
+        def proc():
+            for duration_ns in (5, 0, 3, 0):
+                yield make(duration_ns)
+                stats = sim.stats
+                log.append((sim.now_fs, stats.delta_cycles, stats.timed_phases))
+
+        sim.create_thread(proc)
+        sim.run()
+        return log
+
+    @pytest.mark.parametrize("kind", sorted(_TIMEOUT_MAKERS))
+    def test_every_construction_arms_identically(self, kind):
+        # A zero duration is a delta wake: one more delta cycle, no timed
+        # phase and no time advance.
+        assert self._wake_log(_TIMEOUT_MAKERS[kind]) == [
+            (5_000_000, 2, 1),
+            (5_000_000, 3, 1),
+            (8_000_000, 4, 2),
+            (8_000_000, 5, 2),
+        ]
+
+
+class TestTimedQueueOrdering:
+    def test_equal_timeout_dates_resume_in_arming_order(self, sim, host):
+        order = []
+
+        def late_armer():
+            yield host.wait(0)  # arms its 10 ns timeout one delta later
+            yield host.wait(10)
+            order.append("late_armer")
+
+        def early_armer():
+            yield host.wait(10)
+            order.append("early_armer")
+
+        host.add(late_armer)
+        host.add(early_armer)
+        sim.run()
+        assert order == ["early_armer", "late_armer"]
+        assert sim.stats.timed_phases == 1
+
+    def test_cancelled_head_notification_makes_no_timed_phase(self, sim, host):
+        event = Event("ev", sim=sim)
+        woken = []
+
+        def notifier():
+            event.notify(ns(5))
+            event.cancel()
+            yield from ()
+
+        def waiter():
+            yield event
+            woken.append(sim.now_fs)
+
+        host.add(notifier)
+        host.add(waiter)
+        sim.run()
+        assert woken == []
+        assert sim.now_fs == 0
+        assert sim.stats.timed_phases == 0
+
+    def test_cancelled_head_is_skipped_before_a_later_wake(self, sim, host):
+        event = Event("ev", sim=sim)
+        woken = []
+
+        def notifier():
+            event.notify(ns(5))
+            event.cancel()
+            yield host.wait(20)
+            woken.append(sim.now_fs)
+
+        host.add(notifier)
+        sim.run()
+        assert woken == [ns(20).femtoseconds]
+        assert sim.stats.timed_phases == 1
+
+    @pytest.mark.parametrize("event_first", [True, False])
+    def test_event_and_timeout_at_one_date_fire_in_push_order(
+        self, sim, host, event_first
+    ):
+        event = Event("ev", sim=sim)
+        order = []
+
+        def sleeper():
+            if event_first:
+                event.notify(ns(10))
+            yield host.wait(10)
+            order.append("sleeper")
+
+        def notifier():
+            if not event_first:
+                event.notify(ns(10))
+            yield from ()
+
+        def waiter():
+            yield event
+            order.append("waiter")
+
+        host.add(waiter)
+        host.add(sleeper)
+        host.add(notifier)
+        sim.run()
+        expected = ["waiter", "sleeper"] if event_first else ["sleeper", "waiter"]
+        assert order == expected
+        assert sim.stats.timed_phases == 1

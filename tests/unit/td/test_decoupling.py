@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.kernel import Module, ProcessError, ns
+from repro.kernel import Module, ProcessError, Timeout, ns
 from repro.kernel.simtime import TimeUnit
 from repro.td import DecoupledModule, inc, is_synchronized, local_offset, local_time_stamp, sync
+from repro.td.local_time import get_local_time_manager
 
 
 def now_ns(sim):
@@ -95,6 +96,76 @@ class TestFreeFunctions:
         host.add_method(method)
         sim.run()
         assert observed == {"local": 7.0, "global": 0.0}
+
+
+class TestSyncContract:
+    """``sync()`` is a plain function returning the waits to perform."""
+
+    def test_synchronized_sync_returns_no_wait(self, sim, host):
+        observed = {}
+
+        def proc():
+            waits = sync()
+            observed["waits"] = tuple(waits)
+            yield from waits
+            observed["switches"] = sim.stats.context_switches
+            observed["tracked"] = sim.current_process().lt_tracked
+            yield host.wait(1)
+
+        host.add(proc)
+        sim.run()
+        # The first activation is the only switch before the plain wait.
+        assert observed == {"waits": (), "switches": 1, "tracked": True}
+
+    def test_ahead_sync_returns_one_timeout_of_the_offset(self, sim, host):
+        observed = {}
+
+        def proc():
+            yield host.wait(10)
+            inc(35)
+            process = sim.current_process()
+            waits = sync()
+            observed["offset_fs"] = process.local_fs - sim.now_fs
+            observed["waits"] = waits
+            yield from waits
+            manager = get_local_time_manager(sim)
+            observed["now"] = now_ns(sim)
+            observed["synchronized"] = is_synchronized()
+            observed["local"] = local_time_stamp().to(TimeUnit.NS)
+            observed["tracked"] = process.lt_tracked
+            observed["max_local_fs"] = manager.max_local_fs()
+
+        host.add(proc)
+        sim.run()
+        (timeout,) = observed.pop("waits")
+        assert type(timeout) is Timeout
+        assert timeout.duration_fs == observed.pop("offset_fs") == ns(35).femtoseconds
+        assert observed == {
+            "now": 45.0,
+            "synchronized": True,
+            "local": 45.0,
+            "tracked": True,
+            "max_local_fs": ns(45).femtoseconds,
+        }
+        assert sim.stats.context_switches == 3
+
+    def test_sync_outside_a_process_raises(self, sim):
+        with pytest.raises(ProcessError, match="outside of a process"):
+            sync(sim=sim)
+
+    def test_sync_from_method_raises_on_the_call(self, sim, host):
+        errors = []
+
+        def method():
+            try:
+                sync()
+            except ProcessError as exc:
+                errors.append(str(exc))
+
+        host.add_method(method)
+        sim.run()
+        assert len(errors) == 1
+        assert "method process" in errors[0]
 
 
 class TestDecoupledModule:
