@@ -10,11 +10,10 @@
   plus the quantum and context-switch ablations).
 """
 
-from .reporting import ascii_table, csv_text, dict_rows_table, format_gain, text_plot, write_csv
+from .reporting import ascii_table, dict_rows_table, format_gain, text_plot, write_csv
 from .stats import RunResult, measure_run
 from .trace_diff import (
     TraceComparison,
-    assert_equivalent,
     compare_collectors,
     compare_sorted_lines,
     compare_spools,
@@ -27,12 +26,10 @@ __all__ = [
     "RunResult",
     "TraceComparison",
     "ascii_table",
-    "assert_equivalent",
     "compare_collectors",
     "compare_sorted_lines",
     "compare_spools",
     "compare_traces",
-    "csv_text",
     "dict_rows_table",
     "emission_order_changed",
     "format_gain",

@@ -63,7 +63,6 @@ from ..campaign import (
     DEFAULT_TRACE_SINK,
     CampaignResumeError,
     CampaignRunner,
-    JsonlSink,
     RunBudget,
     default_campaign,
     describe_specs,
@@ -296,21 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
         "per run to DIR (<spec>.<mode>.trace)",
     )
     campaign.add_argument(
-        "--burst",
-        action="store_true",
-        dest="burst",
-        default=True,
-        help="run every spec with burst (span) FIFO transfers where the "
-        "workload supports them; bit-exact with word-by-word accesses, so "
-        "the campaign fingerprint is identical — a pure speed knob (now "
-        "the default; kept for compatibility)",
-    )
-    campaign.add_argument(
         "--no-burst",
         action="store_false",
         dest="burst",
-        help="run the historical word-by-word FIFO transfers instead of "
-        "burst spans (bit-exact either way)",
+        help="run word-by-word FIFO transfers instead of the default burst "
+        "(span) transfers; bit-exact either way, so the campaign "
+        "fingerprint is identical — a pure speed knob",
     )
     campaign.add_argument(
         "--replay-sweep",

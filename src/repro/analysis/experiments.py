@@ -1,9 +1,8 @@
 """Experiment drivers.
 
-One driver per table/figure of the paper (see DESIGN.md, "Per-experiment
-index").  The EXPERIMENTS.md generator
-(``tools/generate_experiments_report.py``) calls these functions; they
-can also be used interactively::
+One driver per table/figure of the paper.  The CLI
+(``python -m repro.analysis.cli``) and ``examples/streaming_pipeline.py``
+call these functions; they can also be used interactively::
 
     from repro.analysis import experiments
     rows = experiments.fig5_depth_sweep(depths=[1, 2, 4, 8, 16])

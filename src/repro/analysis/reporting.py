@@ -2,14 +2,12 @@
 
 Small helpers to turn experiment results into aligned ASCII tables, CSV
 files and simple text plots, so the benchmark harness can print the same
-rows/series the paper reports (and EXPERIMENTS.md can be regenerated from
-the command line).
+rows/series the paper reports.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
@@ -63,19 +61,6 @@ def write_csv(rows: Sequence[Mapping[str, object]], path: str) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def csv_text(rows: Sequence[Mapping[str, object]]) -> str:
-    """Same as :func:`write_csv` but returning the CSV as a string."""
-    if not rows:
-        return ""
-    columns = list(rows[0].keys())
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
 
 
 def text_plot(

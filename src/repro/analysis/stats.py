@@ -34,16 +34,6 @@ class RunResult:
     #: per-process breakdown behind the context-switch totals above.
     top_processes: List[Tuple[str, int]] = field(default_factory=list)
 
-    @property
-    def total_activations(self) -> int:
-        return self.context_switches + self.method_invocations
-
-    def speedup_vs(self, other: "RunResult") -> float:
-        """How many times faster this run is compared to ``other``."""
-        if self.wall_seconds == 0:
-            return float("inf")
-        return other.wall_seconds / self.wall_seconds
-
     def gain_percent_vs(self, other: "RunResult") -> float:
         """Relative wall-clock gain of this run versus ``other`` (in %).
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from ..kernel.tracing import SpoolSink, TraceCollector, TraceRecord, format_entry
+from ..kernel.tracing import ListSink, SpoolSink, TraceRecord, format_entry
 
 
 @dataclass
@@ -145,21 +145,14 @@ def compare_spools(reference: SpoolSink, candidate: SpoolSink) -> TraceCompariso
 
 
 def compare_collectors(
-    reference: TraceCollector, candidate: TraceCollector
+    reference: ListSink, candidate: ListSink
 ) -> TraceComparison:
     """Convenience wrapper for whole-simulation trace collectors."""
     return compare_traces(reference.records, candidate.records)
 
 
-def assert_equivalent(reference: TraceCollector, candidate: TraceCollector) -> None:
-    """Raise ``AssertionError`` with a readable report when traces differ."""
-    comparison = compare_collectors(reference, candidate)
-    if not comparison.equivalent:
-        raise AssertionError(comparison.report())
-
-
 def emission_order_changed(
-    reference: TraceCollector, candidate: TraceCollector
+    reference: ListSink, candidate: ListSink
 ) -> bool:
     """True when the raw (unsorted) emission orders differ.
 

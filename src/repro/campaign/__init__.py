@@ -57,8 +57,6 @@ from .runner import (
     combine_pair,
     diff_pair_streaming,
     execute_half,
-    execute_pair,
-    execute_paired_spec,
     execute_spec,
     load_resume_state,
     merge_jsonl,
@@ -107,8 +105,6 @@ __all__ = [
     "diff_pair_streaming",
     "execute_half",
     "load_resume_state",
-    "execute_pair",
-    "execute_paired_spec",
     "execute_spec",
     "merge_jsonl",
     "parse_jsonl_rows",

@@ -64,8 +64,9 @@ because record formatting is injective.  Only when a pair *mismatches* is
 it re-run on :class:`~repro.kernel.tracing.SpoolSink` spools, which
 :func:`repro.analysis.trace_diff.compare_spools` merge-diffs into the full
 line-level report without an in-memory sort.  ``trace_sink`` can override
-the worker sink kind (``"list"`` restores the historical collector,
-``"null"`` disables tracing — and with it trace validation — entirely).
+the worker sink kind (``"list"`` materializes every record in a
+:class:`~repro.kernel.tracing.ListSink`, ``"null"`` disables tracing —
+and with it trace validation — entirely).
 """
 
 from __future__ import annotations
@@ -468,37 +469,6 @@ def diff_pair_streaming(spec: ScenarioSpec) -> PairRecord:
     ref_sim.trace.close()
     smart_sim.trace.close()
     return pair
-
-
-def execute_paired_spec(spec: ScenarioSpec, trace_sink: str = DEFAULT_TRACE_SINK):
-    """Run both halves of a pair inline and recombine them.
-
-    Kept as the one-process entry point (and for API compatibility): the
-    campaign itself schedules the two halves as independent jobs — see
-    :meth:`CampaignRunner._execute` — and recombines with
-    :func:`combine_pair`, which this function reuses, so the records are
-    bit-identical either way.  A digest mismatch is upgraded to the full
-    line-level report by re-running the pair on trace spools.
-
-    Returns ``(SpecRunRecord, PairRecord)``: the run record is taken from
-    the half matching ``spec.mode``, so a paired campaign never simulates
-    the same (spec, mode) twice — both halves double as single-mode results.
-    """
-    ref_half = execute_half(spec, MODE_REFERENCE, trace_sink)
-    smart_half = execute_half(spec, MODE_SMART, trace_sink)
-    pair = combine_pair(ref_half, smart_half)
-    if not pair.equivalent and trace_sink != "null":
-        # With tracing off there is no trace to diff (the mismatch can only
-        # come from the extras), so the spool upgrade would reintroduce the
-        # trace validation the caller disabled.
-        pair = diff_pair_streaming(spec)
-    record = ref_half.record if spec.mode == MODE_REFERENCE else smart_half.record
-    return record, pair
-
-
-def execute_pair(spec: ScenarioSpec) -> PairRecord:
-    """Just the :class:`PairRecord` of :func:`execute_paired_spec`."""
-    return execute_paired_spec(spec)[1]
 
 
 #: Job kinds (second element of a job tuple).  ``None`` marks a single-mode
@@ -1272,10 +1242,11 @@ class CampaignRunner:
         simulation emits into (one of
         :data:`~repro.kernel.tracing.SINK_KINDS`).  The default
         ``"digest"`` streams the trace into its digest without ever
-        materializing records; ``"list"`` restores the historical
-        collector; ``"null"`` disables tracing — digests degenerate to the
-        empty-trace digest on both sides of a pair, so trace validation is
-        off and only the deterministic extras are compared.
+        materializing records; ``"list"`` materializes them in a
+        :class:`~repro.kernel.tracing.ListSink`; ``"null"`` disables
+        tracing — digests degenerate to the empty-trace digest on both
+        sides of a pair, so trace validation is off and only the
+        deterministic extras are compared.
     trace_out:
         Optional directory receiving one reordered trace file per run
         (``<spec>.<mode>.trace``); requires a spool-backed sink

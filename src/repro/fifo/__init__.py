@@ -27,7 +27,7 @@ from .interfaces import (
     FifoWriterInterface,
 )
 from .packet_fifo import PacketSmartFifo
-from .ports import FifoMonitorPort, FifoReadPort, FifoWritePort
+from .ports import FifoReadPort, FifoWritePort
 from .regular_fifo import RegularFifo
 from .smart_fifo import SmartFifo
 from .sync_fifo import SyncFifo
@@ -38,7 +38,6 @@ __all__ = [
     "CellView",
     "FifoInterface",
     "FifoMonitorInterface",
-    "FifoMonitorPort",
     "FifoReadPort",
     "FifoReaderInterface",
     "FifoWritePort",

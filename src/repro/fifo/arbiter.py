@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Union
 from ..kernel.errors import FifoError
 from ..kernel.module import Module
 from ..kernel.process import WaitEvent
-from ..kernel.simtime import SimTime, ZERO_TIME, as_time
+from ..kernel.simtime import SimTime, ZERO_TIME
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import DEP_SMART_READ, DEP_SMART_WRITE
 from ..td.decoupling import sync
@@ -98,9 +98,6 @@ class _SideArbiter(Module):
         else:
             self._dep = None
             self._arb_idx = -1
-
-    def set_access_duration(self, duration, unit=None) -> None:
-        self.access_duration = as_time(duration) if unit is None else as_time(duration, unit)
 
     def _grant(self) -> None:
         """Raise the caller's local date to the port-free date if needed."""

@@ -183,14 +183,6 @@ class CellRing:
     # ------------------------------------------------------------------
     # State queries
     # ------------------------------------------------------------------
-    @property
-    def internally_full(self) -> bool:
-        return self.busy_count == self.depth
-
-    @property
-    def internally_empty(self) -> bool:
-        return self.busy_count == 0
-
     def head_free_freeing_fs(self) -> int:
         """Freeing date of the cell the next push will fill.
 
@@ -205,23 +197,11 @@ class CellRing:
         """
         return self._insertion[self._first_busy]
 
-    def first_free_cell(self) -> Optional[CellView]:
-        """The cell the next write will fill, or None when internally full."""
-        if self.busy_count == self.depth:
-            return None
-        return CellView(self, self._first_free)
-
     def first_busy_cell(self) -> Optional[CellView]:
         """The cell the next read will empty, or None when internally empty."""
         if self.busy_count == 0:
             return None
         return CellView(self, self._first_busy)
-
-    def second_busy_cell(self) -> Optional[CellView]:
-        """The busy cell that will become the head after one pop."""
-        if self.busy_count < 2:
-            return None
-        return CellView(self, (self._first_busy + 1) % self.depth)
 
     def cells(self) -> Iterator[CellView]:
         """Iterate over all cells (monitor interface)."""
@@ -415,42 +395,6 @@ class CellRing:
             if busy[index] and insertion[index] <= date_fs:
                 count += 1
         return count
-
-    def busy_insertions_after(self, date_fs: int) -> List[int]:
-        """Sorted insertion dates of busy cells still in the future of
-        ``date_fs`` (packetization helper)."""
-        busy = self._busy
-        insertion = self._insertion
-        dates = [
-            insertion[index]
-            for index in range(self.depth)
-            if busy[index] and insertion[index] > date_fs
-        ]
-        dates.sort()
-        return dates
-
-    def count_free_freed_by(self, date_fs: int) -> int:
-        """Free cells whose slot is really available at ``date_fs``."""
-        busy = self._busy
-        freeing = self._freeing
-        count = 0
-        for index in range(self.depth):
-            if not busy[index] and freeing[index] <= date_fs:
-                count += 1
-        return count
-
-    def free_freeings_after(self, date_fs: int) -> List[int]:
-        """Sorted freeing dates of free cells still in the future of
-        ``date_fs`` (packetization helper)."""
-        busy = self._busy
-        freeing = self._freeing
-        dates = [
-            freeing[index]
-            for index in range(self.depth)
-            if not busy[index] and freeing[index] > date_fs
-        ]
-        dates.sort()
-        return dates
 
     def head_busy_inserted_by(self, count: int, date_fs: int) -> bool:
         """True when the first ``count`` busy cells *in pop order* all hold

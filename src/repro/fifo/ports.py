@@ -13,11 +13,7 @@ from typing import Any
 
 from ..kernel.module import Module
 from ..kernel.port import Port
-from .interfaces import (
-    FifoMonitorInterface,
-    FifoReaderInterface,
-    FifoWriterInterface,
-)
+from .interfaces import FifoReaderInterface, FifoWriterInterface
 
 
 class FifoWritePort(Port):
@@ -74,17 +70,3 @@ class FifoReadPort(Port):
     def not_empty_event(self):
         return self.get().not_empty_event
 
-
-class FifoMonitorPort(Port):
-    """Port bound to the monitor side of a FIFO."""
-
-    def __init__(self, owner: Module, name: str, optional: bool = False):
-        super().__init__(owner, name, FifoMonitorInterface, optional=optional)
-
-    def get_size(self):
-        """Blocking size query through the bound FIFO (generator)."""
-        return self.get().get_size()
-
-    @property
-    def depth(self) -> int:
-        return self.get().depth

@@ -78,12 +78,6 @@ class RegularFifo(Module, FifoInterface):
         """Current number of stored items (immediate view)."""
         return len(self._items)
 
-    def num_available(self) -> int:
-        return len(self._items)
-
-    def num_free(self) -> int:
-        return self._depth - len(self._items)
-
     def get_size(self):
         """Blocking-style size query (generator for interface uniformity)."""
         yield from ()

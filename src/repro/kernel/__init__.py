@@ -65,10 +65,8 @@ from .tracing import (
     NullSink,
     SINK_KINDS,
     SpoolSink,
-    TraceCollector,
     TraceRecord,
     TraceSink,
-    VcdWriter,
     make_sink,
     trace_lines_digest,
 )
@@ -108,10 +106,8 @@ __all__ = [
     "TimeUnit",
     "TimingError",
     "TlmError",
-    "TraceCollector",
     "TraceRecord",
     "US",
-    "VcdWriter",
     "WaitDescriptor",
     "WaitEvent",
     "WaitEventList",

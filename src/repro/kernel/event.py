@@ -73,9 +73,9 @@ class Event:
     """
 
     def __init__(self, name: str = "event", sim=None):
-        # The waiter lists, the static snapshot, the pending-delta flag and
-        # the trigger marker are read and reset by the scheduler itself
-        # when the event triggers (no per-trigger call into the event).
+        # The waiter lists, the static snapshot and the pending-delta flag
+        # are read and reset by the scheduler itself when the event
+        # triggers (no per-trigger call into the event).
         self.name = name
         self._sim = sim
         # Scheduler of the owning simulator, resolved on first notification
@@ -99,9 +99,6 @@ class Event:
         #: static methods + dynamic methods), maintained incrementally so
         #: hot paths can test it with one attribute read.
         self.listener_count = 0
-        # Date (in delta-cycle coordinates) of the last trigger, used by
-        # Signal.event() style queries.
-        self._last_trigger_marker: Optional[Tuple[int, int]] = None
 
     # -- wiring ----------------------------------------------------------
     @property
@@ -109,11 +106,6 @@ class Event:
         if self._sim is None:
             self._sim = context.current_simulator()
         return self._sim
-
-    def bind_simulator(self, sim) -> None:
-        """Explicitly attach the event to a simulator (done by modules)."""
-        self._sim = sim
-        self._scheduler = None
 
     # -- registration (used by the scheduler and by method processes) ----
     def add_waiting_thread(self, process, wait_id: int) -> None:
@@ -126,25 +118,9 @@ class Event:
             self._static_snapshot = tuple(self._static_methods)
             self.listener_count += 1
 
-    def remove_static_method(self, process) -> None:
-        if process in self._static_methods:
-            self._static_methods.remove(process)
-            self._static_snapshot = tuple(self._static_methods)
-            self.listener_count -= 1
-
     def add_dynamic_method(self, process, trigger_id: int) -> None:
         self._dynamic_methods.append((process, trigger_id))
         self.listener_count += 1
-
-    @property
-    def has_listeners(self) -> bool:
-        """True when at least one process would observe a notification.
-
-        Channels use this to skip scheduling notifications nobody can see
-        (e.g. the Smart FIFO external ``not_empty`` event when no method
-        process monitors the FIFO), which keeps the timed queue small.
-        """
-        return self.listener_count > 0
 
     # -- notification ----------------------------------------------------
     def notify(self, delay: Optional[SimTime] = None) -> None:
@@ -232,10 +208,6 @@ class Event:
     def arm(self, scheduler, process, wait_id: int) -> None:
         """Wait-descriptor protocol: a bare event can be yielded directly."""
         self.add_waiting_thread(process, wait_id)
-
-    def triggered_at(self, marker: Tuple[int, int]) -> bool:
-        """True if the event triggered in the evaluation phase ``marker``."""
-        return self._last_trigger_marker == marker
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Event({self.name!r})"

@@ -81,10 +81,6 @@ class Scheduler:
         self.stats = stats or KernelStats()
         self.now_fs = 0
         self.current_process: Optional[Process] = None
-        # (timed-phase, delta-cycle) pair identifying the current evaluation
-        # phase; rebuilt when either counter moves instead of allocating a
-        # tuple per triggered event.
-        self._phase_marker = (self.stats.timed_phases, self.stats.delta_cycles)
 
         self._runnable = deque()
 
@@ -169,7 +165,6 @@ class Scheduler:
     def _trigger_event(self, event: Event) -> None:
         """Wake every process ``event`` releases (the waiter lists are
         detached and reset here, so each dynamic wait fires once)."""
-        event._last_trigger_marker = self._phase_marker
         threads = event._waiting_threads
         dynamic_methods = event._dynamic_methods
         if threads:
@@ -356,7 +351,6 @@ class Scheduler:
     def _run_delta_cycle(self) -> None:
         stats = self.stats
         stats.delta_cycles += 1
-        self._phase_marker = (stats.timed_phases, stats.delta_cycles)
         runnable = self._runnable
         activations = stats.per_process_activations
         # Evaluation phase: the scheduler's innermost hot path.  Resume
@@ -465,7 +459,6 @@ class Scheduler:
         self.now_fs = next_time
         stats = self.stats
         stats.timed_phases += 1
-        self._phase_marker = (stats.timed_phases, stats.delta_cycles)
         pool = self._wake_pool
         runnable = self._runnable
         while queue and queue[0][0] == next_time:

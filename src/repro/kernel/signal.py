@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Generic, Optional, TypeVar, Union
 
 from .channel import PrimitiveChannel
-from .event import Event
 from .module import Module
 from .simtime import ZERO_TIME
 from .simulator import Simulator
@@ -52,10 +51,6 @@ class Signal(PrimitiveChannel, Generic[T]):
         if self._next != self._current:
             self._current = self._next
             self.value_changed.notify(ZERO_TIME)
-
-    def posedge(self) -> Event:
-        """Alias of :attr:`value_changed` for boolean-style usage."""
-        return self.value_changed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Signal({self.full_name!r}, value={self._current!r})"

@@ -43,18 +43,6 @@ class KernelStats:
         """Alias of :attr:`thread_activations`, matching the paper's wording."""
         return self.thread_activations
 
-    def record_thread_activation(self, name: str) -> None:
-        self.thread_activations += 1
-        self.per_process_activations[name] = (
-            self.per_process_activations.get(name, 0) + 1
-        )
-
-    def record_method_invocation(self, name: str) -> None:
-        self.method_invocations += 1
-        self.per_process_activations[name] = (
-            self.per_process_activations.get(name, 0) + 1
-        )
-
     def snapshot(self) -> Dict[str, int]:
         """Return a plain-dict copy of the scalar counters (no per-process map)."""
         # Built directly from the scalar fields: ``asdict`` would deep-copy

@@ -16,9 +16,8 @@ record in memory:
 * :class:`NullSink` — tracing off; the kernel emit path collapses to one
   attribute check (``sink.enabled``) and nothing else runs.
 * :class:`ListSink` — accumulates :class:`TraceRecord` objects in a Python
-  list (the historical behaviour; ``TraceCollector`` is an alias).  Used by
-  tests and interactive debugging, where random access to records matters
-  more than memory.
+  list.  Used by tests and interactive debugging, where random access to
+  records matters more than memory.
 * :class:`DigestSink` — streams records into an order-insensitive SHA-256
   digest plus a record count, never holding more than a bounded buffer of
   encoded entries in memory (overflow spills sorted runs to temporary
@@ -40,9 +39,6 @@ streaming the final merge.  The encoding requires ``process`` and
 ``message`` to stay free of ``\\n`` and ``\\x1f`` — which single-line trace
 messages already are — and dates to fit 20 decimal digits of femtoseconds
 (about three simulated years).
-
-A lightweight VCD writer is also provided for waveform-style inspection of
-signals and FIFO fill levels.
 """
 
 from __future__ import annotations
@@ -74,10 +70,6 @@ class TraceRecord:
     @property
     def local_time(self) -> SimTime:
         return SimTime.from_femtoseconds(self.local_fs)
-
-    @property
-    def global_time(self) -> SimTime:
-        return SimTime.from_femtoseconds(self.global_fs)
 
     def sort_key(self):
         """Key used by the reorder-and-compare validation."""
@@ -156,9 +148,7 @@ class TraceSink:
 
     The kernel emit path (:meth:`repro.kernel.simulator.Simulator.log`)
     checks :attr:`enabled` once and, when true, calls :meth:`emit` — that is
-    the whole contract of the hot path.  ``record`` is kept as an alias of
-    ``emit`` for code written against the historical ``TraceCollector``
-    API.
+    the whole contract of the hot path.
     """
 
     #: Checked (once) by every emit call site; ``False`` short-circuits the
@@ -182,10 +172,6 @@ class TraceSink:
         per-record costs."""
         for local_fs, message in entries:
             self.emit(process, local_fs, global_fs, message)
-
-    def record(self, process: str, local_fs: int, global_fs: int, message: str) -> None:
-        """Historical name of :meth:`emit`."""
-        self.emit(process, local_fs, global_fs, message)
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -225,7 +211,7 @@ class NullSink(TraceSink):
 
 
 class ListSink(TraceSink):
-    """Accumulates :class:`TraceRecord` objects (the historical collector).
+    """Accumulates :class:`TraceRecord` objects.
 
     Keeps every record addressable, which tests and interactive debugging
     want; campaign-scale runs use :class:`DigestSink`/:class:`SpoolSink`
@@ -277,10 +263,6 @@ class ListSink(TraceSink):
     def write(self, stream: TextIO) -> None:
         for line in self.formatted_lines():
             stream.write(line + "\n")
-
-
-#: Historical name of the list-accumulating sink.
-TraceCollector = ListSink
 
 
 #: Encoded entries buffered in memory before a streaming sink spills a
@@ -734,52 +716,3 @@ class DependencyRecorder:
             arbiters=self._arbiters,
         )
 
-
-class VcdWriter:
-    """A minimal Value Change Dump writer.
-
-    Only integer valued variables are supported, which is enough to dump
-    FIFO fill levels and simple signals for debugging the case-study
-    platform.  Times are written in femtoseconds.  Each variable carries
-    the bit width declared in :meth:`add_variable`; values are emitted as
-    two's-complement bit vectors of that width, so negative values are
-    representable and oversized values are truncated to the declared width
-    (standard VCD semantics).
-    """
-
-    def __init__(self, stream: TextIO, top: str = "repro"):
-        self._stream = stream
-        self._top = top
-        self._variables: Dict[str, Tuple[str, int]] = {}
-        self._next_code = 33  # printable ASCII identifiers start at '!'
-        self._header_done = False
-        self._last_time: Optional[int] = None
-
-    def add_variable(self, name: str, width: int = 32) -> None:
-        if self._header_done:
-            raise RuntimeError("cannot add VCD variables after the header was written")
-        if width < 1:
-            raise ValueError(f"VCD variable width must be >= 1, got {width}")
-        code = chr(self._next_code)
-        self._next_code += 1
-        self._variables[name] = (code, width)
-
-    def write_header(self) -> None:
-        out = self._stream
-        out.write("$timescale 1 fs $end\n")
-        out.write(f"$scope module {self._top} $end\n")
-        for name, (code, width) in self._variables.items():
-            safe = name.replace(" ", "_")
-            out.write(f"$var integer {width} {code} {safe} $end\n")
-        out.write("$upscope $end\n$enddefinitions $end\n")
-        self._header_done = True
-
-    def change(self, time_fs: int, name: str, value: int) -> None:
-        if not self._header_done:
-            self.write_header()
-        if self._last_time != time_fs:
-            self._stream.write(f"#{time_fs}\n")
-            self._last_time = time_fs
-        code, width = self._variables[name]
-        encoded = value & ((1 << width) - 1)
-        self._stream.write(f"b{encoded:b} {code}\n")

@@ -13,7 +13,7 @@ history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..kernel.module import Module
 from ..kernel.simtime import SimTime, TimeUnit, ns
@@ -78,31 +78,3 @@ class FifoLevelProbe(DecoupledMixin, Module):
             for sample in self.samples
             if sample.fifo == fifo_name
         ]
-
-    def max_levels(self) -> Dict[str, int]:
-        """Peak observed level per FIFO (useful for sizing studies)."""
-        peaks: Dict[str, int] = {}
-        for sample in self.samples:
-            peaks[sample.fifo] = max(peaks.get(sample.fifo, 0), sample.level)
-        return peaks
-
-    def to_vcd(self, stream) -> None:
-        """Dump the sampled filling levels as a VCD waveform.
-
-        This is the debug/performance-tuning usage the paper motivates the
-        monitor interface with: the waveform can be opened in any VCD viewer
-        to inspect how the FIFO levels evolve and to size the hardware FIFOs.
-        """
-        from ..kernel.tracing import VcdWriter
-
-        writer = VcdWriter(stream, top=self.full_name.replace(".", "_"))
-        names = []
-        for fifo in self.fifos:
-            name = getattr(fifo, "full_name", str(fifo)).replace(".", "_")
-            names.append((getattr(fifo, "full_name", str(fifo)), name))
-            writer.add_variable(name)
-        writer.write_header()
-        for sample in sorted(self.samples, key=lambda s: s.date.femtoseconds):
-            for original, vcd_name in names:
-                if sample.fifo == original:
-                    writer.change(sample.date.femtoseconds, vcd_name, sample.level)

@@ -31,7 +31,7 @@ from ..kernel.module import Module
 from ..kernel.process import Timeout
 from ..kernel.simtime import SimTime, TimeUnit, as_femtoseconds, as_time
 from ..kernel.simulator import Simulator
-from .local_time import LocalTimeManager, get_local_time_manager
+from .local_time import get_local_time_manager
 
 
 def inc(duration, unit: TimeUnit = TimeUnit.NS, sim: Optional[Simulator] = None) -> SimTime:
@@ -120,10 +120,6 @@ class DecoupledMixin:
     *local* date of the emitting process, which is what the paper's
     trace-equivalence validation compares.
     """
-
-    @property
-    def local_time_manager(self) -> LocalTimeManager:
-        return get_local_time_manager(self.sim)
 
     def inc(self, duration, unit: TimeUnit = TimeUnit.NS) -> SimTime:
         """Advance the local date of the current process (cheap)."""

@@ -131,13 +131,6 @@ class LocalTimeManager:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def decoupled_processes(self):
-        """Yield (name, local date) for every process ahead of global time."""
-        now_fs = self.sim.now_fs
-        for process in self._tracked.values():
-            if process.local_fs > now_fs:
-                yield process.name, SimTime.from_femtoseconds(process.local_fs)
-
     def max_local_fs(self) -> int:
         """The furthest local date of any process (≥ global date)."""
         now_fs = self.sim.now_fs

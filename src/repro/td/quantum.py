@@ -75,24 +75,6 @@ class QuantumKeeper:
             return self._local_quantum
         return GlobalQuantum.instance(self.sim).quantum
 
-    def set_quantum(self, quantum, unit: TimeUnit = TimeUnit.NS) -> None:
-        """Override the global quantum for this keeper only.
-
-        Passing ``None`` removes a previously set local override, so the
-        keeper goes back to following the global quantum (the TLM-2.0
-        default behaviour); :meth:`reset_quantum` is an explicit alias.
-        """
-        self._local_quantum = None if quantum is None else as_time(quantum, unit)
-
-    def reset_quantum(self) -> None:
-        """Drop the local override and follow the global quantum again."""
-        self._local_quantum = None
-
-    @property
-    def has_local_quantum(self) -> bool:
-        """True while a local override is active."""
-        return self._local_quantum is not None
-
     # ------------------------------------------------------------------
     def inc(self, duration, unit: TimeUnit = TimeUnit.NS) -> SimTime:
         """Accumulate a timing annotation on the current process."""

@@ -77,10 +77,6 @@ class Bus(Module, TransportInterface):
                 return window
         raise TlmError(f"bus {self.full_name}: no target mapped at 0x{address:08x}")
 
-    @property
-    def mapped_ranges(self):
-        return tuple(self._ranges)
-
     # ------------------------------------------------------------------
     def b_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:
         """Decode, annotate the bus latency, and forward to the target."""

@@ -40,23 +40,6 @@ class Memory(Module):
         self.writes = 0
 
     # ------------------------------------------------------------------
-    # Debug (non-timed) access
-    # ------------------------------------------------------------------
-    def load(self, address: int, data: bytes) -> None:
-        """Backdoor initialisation (no timing, no transaction)."""
-        if address < 0 or address + len(data) > self.size:
-            raise TlmError(
-                f"memory load out of range: [{address}, {address + len(data)})"
-            )
-        self._storage[address : address + len(data)] = data
-
-    def dump(self, address: int, length: int) -> bytes:
-        """Backdoor read (no timing, no transaction)."""
-        if address < 0 or address + length > self.size:
-            raise TlmError(f"memory dump out of range: [{address}, {address + length})")
-        return bytes(self._storage[address : address + length])
-
-    # ------------------------------------------------------------------
     def _b_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:
         start = payload.address
         end = start + payload.length

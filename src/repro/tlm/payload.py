@@ -82,14 +82,6 @@ class GenericPayload:
 
     # -- status ----------------------------------------------------------
     @property
-    def is_read(self) -> bool:
-        return self.command is TlmCommand.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.command is TlmCommand.WRITE
-
-    @property
     def ok(self) -> bool:
         return self.response is TlmResponse.OK
 

@@ -42,9 +42,6 @@ class TargetSocket(TransportInterface):
         self.full_name = f"{owner.full_name}.{name}"
         self._callback = callback
 
-    def register_b_transport(self, callback: Callable) -> None:
-        self._callback = callback
-
     def b_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:
         if self._callback is None:
             raise TlmError(f"target socket {self.full_name} has no b_transport callback")

@@ -55,10 +55,6 @@ class TimingMode(enum.Enum):
     QUANTUM = "quantum"
 
     @property
-    def is_timed(self) -> bool:
-        return self is not TimingMode.UNTIMED
-
-    @property
     def is_decoupled(self) -> bool:
         return self in (TimingMode.DECOUPLED, TimingMode.QUANTUM)
 

@@ -115,6 +115,36 @@ class TestCsvOnEverySubcommand:
         assert body.strip()
 
 
+class TestCampaignBurstFlag:
+    """Burst transfers are the default; ``--no-burst`` is the only switch."""
+
+    def listed_specs(self, monkeypatch, flags):
+        seen = []
+        describe = cli.describe_specs
+
+        def spy(specs):
+            seen.extend(specs)
+            return describe(specs)
+
+        monkeypatch.setattr(cli, "describe_specs", spy)
+        assert cli.main(["campaign", "--list", *flags]) == 0
+        assert seen
+        return seen
+
+    def test_burst_is_the_default(self, monkeypatch, capsys):
+        assert all(spec.burst for spec in self.listed_specs(monkeypatch, []))
+
+    def test_no_burst_selects_word_transfers(self, monkeypatch, capsys):
+        specs = self.listed_specs(monkeypatch, ["--no-burst"])
+        assert not any(spec.burst for spec in specs)
+
+    def test_burst_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["campaign", "--burst"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --burst" in capsys.readouterr().err
+
+
 class TestCampaignCommand:
     def test_list_prints_specs_without_running(self, capsys):
         assert cli.main(["campaign", "--list"]) == 0

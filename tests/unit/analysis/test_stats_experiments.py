@@ -1,5 +1,7 @@
 """Unit tests for run measurement and the experiment drivers."""
 
+import pytest
+
 from repro.analysis import experiments
 from repro.analysis.stats import RunResult, measure_run
 from repro.kernel import Module
@@ -35,12 +37,10 @@ class TestMeasureRun:
         assert row["label"] == "ticker"
         assert row["context_switches"] == 6
 
-    def test_speedup_and_gain_helpers(self):
+    def test_gain_helper(self):
         fast = RunResult("fast", 1.0, SimTime(0), 10, 0, 0, 0)
         slow = RunResult("slow", 2.0, SimTime(0), 20, 0, 0, 0)
-        assert fast.speedup_vs(slow) == 2.0
         assert abs(fast.gain_percent_vs(slow) - 50.0) < 1e-9
-        assert fast.total_activations == 10
 
 
 class TestExampleExperiment:
@@ -73,6 +73,50 @@ class TestFig5Experiment:
         result = experiments.run_pipeline(PipelineModel.TDFULL, TINY)
         assert result.extra["completion_ns"] > 0
         assert result.extra["model"] == "tdfull"
+
+
+class TestFig5Shape:
+    """The paper's Fig. 5 shape, on counters and dates rather than wall
+    clock: TDless pays a context switch per FIFO access at every depth,
+    while TDfull (Smart FIFO) and untimed only switch when the FIFO is
+    internally full or empty.  The thresholds are those the paper's claims
+    were checked against at the quick scale."""
+
+    DEPTHS = (1, 2, 4, 8, 16, 64)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        rows = experiments.fig5_depth_sweep(depths=self.DEPTHS, base_config=TINY)
+        switches, completion = {}, {}
+        for row in rows:
+            switches.setdefault(row["model"], {})[row["depth"]] = row["context_switches"]
+            completion.setdefault(row["model"], {})[row["depth"]] = row["completion_ns"]
+        return switches, completion
+
+    def test_tdfull_switches_shrink_with_depth(self, sweep):
+        tdfull = sweep[0]["tdfull"]
+        assert tdfull[max(self.DEPTHS)] * 4 <= tdfull[1]
+
+    def test_tdless_switches_are_depth_independent(self, sweep):
+        tdless = sweep[0]["tdless"]
+        assert max(tdless.values()) < 1.3 * min(tdless.values())
+
+    def test_tdfull_is_no_cheaper_than_tdless_at_depth_one(self, sweep):
+        switches = sweep[0]
+        assert switches["tdfull"][1] > 0.8 * switches["tdless"][1]
+
+    def test_tdfull_gains_at_the_largest_depth(self, sweep):
+        switches, depth = sweep[0], max(self.DEPTHS)
+        assert switches["tdless"][depth] / switches["tdfull"][depth] > 1.5
+
+    def test_tdfull_stays_within_four_times_untimed(self, sweep):
+        switches = sweep[0]
+        for depth in self.DEPTHS:
+            assert switches["tdfull"][depth] <= 4 * switches["untimed"][depth]
+
+    def test_tdless_and_tdfull_complete_on_the_same_date(self, sweep):
+        completion = sweep[1]
+        assert completion["tdfull"] == completion["tdless"]
 
 
 class TestContextSwitchSweep:
@@ -111,6 +155,6 @@ class TestCaseStudyExperiment:
                            monitor_repetitions=1)
         result = experiments.case_study(config)
         assert result.timing_identical
-        assert result.smart.context_switches < result.sync.context_switches
+        assert result.smart.context_switches < result.sync.context_switches / 2
         assert "Smart FIFO" in result.table()
         assert result.consumer_dates_ns["smart"] == result.consumer_dates_ns["sync"]

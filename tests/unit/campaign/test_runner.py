@@ -11,7 +11,6 @@ from repro.campaign import (
     CampaignRunner,
     ScenarioSpec,
     default_campaign,
-    execute_pair,
     execute_spec,
     spec_is_pairable,
     sweep_point_specs,
@@ -57,9 +56,9 @@ class TestExecuteSpec:
             execute_spec(spec)
 
 
-class TestExecutePair:
+class TestInlinePair:
     def test_pairable_spec_produces_empty_diff(self):
-        pair = execute_pair(SMALL_CAMPAIGN[1])
+        (pair,) = CampaignRunner(workers=1).run([SMALL_CAMPAIGN[1]]).pairs
         assert pair.equivalent
         assert pair.extras_match
         assert pair.report == ""
@@ -191,15 +190,15 @@ class TestSplitPairs:
             assert len(half.record.trace_digest) == 64
             assert not hasattr(half, "sorted_lines")
 
-    def test_combine_pair_matches_legacy_pair(self):
+    def test_combine_pair_matches_the_campaign_pair(self):
         from repro.campaign import combine_pair, execute_half
 
         spec = SMALL_CAMPAIGN[2]
         ref = execute_half(spec, "reference")
         smart = execute_half(spec, "smart")
         combined = combine_pair(ref, smart)
-        legacy = execute_pair(spec)
-        assert combined.deterministic_row() == legacy.deterministic_row()
+        (campaign_pair,) = CampaignRunner(workers=1).run([spec]).pairs
+        assert combined.deterministic_row() == campaign_pair.deterministic_row()
         assert combined.equivalent
 
     def test_combine_pair_reports_mismatches(self):

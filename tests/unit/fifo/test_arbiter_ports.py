@@ -3,7 +3,6 @@
 import pytest
 
 from repro.fifo import (
-    FifoMonitorPort,
     FifoReadPort,
     FifoWritePort,
     ReadArbiter,
@@ -244,27 +243,6 @@ class TestFifoPorts:
         producer = self.Producer(sim, "producer")
         with pytest.raises(BindingError):
             producer.out_port.bind(object())
-
-    def test_monitor_port(self, sim, host):
-        fifo = SmartFifo(sim, "fifo", depth=4)
-
-        class Probe(Module):
-            def __init__(self, parent, name):
-                super().__init__(parent, name)
-                self.monitor = FifoMonitorPort(self, "monitor")
-                self.levels = []
-                self.create_thread(self.run)
-
-            def run(self):
-                level = yield from self.monitor.get_size()
-                self.levels.append(level)
-
-        probe = Probe(sim, "probe")
-        probe.monitor.bind(fifo)
-        fifo.nb_write(1)
-        sim.run()
-        assert probe.levels == [1]
-        assert probe.monitor.depth == 4
 
     def test_nonblocking_port_helpers(self, sim):
         fifo = RegularFifo(sim, "fifo", depth=1)

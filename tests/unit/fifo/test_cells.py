@@ -22,12 +22,12 @@ class TestRingMechanics:
         ring = CellRing(2)
         ring.push("a", fs(1))
         ring.push("b", fs(2))
-        assert ring.internally_full
+        assert ring.busy_count == ring.depth
         assert ring.pop(fs(3)) == "a"
         ring.push("c", fs(4))
         assert ring.pop(fs(5)) == "b"
         assert ring.pop(fs(6)) == "c"
-        assert ring.internally_empty
+        assert ring.busy_count == 0
 
     def test_push_full_raises(self):
         ring = CellRing(1)
@@ -43,18 +43,19 @@ class TestRingMechanics:
     def test_first_cells_and_counts(self):
         ring = CellRing(3)
         assert ring.first_busy_cell() is None
-        assert ring.first_free_cell() is not None
         ring.push("a", fs(1))
         ring.push("b", fs(2))
         assert ring.busy_count == 2
         assert ring.first_busy_cell().data == "a"
-        assert ring.second_busy_cell().data == "b"
-        assert ring.first_free_cell().insertion_fs == NEVER
+        assert [cell.data for cell in ring.cells()] == ["a", "b", None]
+        assert [cell.insertion_fs for cell in ring.cells()] == [fs(1), fs(2), NEVER]
 
-    def test_second_busy_cell_requires_two_items(self):
+    def test_single_item_leaves_the_other_cells_free(self):
         ring = CellRing(3)
         ring.push("a", 0)
-        assert ring.second_busy_cell() is None
+        assert ring.busy_count == 1
+        assert ring.first_busy_cell().data == "a"
+        assert [cell.busy for cell in ring.cells()] == [True, False, False]
 
     def test_timestamps_recorded(self):
         ring = CellRing(1)
@@ -80,11 +81,11 @@ class TestSpanMechanics:
         assert ring.pop(fs(2)) == "x"
         assert ring.pop(fs(2)) == "y"
         ring.push_span(["a", "b", "c", "d"], array("q", [fs(3)] * 4))
-        assert ring.internally_full
+        assert ring.busy_count == ring.depth
         assert list(ring.head_busy_insertion_span(4)) == [fs(3)] * 4
         dates = array("q", [fs(4), fs(5), fs(6), fs(7)])
         assert ring.pop_span(4, dates) == ["a", "b", "c", "d"]
-        assert ring.internally_empty
+        assert ring.busy_count == 0
         # Freeing dates landed on the popped slots, in pop order.
         assert list(ring.head_free_freeing_span(4)) == [fs(4), fs(5), fs(6), fs(7)]
 

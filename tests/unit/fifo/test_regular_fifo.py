@@ -44,8 +44,7 @@ class TestBasics:
         assert fifo.total_written == 3
         assert fifo.total_read == 1
         assert len(fifo) == 2
-        assert fifo.num_available() == 2
-        assert fifo.num_free() == 2
+        assert fifo.size == 2
 
     def test_is_empty_is_full(self, sim):
         fifo = RegularFifo(sim, "f", depth=1)

@@ -177,23 +177,38 @@ class TestEventLists:
 
 
 class TestListeners:
-    def test_has_listeners_reflects_waiting_threads(self, sim, host):
+    """``listener_count`` is what SmartFifo reads to skip notifications
+    nobody can observe, so it must drop back once a waiter woke."""
+
+    def test_listener_count_follows_waiting_threads(self, sim, host):
         event = sim.create_event("e")
-        assert not event.has_listeners
+        assert event.listener_count == 0
+        counts = []
 
         def waiter():
             yield host.wait(event)
+            counts.append(event.listener_count)
 
         def checker():
             yield host.wait(1)
-            assert event.has_listeners
+            counts.append(event.listener_count)
             event.notify()
 
         host.add(waiter)
         host.add(checker)
         sim.run()
+        assert counts == [1, 0]
+        assert event.listener_count == 0
 
-    def test_has_listeners_with_static_method(self, sim, host):
+    def test_listener_count_keeps_static_methods(self, sim, host):
         event = sim.create_event("e")
         host.add_method(lambda: None, name="m", sensitivity=[event], dont_initialize=True)
-        assert event.has_listeners
+        assert event.listener_count == 1
+
+        def notifier():
+            yield host.wait(1)
+            event.notify()
+
+        host.add(notifier)
+        sim.run()
+        assert event.listener_count == 1

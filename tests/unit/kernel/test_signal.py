@@ -73,10 +73,6 @@ class TestSignalSemantics:
         host.add(writer)
         sim.run()
 
-    def test_posedge_alias(self, sim):
-        signal = Signal(sim, "s")
-        assert signal.posedge() is signal.value_changed
-
     def test_method_sensitive_to_signal(self, sim, host):
         signal = Signal(sim, "s", initial=0)
         runs = []

@@ -12,7 +12,6 @@ from repro.kernel.tracing import (
     NullSink,
     SINK_KINDS,
     SpoolSink,
-    TraceCollector,
     decode_entry,
     encode_entry,
     format_entry,
@@ -81,19 +80,10 @@ class TestNullSink:
 
 
 class TestListSink:
-    def test_is_the_trace_collector(self):
-        assert TraceCollector is ListSink
-
     def test_digest_matches_helper(self):
         sink = ListSink()
         fill(sink, RECORDS)
         assert sink.digest() == trace_lines_digest(sink.sorted_lines())
-
-    def test_emit_is_record(self):
-        sink = ListSink()
-        sink.record("p", 5, 7, "m")
-        assert sink.records[0].local_fs == 5
-        assert sink.records[0].global_fs == 7
 
 
 class TestStreamingSinks:

@@ -1,43 +1,41 @@
-"""Unit tests for trace collection, VCD output and kernel statistics."""
+"""Unit tests for trace collection and kernel statistics."""
 
 import io
 
-import pytest
-
-from repro.kernel import KernelStats, TraceCollector, TraceRecord, VcdWriter
+from repro.kernel import KernelStats, ListSink, TraceRecord
 from repro.kernel.simtime import ns
 
 
-class TestTraceCollector:
+class TestListSink:
     def test_record_and_format(self):
-        collector = TraceCollector()
-        collector.record("proc", ns(20).femtoseconds, ns(10).femtoseconds, "hello")
+        collector = ListSink()
+        collector.emit("proc", ns(20).femtoseconds, ns(10).femtoseconds, "hello")
         assert len(collector) == 1
         record = list(collector)[0]
         assert record.local_time == ns(20)
-        assert record.global_time == ns(10)
+        assert record.global_fs == ns(10).femtoseconds
         assert record.format() == "[20 ns] proc: hello"
 
     def test_sorted_lines_reorder_by_local_date(self):
-        collector = TraceCollector()
-        collector.record("b", ns(30).femtoseconds, 0, "late")
-        collector.record("a", ns(10).femtoseconds, 0, "early")
+        collector = ListSink()
+        collector.emit("b", ns(30).femtoseconds, 0, "late")
+        collector.emit("a", ns(10).femtoseconds, 0, "early")
         assert collector.formatted_lines() == ["[30 ns] b: late", "[10 ns] a: early"]
         assert collector.sorted_lines() == ["[10 ns] a: early", "[30 ns] b: late"]
 
     def test_disable_and_clear(self):
-        collector = TraceCollector()
+        collector = ListSink()
         collector.enabled = False
-        collector.record("p", 0, 0, "ignored")
+        collector.emit("p", 0, 0, "ignored")
         assert len(collector) == 0
         collector.enabled = True
-        collector.record("p", 0, 0, "kept")
+        collector.emit("p", 0, 0, "kept")
         collector.clear()
         assert len(collector) == 0
 
     def test_write_to_stream(self):
-        collector = TraceCollector()
-        collector.record("p", ns(1).femtoseconds, 0, "x")
+        collector = ListSink()
+        collector.emit("p", ns(1).femtoseconds, 0, "x")
         stream = io.StringIO()
         collector.write(stream)
         assert stream.getvalue() == "[1 ns] p: x\n"
@@ -49,95 +47,25 @@ class TestTraceCollector:
         assert a == b
 
 
-class TestVcdWriter:
-    def test_header_and_changes(self):
-        stream = io.StringIO()
-        writer = VcdWriter(stream, top="dut")
-        writer.add_variable("fifo_level")
-        writer.change(0, "fifo_level", 0)
-        writer.change(1000, "fifo_level", 3)
-        output = stream.getvalue()
-        assert "$timescale 1 fs $end" in output
-        assert "$scope module dut $end" in output
-        assert "fifo_level" in output
-        assert "#0" in output and "#1000" in output
-        assert "b11 " in output  # value 3 in binary
-
-    def test_same_time_changes_share_timestamp(self):
-        stream = io.StringIO()
-        writer = VcdWriter(stream)
-        writer.add_variable("a")
-        writer.add_variable("b")
-        writer.change(500, "a", 1)
-        writer.change(500, "b", 2)
-        assert stream.getvalue().count("#500") == 1
-
-    def test_declared_width_lands_in_the_header(self):
-        stream = io.StringIO()
-        writer = VcdWriter(stream)
-        writer.add_variable("narrow", width=8)
-        writer.add_variable("wide", width=48)
-        writer.add_variable("default")
-        writer.write_header()
-        output = stream.getvalue()
-        assert "$var integer 8 ! narrow $end" in output
-        assert '$var integer 48 " wide $end' in output
-        assert "$var integer 32 # default $end" in output
-
-    def test_negative_values_are_twos_complement_encoded(self):
-        stream = io.StringIO()
-        writer = VcdWriter(stream)
-        writer.add_variable("level", width=8)
-        writer.change(0, "level", -1)
-        writer.change(10, "level", -128)
-        body = stream.getvalue()
-        assert "b11111111 !" in body  # -1 in 8 bits
-        assert "b10000000 !" in body  # -128 in 8 bits
-
-    def test_oversized_values_truncate_to_the_declared_width(self):
-        stream = io.StringIO()
-        writer = VcdWriter(stream)
-        writer.add_variable("bit", width=1)
-        writer.change(0, "bit", 3)  # 0b11 -> truncated to 1 bit
-        assert "b1 !" in stream.getvalue()
-
-    def test_invalid_width_rejected(self):
-        writer = VcdWriter(io.StringIO())
-        with pytest.raises(ValueError, match="width"):
-            writer.add_variable("broken", width=0)
-
-    def test_adding_variables_after_the_header_fails(self):
-        writer = VcdWriter(io.StringIO())
-        writer.add_variable("a")
-        writer.write_header()
-        with pytest.raises(RuntimeError, match="header"):
-            writer.add_variable("b")
-
-
 class TestKernelStats:
-    def test_record_helpers(self):
-        stats = KernelStats()
-        stats.record_thread_activation("t1")
-        stats.record_thread_activation("t1")
-        stats.record_method_invocation("m1")
-        assert stats.thread_activations == 2
+    def test_context_switches_are_thread_activations(self):
+        stats = KernelStats(thread_activations=2, method_invocations=1)
         assert stats.context_switches == 2
         assert stats.method_invocations == 1
-        assert stats.per_process_activations == {"t1": 2, "m1": 1}
 
     def test_snapshot_excludes_per_process_map(self):
-        stats = KernelStats()
-        stats.record_thread_activation("t")
+        stats = KernelStats(
+            thread_activations=1, per_process_activations={"t": 1}
+        )
         snapshot = stats.snapshot()
         assert snapshot["thread_activations"] == 1
         assert snapshot["context_switches"] == 1
         assert "per_process_activations" not in snapshot
 
     def test_diff(self):
-        stats = KernelStats()
-        stats.record_thread_activation("t")
+        stats = KernelStats(thread_activations=1)
         before = stats.copy()
-        stats.record_thread_activation("t")
+        stats.thread_activations += 1
         stats.delta_cycles += 3
         diff = stats.diff(before)
         assert diff["thread_activations"] == 1
@@ -146,5 +74,7 @@ class TestKernelStats:
     def test_copy_is_independent(self):
         stats = KernelStats()
         clone = stats.copy()
-        stats.record_thread_activation("t")
+        stats.thread_activations += 1
+        stats.per_process_activations["t"] = 1
         assert clone.thread_activations == 0
+        assert clone.per_process_activations == {}

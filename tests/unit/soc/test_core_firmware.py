@@ -80,7 +80,7 @@ class TestControlCore:
         core, _, memory, _ = build_core_platform(sim, firmware)
         sim.run()
         assert core.variables["value"] == 0xCAFE
-        assert memory.dump(0x20, 4) == (0xCAFE).to_bytes(4, "little")
+        assert memory._storage[0x20:0x24] == (0xCAFE).to_bytes(4, "little")
 
     def test_delay_and_timing_annotations_advance_time(self, sim):
         firmware = FirmwareBuilder().delay(500).barrier().build()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fifo import SmartFifo
+from repro.fifo import RegularFifo, SmartFifo
 from repro.kernel import SimulationError, Simulator
 from repro.kernel.simtime import TimeUnit, ns
 from repro.soc import FifoLevelProbe, FifoPolicy, SocConfig, SocPlatform
@@ -111,7 +111,7 @@ class TestFifoLevelProbe:
         sim.run()
         history = probe.history_for(fifo.full_name)
         assert [level for _, level in history] == [1, 3, 5]
-        assert probe.max_levels()[fifo.full_name] == 5
+        assert max(sample.level for sample in probe.samples) == 5
 
     def test_probe_multiple_fifos(self, sim):
         fifo_a = SmartFifo(sim, "fifo_a", depth=4)
@@ -120,4 +120,54 @@ class TestFifoLevelProbe:
         probe = FifoLevelProbe(sim, "probe", [fifo_a, fifo_b], period=ns(10), samples=2)
         sim.run()
         assert len(probe.samples) == 4
-        assert probe.max_levels() == {fifo_a.full_name: 1, fifo_b.full_name: 0}
+        assert {(sample.fifo, sample.level) for sample in probe.samples} == {
+            (fifo_a.full_name, 1),
+            (fifo_b.full_name, 0),
+        }
+
+    def test_samples_carry_the_sampling_dates(self, sim):
+        fifo = SmartFifo(sim, "fifo", depth=8)
+
+        class Producer(DecoupledModule):
+            def __init__(self, parent, name):
+                super().__init__(parent, name)
+                self.create_thread(self.run)
+
+            def run(self):
+                for value in range(4):
+                    yield from fifo.write(value)
+                    self.inc(10)
+
+        Producer(sim, "producer")
+        probe = FifoLevelProbe(
+            sim, "probe", [fifo], period=ns(10), samples=4, start_offset=ns(5)
+        )
+        sim.run()
+        assert probe.history_for(fifo.full_name) == [
+            (ns(5), 1),
+            (ns(15), 2),
+            (ns(25), 3),
+            (ns(35), 4),
+        ]
+
+    def test_history_for_separates_the_fifos(self, sim):
+        fifo_a = SmartFifo(sim, "fifo_a", depth=4)
+        fifo_b = SmartFifo(sim, "fifo_b", depth=4)
+        fifo_a.nb_write(1)
+        probe = FifoLevelProbe(sim, "probe", [fifo_a, fifo_b], period=ns(10), samples=2)
+        sim.run()
+        assert probe.history_for(fifo_a.full_name) == [(ns(1), 1), (ns(11), 1)]
+        assert probe.history_for(fifo_b.full_name) == [(ns(1), 0), (ns(11), 0)]
+        assert probe.history_for("missing") == []
+
+    def test_probe_samples_a_regular_fifo(self, sim):
+        fifo = RegularFifo(sim, "regular", depth=4)
+        fifo.nb_write("a")
+        fifo.nb_write("b")
+        probe = FifoLevelProbe(sim, "probe", [fifo], period=ns(10), samples=3)
+        sim.run()
+        assert probe.history_for(fifo.full_name) == [
+            (ns(1), 2),
+            (ns(11), 2),
+            (ns(21), 2),
+        ]

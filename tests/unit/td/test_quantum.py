@@ -60,33 +60,36 @@ class TestQuantumKeeper:
         assert initiator.sync_dates == [120.0, 240.0]
         assert sim.now.to(TimeUnit.NS) == 300.0
 
-    def test_set_quantum_none_returns_to_global(self, sim):
+    def test_keeper_follows_a_global_quantum_set_after_construction(self, sim):
+        initiator = self.Initiator(sim, "init", step_ns=30, steps=10)
+        assert initiator.keeper.quantum.is_zero
         GlobalQuantum.instance(sim).set(100, TimeUnit.NS)
-        initiator = self.Initiator(sim, "init", step_ns=30, steps=10, quantum=ns(50))
-        keeper = initiator.keeper
-        assert keeper.has_local_quantum
-        assert keeper.quantum == ns(50)
-        keeper.set_quantum(None)
-        assert not keeper.has_local_quantum
-        assert keeper.quantum == ns(100)
-        # With the override gone the run behaves exactly like a keeper that
-        # always followed the 100 ns global quantum.
+        assert initiator.keeper.quantum == ns(100)
         sim.run()
         assert initiator.sync_dates == [120.0, 240.0]
 
-    def test_reset_quantum_alias(self, sim):
-        GlobalQuantum.instance(sim).set(1000, TimeUnit.NS)
-        initiator = self.Initiator(sim, "init", step_ns=10, steps=1, quantum=ns(70))
-        keeper = initiator.keeper
-        assert keeper.quantum == ns(70)
-        keeper.reset_quantum()
-        assert keeper.quantum == us(1)
-        # The override can be set again after a reset (set/reset round trips).
-        keeper.set_quantum(25)
-        assert keeper.has_local_quantum and keeper.quantum == ns(25)
-        keeper.reset_quantum()
-        assert not keeper.has_local_quantum
+    def test_global_quantum_change_applies_at_the_next_check(self, sim):
+        class Probe(DecoupledModule):
+            def __init__(self, parent, name):
+                super().__init__(parent, name)
+                self.keeper = QuantumKeeper(self)
+                self.flags = []
+                self.create_thread(self.run)
+
+            def run(self):
+                # Zero quantum and zero offset: nothing to synchronize.
+                self.flags.append(self.keeper.need_sync())
+                GlobalQuantum.instance(sim).set(100, TimeUnit.NS)
+                self.keeper.inc(60)
+                self.flags.append(self.keeper.need_sync())
+                GlobalQuantum.instance(sim).set(50, TimeUnit.NS)
+                self.flags.append(self.keeper.need_sync())
+                yield from self.keeper.sync()
+
+        probe = Probe(sim, "probe")
         sim.run()
+        assert probe.flags == [False, False, True]
+        assert sim.now == ns(60)
 
     def test_local_quantum_overrides_global(self, sim):
         GlobalQuantum.instance(sim).set(1000, TimeUnit.NS)

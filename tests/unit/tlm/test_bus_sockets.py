@@ -1,11 +1,10 @@
-"""Unit tests for the bus, the sockets and DMI."""
+"""Unit tests for the bus and the sockets."""
 
 import pytest
 
 from repro.kernel import Module, TlmError, ns
 from repro.tlm import (
     Bus,
-    DmiAllower,
     GenericPayload,
     InitiatorSocket,
     Memory,
@@ -63,8 +62,8 @@ class TestBus:
         bus.b_transport(payload, ns(0))
         assert payload.ok
         # The write landed at offset 0x10 of mem_b (address translated).
-        assert mem_b.dump(0x10, 4) == (99).to_bytes(4, "little")
-        assert mem_a.dump(0x10, 4) == b"\x00\x00\x00\x00"
+        assert mem_b._storage[0x10:0x14] == (99).to_bytes(4, "little")
+        assert mem_a._storage[0x10:0x14] == b"\x00\x00\x00\x00"
         # The payload address is restored after routing.
         assert payload.address == 0x2010
 
@@ -79,6 +78,15 @@ class TestBus:
         payload = GenericPayload.make_word_read(0x9999)
         bus.b_transport(payload, ns(0))
         assert payload.response is TlmResponse.ADDRESS_ERROR
+
+    def test_unmapped_address_costs_only_the_bus_latency(self, sim):
+        bus, mem_a, mem_b = self.make_platform(sim)
+        payload = GenericPayload.make_word_write(0x3000, 7)
+        delay = bus.b_transport(payload, ns(3))
+        assert payload.response is TlmResponse.ADDRESS_ERROR
+        assert delay == ns(3) + ns(5)
+        assert bus.total_accesses() == 0
+        assert mem_a.writes == mem_b.writes == 0
 
     def test_overlapping_ranges_rejected(self, sim):
         bus, _, _ = self.make_platform(sim)
@@ -100,36 +108,25 @@ class TestBus:
         assert window.name == "mem_a"
         with pytest.raises(TlmError):
             bus.decode(0x0)
-        assert len(bus.mapped_ranges) == 2
+        assert bus.decode(0x2000).name == "mem_b"
 
+    def test_target_error_passes_through_and_address_is_restored(self, sim):
+        bus, mem_a, _ = self.make_platform(sim)
+        # The word starts inside mem_a's window but runs past its storage.
+        payload = GenericPayload.make_word_read(0x10FE)
+        delay = bus.b_transport(payload, ns(0))
+        assert payload.response is TlmResponse.ADDRESS_ERROR
+        assert payload.address == 0x10FE
+        assert delay == ns(5)
+        assert mem_a.reads == 0
+        assert bus.accesses["mem_a"] == 1
 
-class TestDmi:
-    def test_grant_read_write_invalidate(self, sim):
-        memory = Memory(sim, "mem", size=64)
-        allower = DmiAllower(memory, base=0x4000)
-        region = allower.get_dmi(0x4010)
-        assert region is not None
-        region.write(0x4010, b"\x05\x06")
-        assert region.read(0x4010, 2) == b"\x05\x06"
-        assert memory.dump(0x10, 2) == b"\x05\x06"
-        allower.invalidate()
+    def test_windows_are_half_open(self, sim):
+        bus, _, _ = self.make_platform(sim)
+        window = bus.decode(0x1000)
+        assert (window.base, window.end) == (0x1000, 0x1100)
+        assert window.contains(0x10FF)
+        assert not window.contains(0x1100)
         with pytest.raises(TlmError):
-            region.read(0x4010, 2)
-        assert allower.grants == 1
-        assert allower.invalidations == 1
+            bus.decode(0x1100)
 
-    def test_grant_refused_outside_range_or_disabled(self, sim):
-        memory = Memory(sim, "mem", size=64)
-        allower = DmiAllower(memory, base=0x4000)
-        assert allower.get_dmi(0x9000) is None
-        allower.enabled = False
-        assert allower.get_dmi(0x4000) is None
-
-    def test_out_of_range_direct_access(self, sim):
-        memory = Memory(sim, "mem", size=16)
-        allower = DmiAllower(memory, base=0)
-        region = allower.get_dmi(0)
-        with pytest.raises(TlmError):
-            region.read(20, 4)
-        with pytest.raises(TlmError):
-            region.write(14, b"\x00\x00\x00\x00")

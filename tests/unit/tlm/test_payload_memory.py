@@ -9,14 +9,14 @@ from repro.tlm import GenericPayload, Memory, TlmCommand, TlmResponse
 class TestGenericPayload:
     def test_read_constructor(self):
         payload = GenericPayload.make_read(0x100, 8)
-        assert payload.is_read and not payload.is_write
+        assert payload.command is TlmCommand.READ
         assert payload.address == 0x100
         assert payload.length == 8
         assert payload.response is TlmResponse.INCOMPLETE
 
     def test_write_constructor(self):
         payload = GenericPayload.make_write(0x20, b"\x01\x02")
-        assert payload.is_write
+        assert payload.command is TlmCommand.WRITE
         assert bytes(payload.data) == b"\x01\x02"
         assert payload.length == 2
 
@@ -70,17 +70,28 @@ class TestMemory:
         memory.socket.b_transport(payload, ns(0))
         assert payload.response is TlmResponse.ADDRESS_ERROR
 
+    def test_out_of_range_write_leaves_storage_untouched(self, sim):
+        memory = Memory(sim, "mem", size=32)
+        payload = GenericPayload.make_write(30, b"\x01\x02\x03\x04")
+        delay = memory.socket.b_transport(payload, ns(7))
+        assert payload.response is TlmResponse.ADDRESS_ERROR
+        # A refused access costs no latency and counts as no write.
+        assert delay == ns(7)
+        assert memory.writes == 0
+        assert memory._storage == bytearray(32)
+
+    def test_access_ending_at_the_last_byte_is_accepted(self, sim):
+        memory = Memory(sim, "mem", size=32)
+        write = GenericPayload.make_write(28, b"\x01\x02\x03\x04")
+        memory.socket.b_transport(write, ns(0))
+        assert write.ok
+        read = GenericPayload.make_read(27, 5)
+        memory.socket.b_transport(read, ns(0))
+        assert read.ok
+        assert bytes(read.data) == b"\x00\x01\x02\x03\x04"
+
     def test_unknown_command(self, sim):
         memory = Memory(sim, "mem", size=16)
         payload = GenericPayload(TlmCommand.IGNORE, 0, bytearray(4), 4)
         memory.socket.b_transport(payload, ns(0))
         assert payload.response is TlmResponse.COMMAND_ERROR
-
-    def test_backdoor_load_and_dump(self, sim):
-        memory = Memory(sim, "mem", size=32)
-        memory.load(4, b"\x01\x02\x03")
-        assert memory.dump(4, 3) == b"\x01\x02\x03"
-        with pytest.raises(TlmError):
-            memory.load(30, b"\x00\x00\x00\x00")
-        with pytest.raises(TlmError):
-            memory.dump(30, 4)

@@ -29,11 +29,7 @@ class Stepper(WorkloadModule):
 
 
 class TestTimingModeProperties:
-    def test_is_timed_and_is_decoupled_flags(self):
-        assert not TimingMode.UNTIMED.is_timed
-        assert TimingMode.TIMED_WAIT.is_timed
-        assert TimingMode.DECOUPLED.is_timed
-        assert TimingMode.QUANTUM.is_timed
+    def test_is_decoupled_flag(self):
         assert TimingMode.DECOUPLED.is_decoupled
         assert TimingMode.QUANTUM.is_decoupled
         assert not TimingMode.TIMED_WAIT.is_decoupled

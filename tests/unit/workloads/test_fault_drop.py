@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.campaign import (
-    CampaignRunner,
-    ScenarioSpec,
-    diff_pair_streaming,
-    execute_paired_spec,
-)
+from repro.campaign import CampaignRunner, ScenarioSpec, diff_pair_streaming
 from repro.kernel import Simulator
 from repro.workloads.fault_drop import FaultDropConfig, FaultDropScenario
 
@@ -43,7 +38,7 @@ class TestPairedDetection:
     """Negative-path coverage: the methodology detects real divergence."""
 
     def test_pair_is_flagged_not_equivalent(self):
-        record, pair = execute_paired_spec(SPEC)
+        (pair,) = CampaignRunner(workers=1).run([SPEC]).pairs
         assert not pair.equivalent
         assert not pair.extras_match
         assert pair.reference_digest != pair.smart_digest
