@@ -19,7 +19,7 @@ campaign-smoke:
 # of result file B against result file A (both written by
 # `python3 perfbench/run.py --set --seed N --out FILE`).
 perfbench-smoke:
-	python3 perfbench/run.py --set --smoke --seconds 0
+	$(PYTHON) perfbench/run.py --set --smoke --seconds 0
 
 perfbench-compare:
-	python3 perfbench/run.py --compare $(A) $(B)
+	$(PYTHON) perfbench/run.py --compare $(A) $(B)

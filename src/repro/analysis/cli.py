@@ -57,6 +57,7 @@ ticker).  ``telemetry-report`` renders a collected sideband::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional, Sequence, Tuple
 
 from ..campaign import (
@@ -68,6 +69,7 @@ from ..campaign import (
     describe_specs,
     merge_jsonl,
     sweep_point_specs,
+    unbuildable_points,
 )
 from ..replay import ReplayError
 from ..kernel.tracing import SINK_KINDS
@@ -565,18 +567,26 @@ def run_campaign(args: argparse.Namespace) -> str:
         # auto-replay pass then records each spec once and replays its
         # grid points.
         expanded = []
+        refused = []
         for spec in specs:
-            expanded.append(spec)
             try:
-                expanded.extend(
-                    sweep_point_specs(
-                        spec,
-                        depths=args.sweep_depths or (),
-                        quanta_ns=args.sweep_quanta or (),
-                    )
+                points = sweep_point_specs(
+                    spec,
+                    depths=args.sweep_depths or (),
+                    quanta_ns=args.sweep_quanta or (),
                 )
             except ReplayError as exc:
                 raise SystemExit(f"cannot expand {spec.name!r}: {exc}")
+            # A point its workload config rejects is refused by name
+            # before anything is recorded, replayed or simulated.
+            refused.extend(unbuildable_points(points))
+            expanded.append(spec)
+            expanded.extend(points)
+        if refused:
+            sys.stderr.write(
+                "".join(f"cannot sweep point {line}\n" for line in refused)
+            )
+            raise SystemExit(2)
         specs = expanded
     if args.list:
         rows = describe_specs(specs)

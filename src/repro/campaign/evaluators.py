@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
+from ..kernel.errors import SimulationError
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import (
     DependencyRecorder,
@@ -236,6 +237,23 @@ def sweep_point_specs(
             )
         )
     return points
+
+
+def unbuildable_points(points: Sequence[ScenarioSpec]) -> List[str]:
+    """One ``"{name}: {reason}"`` line per point whose scenario cannot be
+    built, in ``points`` order.
+
+    Each point is built in a scratch simulator that is never run, so the
+    workload's own config checks (say, a packet larger than the FIFO
+    depth) speak before anything is recorded, replayed or simulated.
+    """
+    refused = []
+    for point in points:
+        try:
+            build_scenario(Simulator(f"check_{point.name}"), point)
+        except (ValueError, SimulationError) as exc:
+            refused.append(f"{point.name}: {exc}")
+    return refused
 
 
 def compare_replay_to_spool(

@@ -212,7 +212,11 @@ class CellRing:
     # Mutations
     # ------------------------------------------------------------------
     def push(self, data: Any, insertion_fs: int) -> None:
-        """Fill the first free cell at ``insertion_fs``."""
+        """Fill the first free cell at ``insertion_fs``.
+
+        ``SmartFifo._do_write`` runs this body inline on its per-word
+        path; keep the two in step.
+        """
         if self.busy_count == self.depth:
             raise FifoError("push on an internally full Smart FIFO")
         index = self._first_free
@@ -223,7 +227,11 @@ class CellRing:
         self.busy_count += 1
 
     def pop(self, freeing_fs: int) -> Any:
-        """Free the first busy cell at ``freeing_fs``; return its data."""
+        """Free the first busy cell at ``freeing_fs``; return its data.
+
+        ``SmartFifo._do_read`` runs this body inline on its per-word path;
+        keep the two in step.
+        """
         if self.busy_count == 0:
             raise FifoError("pop on an internally empty Smart FIFO")
         index = self._first_busy

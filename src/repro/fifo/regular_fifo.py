@@ -25,7 +25,6 @@ from typing import Any, Deque, List, Sequence, Union
 from ..kernel.errors import FifoError
 from ..kernel.module import Module
 from ..kernel.process import WaitEvent
-from ..kernel.simtime import ZERO_TIME
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import (
     BR_REG_IS_EMPTY,
@@ -112,9 +111,12 @@ class RegularFifo(Module, FifoInterface):
 
     def write(self, data: Any):
         """Blocking write: waits (suspends the thread) while the FIFO is full."""
-        while len(self._items) >= self._depth:
+        items = self._items
+        while len(items) >= self._depth:
             yield WaitEvent(self._data_read_event)
-        self._push(data)
+        items.append(data)
+        self.total_written += 1
+        self._data_written_event.notify_fs(0)
         if self._dep is not None:
             self._dep.regular(
                 DEP_REG_WRITE, self._dep_idx, self.sim.scheduler.now_fs
@@ -123,9 +125,12 @@ class RegularFifo(Module, FifoInterface):
     def nb_write(self, data: Any) -> bool:
         if self._dep is not None:
             self._record_probe(BR_REG_NB_WRITE)
-        if len(self._items) >= self._depth:
+        items = self._items
+        if len(items) >= self._depth:
             return False
-        self._push(data)
+        items.append(data)
+        self.total_written += 1
+        self._data_written_event.notify_fs(0)
         return True
 
     def write_burst(self, words: Sequence[Any], gap_fs=0, dates_out=None):
@@ -149,7 +154,7 @@ class RegularFifo(Module, FifoInterface):
             chunk = min(self._depth - len(items), n - index)
             items.extend(words[index:index + chunk])
             self.total_written += chunk
-            self._data_written_event.notify(ZERO_TIME)
+            self._data_written_event.notify_fs(0)
             index += chunk
 
     def nb_write_burst(self, words: Sequence[Any]) -> int:
@@ -160,13 +165,8 @@ class RegularFifo(Module, FifoInterface):
         if chunk:
             self._items.extend(words[:chunk] if chunk < len(words) else words)
             self.total_written += chunk
-            self._data_written_event.notify(ZERO_TIME)
+            self._data_written_event.notify_fs(0)
         return chunk
-
-    def _push(self, data: Any) -> None:
-        self._items.append(data)
-        self.total_written += 1
-        self._data_written_event.notify(ZERO_TIME)
 
     # ------------------------------------------------------------------
     # Reader interface
@@ -182,9 +182,12 @@ class RegularFifo(Module, FifoInterface):
 
     def read(self):
         """Blocking read: waits (suspends the thread) while the FIFO is empty."""
-        while not self._items:
+        items = self._items
+        while not items:
             yield WaitEvent(self._data_written_event)
-        data = self._pop()
+        data = items.popleft()
+        self.total_read += 1
+        self._data_read_event.notify_fs(0)
         if self._dep is not None:
             self._dep.regular(
                 DEP_REG_READ, self._dep_idx, self.sim.scheduler.now_fs
@@ -194,9 +197,13 @@ class RegularFifo(Module, FifoInterface):
     def nb_read(self):
         if self._dep is not None:
             self._record_probe(BR_REG_NB_READ)
-        if not self._items:
+        items = self._items
+        if not items:
             raise FifoError(f"nb_read on empty FIFO {self.full_name}")
-        return self._pop()
+        data = items.popleft()
+        self.total_read += 1
+        self._data_read_event.notify_fs(0)
+        return data
 
     def peek(self):
         """Return the head item without removing it (raises when empty)."""
@@ -222,7 +229,7 @@ class RegularFifo(Module, FifoInterface):
             for _ in range(chunk):
                 words.append(items.popleft())
             self.total_read += chunk
-            self._data_read_event.notify(ZERO_TIME)
+            self._data_read_event.notify_fs(0)
         return words
 
     def nb_read_burst(self, count: int) -> List[Any]:
@@ -235,14 +242,8 @@ class RegularFifo(Module, FifoInterface):
             return []
         words = [items.popleft() for _ in range(chunk)]
         self.total_read += chunk
-        self._data_read_event.notify(ZERO_TIME)
+        self._data_read_event.notify_fs(0)
         return words
-
-    def _pop(self) -> Any:
-        data = self._items.popleft()
-        self.total_read += 1
-        self._data_read_event.notify(ZERO_TIME)
-        return data
 
     def __len__(self) -> int:
         return len(self._items)

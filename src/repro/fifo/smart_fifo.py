@@ -60,6 +60,22 @@ from .cells import CellRing, NEVER
 from .interfaces import FifoInterface
 
 
+#: Span-length crossover of the burst path: a burst moves the words it can
+#: move now as one bulk span only when there are at least this many of
+#: them, and through the word path otherwise.  A span pays a fixed cost
+#: (the date array, the slice copies, the worst-case guard, the local-time
+#: update) and, when cell dates lie ahead of the caller, a per-word date
+#: recurrence.  Measured on a 2-vCPU x86-64 host under CPython 3.11, CPU
+#: of the Fig. 5 TDFULL burst pipeline (20 x 100 words) with every span
+#: moved as a span over every span moved word by word, median of 11:
+#: depth 4 1.25, 8 1.09, 12 1.01, 16 0.985, 24 0.91, 32 0.85.  At depth
+#: 12 this threshold beat 12 and 8 (burst over word CPU 0.77, 0.79,
+#: 0.81); at depths 16 and 24 the choice did not show.  (A single thread
+#: that never blocks, where every span takes the cheap pure-gap branch,
+#: breaks even at 8 words.)
+MIN_SPAN_WORDS = 16
+
+
 class SmartFifo(Module, FifoInterface):
     """A bounded FIFO aware of the local time of decoupled processes.
 
@@ -127,10 +143,11 @@ class SmartFifo(Module, FifoInterface):
         #: (i.e. context switches caused by this FIFO).
         self.blocking_waits = 0
         #: Burst-path routing counters: spans moved as one bulk cell
-        #: transfer vs bursts forced onto the per-word fallback by an
-        #: external observer.  Deterministic (they count branch decisions
-        #: of the burst fast path), but reported only on the telemetry
-        #: sideband — never part of campaign rows.
+        #: transfer vs spans moved by the per-word fallback (shorter than
+        #: MIN_SPAN_WORDS, or watched by an external observer; a
+        #: non-blocking burst counts one op per call).  Deterministic (they
+        #: count branch decisions of the burst fast path), but reported
+        #: only on the telemetry sideband — never part of campaign rows.
         self.burst_span_writes = 0
         self.burst_word_writes = 0
         self.burst_span_reads = 0
@@ -392,6 +409,10 @@ class SmartFifo(Module, FifoInterface):
         (guarded callers like :meth:`nb_write`); -1 means "compute it here".
         """
         cells = self._cells
+        depth = cells.depth
+        busy_count = cells.busy_count
+        if busy_count == depth:
+            raise FifoError("push on an internally full Smart FIFO")
         now_fs = self._scheduler.now_fs
         if local_fs < 0:
             if process is None:
@@ -400,7 +421,9 @@ class SmartFifo(Module, FifoInterface):
                 local_fs = process.local_fs
                 if local_fs < now_fs:
                     local_fs = now_fs
-        freeing_fs = cells.head_free_freeing_fs()
+        # The ring's push, inline: fill the first free cell.
+        index = cells._first_free
+        freeing_fs = cells._freeing[index]
         if freeing_fs > local_fs:
             if process is not None:
                 local_fs = manager.advance_to(process, freeing_fs)
@@ -408,8 +431,14 @@ class SmartFifo(Module, FifoInterface):
                 local_fs = freeing_fs
         if self._enforce_side_ordering and local_fs < self._last_write_fs:
             self._ordering_error("write", local_fs)
-        was_internally_empty = cells.busy_count == 0
-        cells.push(data, local_fs)
+        cells._data[index] = data
+        cells._busy[index] = 1
+        cells._insertion[index] = local_fs
+        index += 1
+        if index == depth:
+            index = 0
+        cells._first_free = index
+        cells.busy_count = busy_count + 1
         self._last_write_fs = local_fs
         self.total_written += 1
         # Wake a reader blocked inside a blocking read.
@@ -418,15 +447,17 @@ class SmartFifo(Module, FifoInterface):
         # External not_empty notification, case 1 of Section III-B: all the
         # cells were free before this write.  The notification is delayed
         # until the insertion date of the new first busy cell.
-        if was_internally_empty:
+        if busy_count == 0 and (
+            self._always_notify_external or self._not_empty_event.listener_count
+        ):
             self._notify_external(self._not_empty_event, local_fs)
         # Symmetric bookkeeping for not_full: after this push, if the FIFO is
         # not internally full but the next free cell will only be freed in
         # the future, the real FIFO is full until that date.
-        if cells.busy_count < cells.depth and (
+        if busy_count + 1 < depth and (
             self._always_notify_external or self._not_full_event.listener_count
         ):
-            next_free_fs = cells.head_free_freeing_fs()
+            next_free_fs = cells._freeing[index]
             if next_free_fs > now_fs:
                 self._notify_external(self._not_full_event, next_free_fs)
 
@@ -520,6 +551,8 @@ class SmartFifo(Module, FifoInterface):
         dep_start = len(dates_out) if dep is not None else 0
         cells = self._cells
         depth = cells.depth
+        scheduler = self._scheduler
+        manager = self._manager
         written = 0
         while written < n:
             while cells.busy_count == depth:
@@ -531,57 +564,60 @@ class SmartFifo(Module, FifoInterface):
                         yield WaitEvent(self._cell_freed)
                 finally:
                     self._blocked_writers -= 1
-            written += self._write_span(words, written, n, gap_fs, gaps,
-                                        dates_out)
+            # One span: every word the free cells take now.
+            k = depth - cells.busy_count
+            if k > n - written:
+                k = n - written
+            process = scheduler.current_process
+            if (
+                k < MIN_SPAN_WORDS
+                or self._always_notify_external
+                or self._not_full_event.listener_count
+                or process is None
+            ):
+                # The word path: a short span costs more than its words,
+                # and an external not_full observer could see the per-word
+                # trailing arming.  It cannot block: k <= free cells.
+                self.burst_word_writes += 1
+                for index in range(written, written + k):
+                    self._do_write(process, manager, words[index])
+                    date_fs = self._last_write_fs
+                    if dates_out is not None:
+                        dates_out.append(date_fs)
+                    if process is not None:
+                        # LocalTimeManager.advance_fs, inline: the write
+                        # left the caller's local date at date_fs.
+                        process.local_fs = date_fs + (
+                            gap_fs if gaps is None else gaps[index]
+                        )
+                        if not process.lt_tracked:
+                            manager.track(process)
+            else:
+                self._write_span(process, words, written, k, gap_fs, gaps,
+                                 dates_out)
+            written += k
         if dep is not None:
             dep.span(DEP_SPAN_WRITE, self._dep_idx, n, gap_fs, gaps,
                      dates_out[dep_start:])
 
-    def _write_span(self, words: Sequence[Any], start: int, n: int,
-                    gap_fs: int, gaps: Optional[List[int]],
-                    dates_out: Optional[list]) -> int:
-        """Move one span of ``min(remaining, free)`` words; returns its size.
+    def _write_span(self, process: Process, words: Sequence[Any], start: int,
+                    k: int, gap_fs: int, gaps: Optional[List[int]],
+                    dates_out: Optional[list]) -> None:
+        """Move ``words[start:start + k]`` as one bulk span.
 
-        Callers guarantee the ring is not internally full.  With an
-        external ``not_full`` observer the span falls back to the word
-        path (a listener could see the per-word trailing arming), which
-        still cannot block because k never exceeds the free cells.
-        Without observers the span is always one bulk transfer: either
-        the pure gap schedule when every target cell is already free at
-        the caller's date (one worst-case guard instead of k), or the
-        exact word recurrence ``d_i = max(d_{i-1} + gap_{i-1},
-        freeing_i)`` run over the head freeing dates.
+        :meth:`write_burst` calls it for a span of at least
+        :data:`MIN_SPAN_WORDS` words that fits the free cells, with no
+        external ``not_full`` observer.  The dates are either the pure gap
+        schedule, when every target cell is already free at the caller's
+        date (one worst-case guard instead of k), or the exact word
+        recurrence ``d_i = max(d_{i-1} + gap_{i-1}, freeing_i)`` run over
+        the head freeing dates.
         """
         cells = self._cells
-        k = cells.depth - cells.busy_count
-        remaining = n - start
-        if k > remaining:
-            k = remaining
-        scheduler = self._scheduler
-        process = scheduler.current_process
-        manager = self._manager
-        now_fs = scheduler.now_fs
-        if process is None:
+        now_fs = self._scheduler.now_fs
+        local_fs = process.local_fs
+        if local_fs < now_fs:
             local_fs = now_fs
-        else:
-            local_fs = process.local_fs
-            if local_fs < now_fs:
-                local_fs = now_fs
-        if (
-            self._always_notify_external
-            or self._not_full_event.listener_count
-            or process is None
-        ):
-            self.burst_word_writes += 1
-            for index in range(start, start + k):
-                self._do_write(process, manager, words[index])
-                if dates_out is not None:
-                    dates_out.append(self._last_write_fs)
-                if process is not None:
-                    manager.advance_fs(
-                        process, gap_fs if gaps is None else gaps[index]
-                    )
-            return k
         self.burst_span_writes += 1
         if cells.head_free_ready_fs(k) <= local_fs:
             dates = self._span_dates(local_fs, k, gap_fs, gaps, start)
@@ -616,11 +652,10 @@ class SmartFifo(Module, FifoInterface):
         self.total_written += k
         if dates_out is not None:
             dates_out.extend(dates)
-        manager.advance_to(process, final_fs)
+        self._manager.advance_to(process, final_fs)
         if self._blocked_readers:
             self._cell_filled.notify_fs(0)
         self._notify_after_span_write(was_internally_empty, dates[0])
-        return k
 
     def nb_write_burst(self, words: Sequence[Any]) -> int:
         """Non-blocking burst write: bit-exact with repeated
@@ -790,8 +825,11 @@ class SmartFifo(Module, FifoInterface):
     ):
         """Perform the read at the caller's date (see :meth:`_do_write`)."""
         cells = self._cells
+        depth = cells.depth
+        busy_count = cells.busy_count
+        if busy_count == 0:
+            raise FifoError("pop on an internally empty Smart FIFO")
         now_fs = self._scheduler.now_fs
-        insertion_fs = cells.head_busy_insertion_fs()
         if local_fs < 0:
             if process is None:
                 local_fs = now_fs
@@ -799,6 +837,9 @@ class SmartFifo(Module, FifoInterface):
                 local_fs = process.local_fs
                 if local_fs < now_fs:
                     local_fs = now_fs
+        # The ring's pop, inline: free the first busy cell.
+        index = cells._first_busy
+        insertion_fs = cells._insertion[index]
         if insertion_fs > local_fs:
             if process is not None:
                 local_fs = manager.advance_to(process, insertion_fs)
@@ -806,8 +847,15 @@ class SmartFifo(Module, FifoInterface):
                 local_fs = insertion_fs
         if self._enforce_side_ordering and local_fs < self._last_read_fs:
             self._ordering_error("read", local_fs)
-        was_internally_full = cells.busy_count == cells.depth
-        data = cells.pop(local_fs)
+        data = cells._data[index]
+        cells._data[index] = None
+        cells._busy[index] = 0
+        cells._freeing[index] = local_fs
+        index += 1
+        if index == depth:
+            index = 0
+        cells._first_busy = index
+        cells.busy_count = busy_count - 1
         self._last_read_fs = local_fs
         self.total_read += 1
         # Wake a writer blocked inside a blocking write.
@@ -816,15 +864,17 @@ class SmartFifo(Module, FifoInterface):
         # External not_full notification, case 1 (symmetric of Section III-B):
         # all the cells were busy before this read; the real FIFO stops being
         # full at the freeing date.
-        if was_internally_full:
+        if busy_count == depth and (
+            self._always_notify_external or self._not_full_event.listener_count
+        ):
             self._notify_external(self._not_full_event, local_fs)
         # External not_empty notification, case 2 of Section III-B: the next
         # busy cell exists but its insertion date is in the future; the real
         # FIFO becomes non-empty (again) only at that date.
-        if cells.busy_count and (
+        if busy_count > 1 and (
             self._always_notify_external or self._not_empty_event.listener_count
         ):
-            next_insertion_fs = cells.head_busy_insertion_fs()
+            next_insertion_fs = cells._insertion[index]
             if next_insertion_fs > now_fs:
                 self._notify_external(self._not_empty_event, next_insertion_fs)
         return data
@@ -862,6 +912,8 @@ class SmartFifo(Module, FifoInterface):
             dates_out = []
         dep_start = len(dates_out) if dep is not None else 0
         cells = self._cells
+        scheduler = self._scheduler
+        manager = self._manager
         while len(words) < count:
             while cells.busy_count == 0:
                 self.blocking_waits += 1
@@ -872,54 +924,55 @@ class SmartFifo(Module, FifoInterface):
                         yield WaitEvent(self._cell_filled)
                 finally:
                     self._blocked_readers -= 1
-            self._read_span(words, count, gap_fs, gaps, dates_out)
+            # One span: every word the busy cells hold now.
+            taken = len(words)
+            k = cells.busy_count
+            if k > count - taken:
+                k = count - taken
+            process = scheduler.current_process
+            if (
+                k < MIN_SPAN_WORDS
+                or self._always_notify_external
+                or self._not_empty_event.listener_count
+                or process is None
+            ):
+                # The word path, for the reasons given in write_burst.
+                self.burst_word_reads += 1
+                for index in range(taken, taken + k):
+                    words.append(self._do_read(process, manager))
+                    date_fs = self._last_read_fs
+                    if dates_out is not None:
+                        dates_out.append(date_fs)
+                    if process is not None:
+                        process.local_fs = date_fs + (
+                            gap_fs if gaps is None else gaps[index]
+                        )
+                        if not process.lt_tracked:
+                            manager.track(process)
+            else:
+                self._read_span(process, words, k, gap_fs, gaps, dates_out)
         if dep is not None:
             dep.span(DEP_SPAN_READ, self._dep_idx, count, gap_fs, gaps,
                      dates_out[dep_start:])
         return words
 
-    def _read_span(self, words: List[Any], count: int, gap_fs: int,
-                   gaps: Optional[List[int]],
+    def _read_span(self, process: Process, words: List[Any], k: int,
+                   gap_fs: int, gaps: Optional[List[int]],
                    dates_out: Optional[list]) -> None:
-        """Drain one span of ``min(remaining, busy)`` words into ``words``.
+        """Drain the next ``k`` words into ``words`` as one bulk span.
 
-        Callers guarantee the ring is not internally empty; symmetric twin
-        of :meth:`_write_span`: word-path fallback only for external
-        ``not_empty`` observers, pure gap schedule when the span's
-        worst-case insertion date has passed, otherwise the exact word
-        recurrence ``d_i = max(d_{i-1} + gap_{i-1}, insertion_i)`` over
-        the head insertion dates — one ``pop_span`` either way."""
+        Symmetric twin of :meth:`_write_span`, called by
+        :meth:`read_burst` under the same conditions: pure gap schedule
+        when the span's worst-case insertion date has passed, otherwise
+        the exact word recurrence ``d_i = max(d_{i-1} + gap_{i-1},
+        insertion_i)`` over the head insertion dates — one ``pop_span``
+        either way."""
         cells = self._cells
         taken = len(words)
-        k = cells.busy_count
-        remaining = count - taken
-        if k > remaining:
-            k = remaining
-        scheduler = self._scheduler
-        process = scheduler.current_process
-        manager = self._manager
-        now_fs = scheduler.now_fs
-        if process is None:
+        now_fs = self._scheduler.now_fs
+        local_fs = process.local_fs
+        if local_fs < now_fs:
             local_fs = now_fs
-        else:
-            local_fs = process.local_fs
-            if local_fs < now_fs:
-                local_fs = now_fs
-        if (
-            self._always_notify_external
-            or self._not_empty_event.listener_count
-            or process is None
-        ):
-            self.burst_word_reads += 1
-            for index in range(taken, taken + k):
-                words.append(self._do_read(process, manager))
-                if dates_out is not None:
-                    dates_out.append(self._last_read_fs)
-                if process is not None:
-                    manager.advance_fs(
-                        process, gap_fs if gaps is None else gaps[index]
-                    )
-            return
         self.burst_span_reads += 1
         if cells.head_busy_completion_fs(k) <= local_fs:
             dates = self._span_dates(local_fs, k, gap_fs, gaps, taken)
@@ -954,7 +1007,7 @@ class SmartFifo(Module, FifoInterface):
         self.total_read += k
         if dates_out is not None:
             dates_out.extend(dates)
-        manager.advance_to(process, final_fs)
+        self._manager.advance_to(process, final_fs)
         if self._blocked_writers:
             self._cell_freed.notify_fs(0)
         if was_internally_full:

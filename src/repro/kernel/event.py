@@ -48,6 +48,10 @@ class _TimedNotification(_TimedRecord):
     pops them.  Popped records are handed back to their event for reuse by
     the next timed ``notify``, so a channel that keeps re-arming a delayed
     notification (the Smart FIFO external events) allocates only once.
+    The scheduler does that hand-back itself when it pops a record: it
+    clears the event's ``_pending_timed`` if the record is the pending one
+    and fired, and stores the record as ``_spare_timed`` unless it is
+    still pending.
     """
 
     __slots__ = ("event", "time_fs", "cancelled")
@@ -148,8 +152,10 @@ class Event:
         """Delta (``delay_fs == 0``) or timed notification, femtosecond API.
 
         Fast-path variant of :meth:`notify` for channels that already hold
-        the delay as an integer (the Smart FIFO delayed external
-        notifications); skips the :class:`SimTime` round trip.
+        the delay as an integer (the FIFO word accesses, the Smart FIFO
+        delayed external notifications); skips the :class:`SimTime` round
+        trip.  A delta notification goes straight onto the scheduler's
+        delta list.
         """
         scheduler = self._scheduler
         if scheduler is None:
@@ -158,9 +164,14 @@ class Event:
         if delay_fs == 0:
             if self._pending_delta:
                 return
-            self._cancel_timed()
+            pending = self._pending_timed
+            if pending is not None:
+                pending.cancelled = True
+                self._pending_timed = None
             self._pending_delta = True
-            scheduler.schedule_delta_notification(self)
+            # The scheduler swaps this list out in its delta-notification
+            # phase, so it is looked up on every notification.
+            scheduler._delta_events.append(self)
             return
         # Timed notification.
         if self._pending_delta:
@@ -190,20 +201,6 @@ class Event:
         if self._pending_timed is not None:
             self._pending_timed.cancelled = True
             self._pending_timed = None
-
-    # -- timed-record bookkeeping (called by the scheduler) --------------
-    def clear_pending_timed(self, record: _TimedNotification) -> None:
-        if self._pending_timed is record:
-            self._pending_timed = None
-
-    def recycle_timed(self, record: _TimedNotification) -> None:
-        """Take back a record the scheduler popped from its timed queue.
-
-        Only records that are out of the heap may be recycled; the scheduler
-        calls this right after popping (fired or cancelled alike).
-        """
-        if record is not self._pending_timed:
-            self._spare_timed = record
 
     def arm(self, scheduler, process, wait_id: int) -> None:
         """Wait-descriptor protocol: a bare event can be yielded directly."""

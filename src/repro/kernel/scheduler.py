@@ -21,21 +21,30 @@ designed to minimise.
 Hot-path design notes (this loop dominates every benchmark; host time is
 context switches times the cost of one):
 
-* one fused evaluation loop resumes threads inline — activation counting,
+* :meth:`Scheduler.run` is the only simulation loop, telemetry on or off.
+  Every phase runs inline in it: per context switch the loop itself
+  calls only the resumed generator, the record of a timed wait and the
+  trigger of each event released.  Telemetry adds two clock reads per
+  delta or timed step and nothing else;
+* the evaluation phase resumes threads inline — activation counting,
   ``send``, termination, the wait-id bump and the arming of the two
   descriptors every FIFO yields (:class:`~repro.kernel.process.Timeout`
   and :class:`~repro.kernel.process.WaitEvent`); any other descriptor
   goes through its own ``arm`` method;
 * event triggers, delta wakes and timed wakes mark threads runnable
   inline, reading and resetting the event's waiter lists directly;
+  :meth:`Event.notify_fs <repro.kernel.event.Event.notify_fs>` appends a
+  delta notification to the scheduler's list itself;
 * timed-queue entries are ``(time_fs, seq, record)`` tuples, so ``heapq``
   orders them with C int comparisons; ``seq`` keeps equal dates in push
-  order, and popped process-wake records are pooled and reused;
+  order;
 * wake values and the runnable flag live on the process objects themselves
   (no ``_resume_values`` / ``_runnable_pids`` dict and set churn);
-* update and delta-notification phases are skipped entirely when their
-  queues are empty, which is the common case for the single-runnable-process
-  deltas that temporally decoupled models spend their life in.
+* the update and delta-notification phases are skipped when their queues
+  are empty, which is the common case for the single-runnable-process
+  deltas that temporally decoupled models spend their life in;
+* ``KernelStats`` counters are bumped in place as the loop goes, so a
+  process reading them mid-run sees live values.
 """
 
 from __future__ import annotations
@@ -55,9 +64,6 @@ from ..telemetry import NULL_TELEMETRY
 
 #: Sentinel meaning "the method body did not call next_trigger".
 _NO_TRIGGER_REQUEST = object()
-
-#: Upper bound of the recycled process-wake record pool.
-_WAKE_POOL_LIMIT = 256
 
 
 class _TimedWake(_TimedRecord):
@@ -89,7 +95,6 @@ class Scheduler:
 
         self._timed_queue: List[tuple] = []
         self._seq = itertools.count()
-        self._wake_pool: List[_TimedWake] = []
 
         self._update_requests: List[object] = []
         self._update_pids = set()
@@ -101,9 +106,8 @@ class Scheduler:
         self._stop_requested = False
         self._end_of_simulation = False
 
-        #: Telemetry sideband; :meth:`run` checks ``enabled`` once and
-        #: dispatches to the instrumented loop variant, so the disabled
-        #: hot loop is byte-identical to the pre-telemetry one.
+        #: Telemetry sideband; :meth:`run` checks ``enabled`` once per
+        #: call and, when on, times its delta and timed steps.
         self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
@@ -137,9 +141,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Notification plumbing (called by Event)
     # ------------------------------------------------------------------
-    def schedule_delta_notification(self, event: Event) -> None:
-        self._delta_events.append(event)
-
     def schedule_timed_notification(self, record: _TimedRecord) -> None:
         heapq.heappush(self._timed_queue, (record.time_fs, next(self._seq), record))
 
@@ -212,14 +213,10 @@ class Scheduler:
         self._push_wake(self.now_fs + duration_fs, process, wait_id)
 
     def _push_wake(self, time_fs: int, process, token: int) -> None:
-        pool = self._wake_pool
-        if pool:
-            record = pool.pop()
-            record.process = process
-            record.token = token
-        else:
-            record = _TimedWake(process, token)
-        heapq.heappush(self._timed_queue, (time_fs, next(self._seq), record))
+        heapq.heappush(
+            self._timed_queue,
+            (time_fs, next(self._seq), _TimedWake(process, token)),
+        )
 
     # ------------------------------------------------------------------
     # Process execution
@@ -289,200 +286,182 @@ class Scheduler:
 
     def run(self, until: Optional[SimTime] = None) -> None:
         """Run the simulation until ``until`` (inclusive) or until no
-        activity remains."""
+        activity remains.
+
+        The one simulation loop, telemetry on or off.  Each iteration is
+        either a delta step (an evaluation phase, the update phase and the
+        delta-notification phase; or the delta-notification phase alone
+        when notifications are pending with nothing runnable) or a timed
+        step (advance to the earliest timed notification and wake what it
+        releases).  With telemetry on the same loop reads the clock around
+        each step and reports the totals as ``kernel.delta_loop_s`` and
+        ``kernel.timed_loop_s``.
+        """
         until_fs = None if until is None else until.femtoseconds
         if not self._started:
             self._initialize()
-        if self.telemetry.enabled:
-            # One check per run(), not per iteration: the telemetry-off
-            # loop below stays exactly the pre-telemetry hot path.
-            self._run_instrumented(until_fs)
-            return
-        runnable = self._runnable
-        while True:
-            if self._stop_requested:
-                self._stop_requested = False
-                break
-            if runnable:
-                self._run_delta_cycle()
-                continue
-            # Nothing runnable: process pending delta notifications (they may
-            # exist without runnable processes, e.g. a notify(ZERO) from
-            # outside the simulation).
-            if self._delta_events or self._delta_process_wakes:
-                self._delta_notification_phase()
-                continue
-            if not self._advance_time(until_fs):
-                break
-
-    def _run_instrumented(self, until_fs: Optional[int]) -> None:
-        """The telemetry-on loop: same phase order as :meth:`run`, with
-        wall time split between the delta work (evaluation/update/delta
-        notification) and the timed-advance work — the two counters
-        (``kernel.delta_loop_s`` / ``kernel.timed_loop_s``) the sideband
-        reports per simulation."""
+        telemetry = self.telemetry
+        clocked = telemetry.enabled
         perf = time.perf_counter
         delta_s = 0.0
         timed_s = 0.0
+        start = 0.0
+        stats = self.stats
+        activations = stats.per_process_activations
         runnable = self._runnable
+        queue = self._timed_queue
+        seq = self._seq
+        heappush = heapq.heappush
+        heappop = heapq.heappop
         while True:
             if self._stop_requested:
                 self._stop_requested = False
                 break
-            if runnable:
-                t0 = perf()
-                self._run_delta_cycle()
-                delta_s += perf() - t0
-                continue
-            if self._delta_events or self._delta_process_wakes:
-                t0 = perf()
-                self._delta_notification_phase()
-                delta_s += perf() - t0
-                continue
-            t0 = perf()
-            advanced = self._advance_time(until_fs)
-            timed_s += perf() - t0
-            if not advanced:
-                break
-        telemetry = self.telemetry
-        telemetry.counter("kernel.delta_loop_s", delta_s)
-        telemetry.counter("kernel.timed_loop_s", timed_s)
-
-    def _run_delta_cycle(self) -> None:
-        stats = self.stats
-        stats.delta_cycles += 1
-        runnable = self._runnable
-        activations = stats.per_process_activations
-        # Evaluation phase: the scheduler's innermost hot path.  Resume
-        # state lives on the process object, the thread/method dispatch is
-        # a class attribute, and a thread is resumed and re-armed inline.
-        try:
-            while runnable:
-                process = runnable.popleft()
-                process.runnable = False
-                value = process.resume_value
-                process.resume_value = None
-                self.current_process = process
-                if not process.is_thread:
-                    self._execute_method(process)
-                    continue
-                stats.thread_activations += 1
-                name = process.name
-                activations[name] = activations.get(name, 0) + 1
-                if not process.started:
-                    if process.start() is None:
-                        continue
-                    value = None
-                elif process.terminated:
-                    raise ProcessError(f"thread {name} resumed after termination")
-                try:
-                    descriptor = process.generator.send(value)
-                except StopIteration:
-                    process.mark_terminated()
-                    continue
-                if descriptor is None:
-                    continue
-                process.pending_all_events = None
-                process.wait_id = wait_id = process.wait_id + 1
-                kind = type(descriptor)
-                if kind is WaitEvent:
-                    event = descriptor.event
-                    event._waiting_threads.append((process, wait_id))
-                    event.listener_count += 1
-                elif kind is Timeout:
-                    duration_fs = descriptor.duration_fs
-                    if duration_fs:
-                        self._push_wake(self.now_fs + duration_fs, process, wait_id)
-                    else:
-                        self._delta_process_wakes.append((process, wait_id))
-                else:
+            if runnable or self._delta_events or self._delta_process_wakes:
+                if clocked:
+                    start = perf()
+                if runnable:
+                    stats.delta_cycles += 1
+                    # Evaluation phase: the innermost hot path.  Resume
+                    # state lives on the process object and a thread is
+                    # resumed and re-armed inline.
                     try:
-                        arm = descriptor.arm
-                    except AttributeError:
-                        raise ProcessError(
-                            f"thread {name} yielded {descriptor!r}, which is "
-                            f"not a wait descriptor"
-                        ) from None
-                    arm(self, process, wait_id)
-        finally:
-            self.current_process = None
-        # Update phase (skipped outright when no channel requested one).
-        if self._update_requests:
-            requests = self._update_requests
-            self._update_requests = []
-            self._update_pids.clear()
-            for channel in requests:
-                channel.update()
-        # Delta-notification phase: the single-runnable fast path — nothing
-        # pending — returns without swapping (allocating) the phase lists.
-        if self._delta_events or self._delta_process_wakes:
-            self._delta_notification_phase()
-
-    def _delta_notification_phase(self) -> None:
-        events = self._delta_events
-        self._delta_events = []
-        wakes = self._delta_process_wakes
-        self._delta_process_wakes = []
-        for event in events:
-            if event._pending_delta:
-                event._pending_delta = False
-                self._trigger_event(event)
-        runnable = self._runnable
-        for process, wait_id in wakes:
-            if process.runnable or process.terminated or wait_id != process.wait_id:
+                        while runnable:
+                            process = runnable.popleft()
+                            process.runnable = False
+                            value = process.resume_value
+                            process.resume_value = None
+                            self.current_process = process
+                            if not process.is_thread:
+                                self._execute_method(process)
+                                continue
+                            stats.thread_activations += 1
+                            name = process.name
+                            activations[name] = activations.get(name, 0) + 1
+                            if not process.started:
+                                if process.start() is None:
+                                    continue
+                                value = None
+                            elif process.terminated:
+                                raise ProcessError(
+                                    f"thread {name} resumed after termination"
+                                )
+                            try:
+                                descriptor = process.generator.send(value)
+                            except StopIteration:
+                                process.mark_terminated()
+                                continue
+                            if descriptor is None:
+                                continue
+                            process.pending_all_events = None
+                            process.wait_id = wait_id = process.wait_id + 1
+                            kind = type(descriptor)
+                            if kind is WaitEvent:
+                                event = descriptor.event
+                                event._waiting_threads.append((process, wait_id))
+                                event.listener_count += 1
+                            elif kind is Timeout:
+                                duration_fs = descriptor.duration_fs
+                                if duration_fs:
+                                    heappush(queue, (
+                                        self.now_fs + duration_fs, next(seq),
+                                        _TimedWake(process, wait_id),
+                                    ))
+                                else:
+                                    self._delta_process_wakes.append(
+                                        (process, wait_id)
+                                    )
+                            else:
+                                try:
+                                    arm = descriptor.arm
+                                except AttributeError:
+                                    raise ProcessError(
+                                        f"thread {name} yielded {descriptor!r}, "
+                                        f"which is not a wait descriptor"
+                                    ) from None
+                                arm(self, process, wait_id)
+                    finally:
+                        self.current_process = None
+                    # Update phase (skipped when no channel requested one).
+                    if self._update_requests:
+                        requests = self._update_requests
+                        self._update_requests = []
+                        self._update_pids.clear()
+                        for channel in requests:
+                            channel.update()
+                # Delta-notification phase; with nothing pending (the
+                # single-runnable case) no phase list is swapped.
+                if self._delta_events or self._delta_process_wakes:
+                    events = self._delta_events
+                    self._delta_events = []
+                    wakes = self._delta_process_wakes
+                    self._delta_process_wakes = []
+                    for event in events:
+                        if event._pending_delta:
+                            event._pending_delta = False
+                            self._trigger_event(event)
+                    for process, wait_id in wakes:
+                        if (process.runnable or process.terminated
+                                or wait_id != process.wait_id):
+                            continue
+                        process.runnable = True
+                        process.resume_value = None
+                        runnable.append(process)
+                if clocked:
+                    delta_s += perf() - start
                 continue
-            process.runnable = True
-            process.resume_value = None
-            runnable.append(process)
-
-    def _advance_time(self, until_fs: Optional[int]) -> bool:
-        """Advance to the next timed notification; return False to stop."""
-        queue = self._timed_queue
-        # Drop cancelled event notifications sitting at the head of the queue.
-        while queue:
-            record = queue[0][2]
-            if record.is_event and record.cancelled:
-                heapq.heappop(queue)
-                record.event.recycle_timed(record)
-                continue
-            break
-        if not queue:
-            if until_fs is not None and until_fs > self.now_fs:
-                self.now_fs = until_fs
-            return False
-        next_time = queue[0][0]
-        if until_fs is not None and next_time > until_fs:
-            self.now_fs = until_fs
-            return False
-        if next_time < self.now_fs:  # pragma: no cover - defensive
-            raise SchedulingError("timed queue went backwards")
-        self.now_fs = next_time
-        stats = self.stats
-        stats.timed_phases += 1
-        pool = self._wake_pool
-        runnable = self._runnable
-        while queue and queue[0][0] == next_time:
-            record = heapq.heappop(queue)[2]
-            if record.is_event:
-                if record.cancelled:
-                    record.event.recycle_timed(record)
-                    continue
+            # Timed-notification phase.
+            if clocked:
+                start = perf()
+            # Drop cancelled event notifications at the head of the queue.
+            # Every popped event record goes back to its event as the spare
+            # of its next timed notify, unless it is still the pending one.
+            while queue:
+                record = queue[0][2]
+                if not (record.is_event and record.cancelled):
+                    break
+                heappop(queue)
                 event = record.event
-                event.clear_pending_timed(record)
-                event.recycle_timed(record)
-                self._trigger_event(event)
-                continue
-            process = record.process
-            token = record.token
-            record.process = None
-            if len(pool) < _WAKE_POOL_LIMIT:
-                pool.append(record)
-            if not process.is_thread:
-                self._wake_dynamic_method(process, token)
-                continue
-            if process.runnable or process.terminated or token != process.wait_id:
-                continue
-            process.runnable = True
-            process.resume_value = None
-            runnable.append(process)
-        return True
+                if record is not event._pending_timed:
+                    event._spare_timed = record
+            if not queue or (until_fs is not None and queue[0][0] > until_fs):
+                # Out of work, or the next date lies past ``until``: stop
+                # there (never moving the clock back when out of work).
+                if until_fs is not None and (queue or until_fs > self.now_fs):
+                    self.now_fs = until_fs
+                if clocked:
+                    timed_s += perf() - start
+                break
+            next_time = queue[0][0]
+            if next_time < self.now_fs:  # pragma: no cover - defensive
+                raise SchedulingError("timed queue went backwards")
+            self.now_fs = next_time
+            stats.timed_phases += 1
+            while queue and queue[0][0] == next_time:
+                record = heappop(queue)[2]
+                if record.is_event:
+                    event = record.event
+                    if record.cancelled:
+                        if record is not event._pending_timed:
+                            event._spare_timed = record
+                        continue
+                    if event._pending_timed is record:
+                        event._pending_timed = None
+                    event._spare_timed = record
+                    self._trigger_event(event)
+                    continue
+                process = record.process
+                if not process.is_thread:
+                    self._wake_dynamic_method(process, record.token)
+                    continue
+                if (process.runnable or process.terminated
+                        or record.token != process.wait_id):
+                    continue
+                process.runnable = True
+                process.resume_value = None
+                runnable.append(process)
+            if clocked:
+                timed_s += perf() - start
+        if clocked:
+            telemetry.counter("kernel.delta_loop_s", delta_s)
+            telemetry.counter("kernel.timed_loop_s", timed_s)

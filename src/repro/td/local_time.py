@@ -36,7 +36,8 @@ class LocalTimeManager:
         # carried a local date (the dates themselves live on the processes).
         self._tracked: Dict[int, Process] = {}
 
-    def _track(self, process: Process) -> None:
+    def track(self, process: Process) -> None:
+        """Register ``process`` as carrying a local date (idempotent)."""
         if not process.lt_tracked:
             process.lt_tracked = True
             self._tracked[process.pid] = process
@@ -51,7 +52,7 @@ class LocalTimeManager:
         advanced past the stored value (the process was synchronized and
         time moved on), the global date is returned.
         """
-        now_fs = self.sim.now_fs
+        now_fs = self._scheduler.now_fs
         if process is None:
             return now_fs
         stored = process.local_fs
@@ -88,8 +89,7 @@ class LocalTimeManager:
         new_fs = stored + delta_fs
         process.local_fs = new_fs
         if not process.lt_tracked:
-            process.lt_tracked = True
-            self._tracked[process.pid] = process
+            self.track(process)
         return new_fs
 
     def advance_to(self, process: Process, target_fs: int) -> int:
@@ -99,7 +99,10 @@ class LocalTimeManager:
         Lowering the local date is forbidden (time must go forward on each
         FIFO side, Section III).
         """
-        current = self.local_fs(process)
+        now_fs = self._scheduler.now_fs
+        current = process.local_fs
+        if current < now_fs:
+            current = now_fs
         if target_fs < current:
             raise TimingError(
                 f"cannot move local time of {process.name} backwards "
@@ -107,7 +110,8 @@ class LocalTimeManager:
                 f"{SimTime.from_femtoseconds(target_fs)})"
             )
         process.local_fs = target_fs
-        self._track(process)
+        if not process.lt_tracked:
+            self.track(process)
         return target_fs
 
     def local_fs_fast(self, process: Optional[Process], now_fs: int) -> int:
@@ -121,7 +125,7 @@ class LocalTimeManager:
     def set_synchronized(self, process: Process) -> None:
         """Record that ``process`` is now synchronized (after a sync wait)."""
         process.local_fs = self.sim.now_fs
-        self._track(process)
+        self.track(process)
 
     def forget(self, process: Process) -> None:
         process.local_fs = -1

@@ -89,6 +89,12 @@ class WorkloadModule(DecoupledMixin, Module):
         self._ltm = get_local_time_manager(self.sim)
         # Dependency recording (record-and-replay): None on the hot path.
         self._dep_rec = self.sim.dep_recorder
+        # advance() caches, keyed by (duration, unit): the femtosecond int
+        # of a DECOUPLED annotation and the one-Timeout tuple a TIMED_WAIT
+        # annotation yields (a Timeout is never mutated once built).  A
+        # module uses a handful of distinct durations, so both stay small.
+        self._advance_fs = {}
+        self._advance_waits = {}
 
     @property
     def quantum_keeper(self):
@@ -105,27 +111,44 @@ class WorkloadModule(DecoupledMixin, Module):
 
         Returns an iterable for the caller to ``yield from``.  The
         ``DECOUPLED`` branch is the hot path of every finely-annotated model
-        (one call per word in the Fig. 5 benchmark): it updates the local
-        time directly — no generic ``inc``/``SimTime`` layer — and returns
+        (one call per word in the Fig. 5 benchmark): it looks the
+        femtosecond delta up in a per-module cache, raises the local date
+        in place (the body of ``LocalTimeManager.advance_fs``) and returns
         an empty tuple, so no generator is allocated for a non-waiting
-        annotation.
+        annotation.  ``TIMED_WAIT`` returns a cached ``(Timeout,)``.
         """
         timing = self.timing
         if timing is TimingMode.DECOUPLED:
-            delta_fs = duration * unit
-            if type(delta_fs) is not int:
-                delta_fs = round(delta_fs)
-            self._ltm.advance_fs(self._scheduler.current_process, delta_fs)
+            key = (duration, unit)
+            delta_fs = self._advance_fs.get(key)
+            if delta_fs is None:
+                delta_fs = duration * unit
+                if type(delta_fs) is not int:
+                    delta_fs = round(delta_fs)
+                self._advance_fs[key] = delta_fs
+            scheduler = self._scheduler
+            process = scheduler.current_process
+            now_fs = scheduler.now_fs
+            local_fs = process.local_fs
+            if local_fs < now_fs:
+                local_fs = now_fs
+            process.local_fs = local_fs + delta_fs
+            if not process.lt_tracked:
+                self._ltm.track(process)
             if self._dep_rec is not None:
                 self._dep_rec.inc(delta_fs)
             return ()
         if timing is TimingMode.UNTIMED:
             return ()
         if timing is TimingMode.TIMED_WAIT:
-            duration_fs = as_femtoseconds(duration, unit)
+            key = (duration, unit)
+            waits = self._advance_waits.get(key)
+            if waits is None:
+                waits = (Timeout.from_femtoseconds(as_femtoseconds(duration, unit)),)
+                self._advance_waits[key] = waits
             if self._dep_rec is not None:
-                self._dep_rec.timed(duration_fs)
-            return (Timeout.from_femtoseconds(duration_fs),)
+                self._dep_rec.timed(waits[0].duration_fs)
+            return waits
         return self._advance_quantum(duration, unit)
 
     def _advance_quantum(self, duration, unit: TimeUnit):

@@ -11,11 +11,13 @@ and auto-replay routing.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import CampaignRunner, default_campaign
 from repro.campaign.runner import MERGED_TELEMETRY
+from repro.fifo.smart_fifo import MIN_SPAN_WORDS
 from repro.telemetry import aggregate_telemetry, load_events
 
 SPEC_NAMES = ["writer_reader_d1", "writer_reader_d4", "streaming_d2", "mixed_d3"]
@@ -29,8 +31,15 @@ def _specs(burst=True, names=SPEC_NAMES):
     return [by_name[name] for name in names]
 
 
+def _deep_streaming_spec():
+    """streaming_d8 at the burst path's span-length crossover depth."""
+    by_name = {spec.name: spec for spec in default_campaign()}
+    return replace(by_name["streaming_d8"],
+                   name=f"streaming_d{MIN_SPAN_WORDS}", depth=MIN_SPAN_WORDS)
+
+
 def _run(tmp_path, tag, telemetry=False, progress=False, burst=True,
-         auto_replay=False, workers=1, jsonl=True):
+         auto_replay=False, workers=1, jsonl=True, extra=()):
     kwargs = {}
     if telemetry:
         kwargs["telemetry_dir"] = str(tmp_path / f"tele-{tag}")
@@ -40,7 +49,7 @@ def _run(tmp_path, tag, telemetry=False, progress=False, burst=True,
         workers=workers, auto_replay=auto_replay, **kwargs
     )
     jsonl_path = str(tmp_path / f"{tag}.jsonl") if jsonl else None
-    result = runner.run(_specs(burst=burst), jsonl=jsonl_path)
+    result = runner.run(_specs(burst=burst) + list(extra), jsonl=jsonl_path)
     return result, jsonl_path
 
 
@@ -120,7 +129,11 @@ class TestSidebandSeparation:
         } <= spans
 
     def test_worker_counters_include_kernel_and_fifo_activity(self, tmp_path):
-        _run(tmp_path, "counters", telemetry=True, jsonl=False)
+        # No default-campaign spec is as deep as MIN_SPAN_WORDS, so one
+        # runs at that depth; the specs above move every burst through
+        # the word path.
+        _run(tmp_path, "counters", telemetry=True, jsonl=False,
+             extra=[_deep_streaming_spec()])
         aggregate = aggregate_telemetry([str(tmp_path / "tele-counters")])
         assert aggregate.counters.get("kernel.delta_cycles", 0) > 0
         assert aggregate.counters.get("kernel.context_switches", 0) > 0

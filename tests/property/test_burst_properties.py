@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.analysis.trace_diff import compare_spools
 from repro.campaign import ScenarioSpec, execute_spec
 from repro.fifo import RegularFifo, SmartFifo
+from repro.fifo.smart_fifo import MIN_SPAN_WORDS
 from repro.kernel import Simulator
 from repro.kernel.process import Timeout, WaitEvent
 from repro.kernel.simtime import ns
@@ -163,7 +164,7 @@ def _drive_smart(seed, depth, sync_on_access, constant, use_burst):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=2 * MIN_SPAN_WORDS),
     st.booleans(),
     st.booleans(),
 )
@@ -172,7 +173,9 @@ def test_smart_burst_equals_word_loop(seed, depth, sync_on_access, constant):
     same words, same per-word insertion/read dates, same final local
     dates, same kernel date and counters — for random chunkings that
     include empty spans, spans of exactly ``depth`` words and spans
-    larger than the free/busy space (forcing the blocking split)."""
+    larger than the free/busy space (forcing the blocking split).  The
+    depths reach past the span-length crossover, so both the bulk span
+    path and its word fallback are drawn."""
     word = _drive_smart(seed, depth, sync_on_access, constant, False)
     burst = _drive_smart(seed, depth, sync_on_access, constant, True)
     word_sim, word_fifo, word_writer, word_reader, words = word

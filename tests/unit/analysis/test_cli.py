@@ -424,6 +424,23 @@ class TestReplaySweepCommands:
         with pytest.raises(SystemExit, match="cannot expand.*repeat"):
             cli.main(["campaign", *argv, "--sweep-depths", "4,4"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--replay-sweep", "noc_stress_2x2"],
+        ["--auto-replay", "--no-paired", "--specs", "noc_stress_2x2"],
+    ])
+    def test_point_the_config_rejects_is_refused_by_name(self, capsys, argv):
+        # Depth 1 is below noc_stress's packet size: the point's config
+        # cannot be built, so the sweep is refused before anything runs.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["campaign", *argv, "--sweep-depths", "1,4"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "cannot sweep point noc_stress_2x2_d1: "
+            "packet_size cannot exceed fifo_depth"
+        ]
+        assert captured.out == ""
+
     def test_replay_sweep_refusals(self):
         with pytest.raises(SystemExit, match="--specs both pick"):
             cli.main(["campaign", "--replay-sweep", "streaming_d8",
