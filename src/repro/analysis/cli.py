@@ -69,8 +69,8 @@ from ..campaign import (
     describe_specs,
     merge_jsonl,
     sweep_point_specs,
-    unbuildable_points,
 )
+from ..campaign.evaluators import unbuildable_points
 from ..replay import ReplayError
 from ..kernel.tracing import SINK_KINDS
 from ..soc import SocConfig

@@ -43,7 +43,6 @@ from .evaluators import (
     record_spool,
     replay_group_key,
     sweep_point_specs,
-    unbuildable_points,
 )
 from .executor import RunBudget, TimeoutRecord
 from .runner import (
@@ -89,7 +88,6 @@ __all__ = [
     "record_spool",
     "replay_group_key",
     "sweep_point_specs",
-    "unbuildable_points",
     "RunBudget",
     "TimeoutRecord",
     "MODE_REFERENCE",

@@ -13,7 +13,11 @@ decide whether a cell is *really* busy at a given observation date.
 Storage layout (hot-path note): the per-cell timestamps live in two
 preallocated ``array('q')`` buffers and the busy flags in a ``bytearray``,
 indexed by the cached head/tail positions — no per-cell Python object is
-touched on the push/pop path.  The object-style views (:meth:`cells`,
+touched on the push/pop path.  The ring moves words in bulk spans
+(:meth:`CellRing.push_span` / :meth:`CellRing.pop_span`); the per-word
+fill and free is the Smart FIFO's word path
+(``SmartFifo._do_write`` / ``_do_read``), which writes these buffers and
+the head/tail positions in place.  The object-style views (:meth:`cells`,
 :meth:`first_busy_cell`, ...) materialise lightweight :class:`CellView`
 proxies over that storage and are meant for the (low-rate) monitor
 interface and the tests; :class:`Cell` remains available as a standalone
@@ -209,42 +213,7 @@ class CellRing:
             yield CellView(self, index)
 
     # ------------------------------------------------------------------
-    # Mutations
-    # ------------------------------------------------------------------
-    def push(self, data: Any, insertion_fs: int) -> None:
-        """Fill the first free cell at ``insertion_fs``.
-
-        ``SmartFifo._do_write`` runs this body inline on its per-word
-        path; keep the two in step.
-        """
-        if self.busy_count == self.depth:
-            raise FifoError("push on an internally full Smart FIFO")
-        index = self._first_free
-        self._data[index] = data
-        self._busy[index] = 1
-        self._insertion[index] = insertion_fs
-        self._first_free = (index + 1) % self.depth
-        self.busy_count += 1
-
-    def pop(self, freeing_fs: int) -> Any:
-        """Free the first busy cell at ``freeing_fs``; return its data.
-
-        ``SmartFifo._do_read`` runs this body inline on its per-word path;
-        keep the two in step.
-        """
-        if self.busy_count == 0:
-            raise FifoError("pop on an internally empty Smart FIFO")
-        index = self._first_busy
-        data = self._data[index]
-        self._data[index] = None
-        self._busy[index] = 0
-        self._freeing[index] = freeing_fs
-        self._first_busy = (index + 1) % self.depth
-        self.busy_count -= 1
-        return data
-
-    # ------------------------------------------------------------------
-    # Span mutations (burst transfers)
+    # Mutations (span transfers of the burst path)
     # ------------------------------------------------------------------
     def push_span(self, items, insertion_dates: array) -> None:
         """Fill the first ``len(items)`` free cells in one bulk copy.

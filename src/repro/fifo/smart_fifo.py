@@ -421,7 +421,7 @@ class SmartFifo(Module, FifoInterface):
                 local_fs = process.local_fs
                 if local_fs < now_fs:
                     local_fs = now_fs
-        # The ring's push, inline: fill the first free cell.
+        # Fill the first free cell (the only per-word push of the ring).
         index = cells._first_free
         freeing_fs = cells._freeing[index]
         if freeing_fs > local_fs:
@@ -581,17 +581,12 @@ class SmartFifo(Module, FifoInterface):
                 self.burst_word_writes += 1
                 for index in range(written, written + k):
                     self._do_write(process, manager, words[index])
-                    date_fs = self._last_write_fs
                     if dates_out is not None:
-                        dates_out.append(date_fs)
+                        dates_out.append(self._last_write_fs)
                     if process is not None:
-                        # LocalTimeManager.advance_fs, inline: the write
-                        # left the caller's local date at date_fs.
-                        process.local_fs = date_fs + (
-                            gap_fs if gaps is None else gaps[index]
+                        manager.advance_fs(
+                            process, gap_fs if gaps is None else gaps[index]
                         )
-                        if not process.lt_tracked:
-                            manager.track(process)
             else:
                 self._write_span(process, words, written, k, gap_fs, gaps,
                                  dates_out)
@@ -837,7 +832,7 @@ class SmartFifo(Module, FifoInterface):
                 local_fs = process.local_fs
                 if local_fs < now_fs:
                     local_fs = now_fs
-        # The ring's pop, inline: free the first busy cell.
+        # Free the first busy cell (the only per-word pop of the ring).
         index = cells._first_busy
         insertion_fs = cells._insertion[index]
         if insertion_fs > local_fs:
@@ -940,15 +935,12 @@ class SmartFifo(Module, FifoInterface):
                 self.burst_word_reads += 1
                 for index in range(taken, taken + k):
                     words.append(self._do_read(process, manager))
-                    date_fs = self._last_read_fs
                     if dates_out is not None:
-                        dates_out.append(date_fs)
+                        dates_out.append(self._last_read_fs)
                     if process is not None:
-                        process.local_fs = date_fs + (
-                            gap_fs if gaps is None else gaps[index]
+                        manager.advance_fs(
+                            process, gap_fs if gaps is None else gaps[index]
                         )
-                        if not process.lt_tracked:
-                            manager.track(process)
             else:
                 self._read_span(process, words, k, gap_fs, gaps, dates_out)
         if dep is not None:

@@ -361,6 +361,10 @@ class Scheduler:
                                 event._waiting_threads.append((process, wait_id))
                                 event.listener_count += 1
                             elif kind is Timeout:
+                                # arm_timeout, inline: calling it costs the
+                                # Fig. 5 TDLESS pipeline 6.7 Python calls
+                                # per switch instead of 5.5 (the budget in
+                                # test_switch_budget.py is 6).
                                 duration_fs = descriptor.duration_fs
                                 if duration_fs:
                                     heappush(queue, (

@@ -10,6 +10,8 @@ repeated ``emit`` on every sink kind.
 """
 
 import random
+from collections import Counter
+from itertools import accumulate
 from dataclasses import replace
 
 import pytest
@@ -19,12 +21,14 @@ from hypothesis import strategies as st
 from repro.analysis.trace_diff import compare_spools
 from repro.campaign import ScenarioSpec, execute_spec
 from repro.fifo import RegularFifo, SmartFifo
+from repro.fifo.cells import CellRing
 from repro.fifo.smart_fifo import MIN_SPAN_WORDS
 from repro.kernel import Simulator
 from repro.kernel.process import Timeout, WaitEvent
 from repro.kernel.simtime import ns
 from repro.kernel.tracing import DigestSink, ListSink, SpoolSink
 from repro.td import DecoupledModule
+from repro.telemetry import Telemetry
 
 #: 1 ns in femtoseconds (the burst APIs take femtosecond gaps).
 NS_FS = 1_000_000
@@ -33,43 +37,57 @@ NS_FS = 1_000_000
 def _chunking(rng, total, depth):
     """Random span sizes summing to ``total``: sometimes empty, sometimes
     larger than the FIFO depth (so spans must split at the blocking
-    boundary)."""
+    boundary), up to twice the depth (so a split can leave a full span
+    on both sides)."""
     chunks = []
     remaining = total
     while remaining:
-        chunk = min(remaining, rng.randrange(0, depth + 4))
+        chunk = min(remaining, rng.randrange(0, 2 * depth + 4))
         chunks.append(chunk)
         remaining -= chunk
     rng.shuffle(chunks)
     return chunks
 
 
+def _sync_points(rng, chunks):
+    """Word counts, drawn among the chunk ends, after which a thread
+    synchronizes.  A sync lets the peer run part-way, so later spans
+    start mid-ring and wrap the buffer end."""
+    ends = set(accumulate(chunks)) - {0}
+    return {end for end in sorted(ends) if rng.randrange(3) == 0}
+
+
 class WordWriter(DecoupledModule):
-    def __init__(self, parent, name, fifo, words, gaps_ns):
+    def __init__(self, parent, name, fifo, words, gaps_ns, syncs=()):
         super().__init__(parent, name)
         self.fifo = fifo
         self.words = words
         self.gaps_ns = gaps_ns
+        self.syncs = syncs
         self.dates = []
         self.final_fs = None
         self.create_thread(self.run)
 
     def run(self):
-        for word, gap in zip(self.words, self.gaps_ns):
+        for index, (word, gap) in enumerate(zip(self.words, self.gaps_ns)):
             yield from self.fifo.write(word)
             self.dates.append(self.local_time_stamp().femtoseconds)
             self.inc(gap)
+            if index + 1 in self.syncs:
+                yield from self.sync()
         self.final_fs = self.local_time_stamp().femtoseconds
 
 
 class BurstWriter(DecoupledModule):
-    def __init__(self, parent, name, fifo, words, gaps_ns, chunks, constant):
+    def __init__(self, parent, name, fifo, words, gaps_ns, chunks, constant,
+                 syncs=()):
         super().__init__(parent, name)
         self.fifo = fifo
         self.words = words
         self.gaps_ns = gaps_ns
         self.chunks = chunks
         self.constant = constant
+        self.syncs = set(syncs)
         self.dates = []
         self.final_fs = None
         self.create_thread(self.run)
@@ -84,15 +102,19 @@ class BurstWriter(DecoupledModule):
                 gap_fs = [g * NS_FS for g in self.gaps_ns[pos:pos + chunk]]
             yield from self.fifo.write_burst(sub, gap_fs, self.dates)
             pos += chunk
+            if pos in self.syncs:
+                self.syncs.discard(pos)
+                yield from self.sync()
         self.final_fs = self.local_time_stamp().femtoseconds
 
 
 class WordReader(DecoupledModule):
-    def __init__(self, parent, name, fifo, count, gaps_ns):
+    def __init__(self, parent, name, fifo, count, gaps_ns, syncs=()):
         super().__init__(parent, name)
         self.fifo = fifo
         self.count = count
         self.gaps_ns = gaps_ns
+        self.syncs = syncs
         self.words = []
         self.dates = []
         self.final_fs = None
@@ -104,17 +126,21 @@ class WordReader(DecoupledModule):
             self.words.append(word)
             self.dates.append(self.local_time_stamp().femtoseconds)
             self.inc(self.gaps_ns[index])
+            if index + 1 in self.syncs:
+                yield from self.sync()
         self.final_fs = self.local_time_stamp().femtoseconds
 
 
 class BurstReader(DecoupledModule):
-    def __init__(self, parent, name, fifo, count, gaps_ns, chunks, constant):
+    def __init__(self, parent, name, fifo, count, gaps_ns, chunks, constant,
+                 syncs=()):
         super().__init__(parent, name)
         self.fifo = fifo
         self.count = count
         self.gaps_ns = gaps_ns
         self.chunks = chunks
         self.constant = constant
+        self.syncs = set(syncs)
         self.words = []
         self.dates = []
         self.final_fs = None
@@ -130,12 +156,19 @@ class BurstReader(DecoupledModule):
             words = yield from self.fifo.read_burst(chunk, gap_fs, self.dates)
             self.words.extend(words)
             pos += chunk
+            if pos in self.syncs:
+                self.syncs.discard(pos)
+                yield from self.sync()
         self.final_fs = self.local_time_stamp().femtoseconds
 
 
 def _drive_smart(seed, depth, sync_on_access, constant, use_burst):
     rng = random.Random(seed)
-    n = rng.randrange(0, 32)
+    # Up to four crossover lengths of words: past MIN_SPAN_WORDS deep,
+    # bulk spans then land on cells the ring already went round (their
+    # dates follow the freeing/insertion recurrence), wrap the buffer end
+    # and split at a blocking boundary.
+    n = rng.randrange(0, 4 * MIN_SPAN_WORDS + 1)
     words = [rng.randrange(0, 1 << 16) for _ in range(n)]
     if constant:
         gap = rng.randrange(0, 12)
@@ -146,36 +179,26 @@ def _drive_smart(seed, depth, sync_on_access, constant, use_burst):
         reader_gaps = [rng.randrange(0, 12) for _ in range(n)]
     writer_chunks = _chunking(rng, n, depth)
     reader_chunks = _chunking(rng, n, depth)
+    writer_syncs = _sync_points(rng, writer_chunks)
+    reader_syncs = _sync_points(rng, reader_chunks)
 
     sim = Simulator(f"burst_prop_{use_burst}")
     fifo = SmartFifo(sim, "fifo", depth=depth, sync_on_access=sync_on_access)
     if use_burst:
         writer = BurstWriter(sim, "writer", fifo, words, writer_gaps,
-                             writer_chunks, constant)
+                             writer_chunks, constant, writer_syncs)
         reader = BurstReader(sim, "reader", fifo, n, reader_gaps,
-                             reader_chunks, constant)
+                             reader_chunks, constant, reader_syncs)
     else:
-        writer = WordWriter(sim, "writer", fifo, words, writer_gaps)
-        reader = WordReader(sim, "reader", fifo, n, reader_gaps)
+        writer = WordWriter(sim, "writer", fifo, words, writer_gaps,
+                            writer_syncs)
+        reader = WordReader(sim, "reader", fifo, n, reader_gaps,
+                            reader_syncs)
     sim.run()
     return sim, fifo, writer, reader, words
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=2 * MIN_SPAN_WORDS),
-    st.booleans(),
-    st.booleans(),
-)
-def test_smart_burst_equals_word_loop(seed, depth, sync_on_access, constant):
-    """``write_burst``/``read_burst`` are bit-exact with the word loop:
-    same words, same per-word insertion/read dates, same final local
-    dates, same kernel date and counters — for random chunkings that
-    include empty spans, spans of exactly ``depth`` words and spans
-    larger than the free/busy space (forcing the blocking split).  The
-    depths reach past the span-length crossover, so both the bulk span
-    path and its word fallback are drawn."""
+def _assert_burst_equals_word(seed, depth, sync_on_access, constant):
     word = _drive_smart(seed, depth, sync_on_access, constant, False)
     burst = _drive_smart(seed, depth, sync_on_access, constant, True)
     word_sim, word_fifo, word_writer, word_reader, words = word
@@ -194,6 +217,91 @@ def test_smart_burst_equals_word_loop(seed, depth, sync_on_access, constant):
     assert burst_fifo.total_written == word_fifo.total_written == len(words)
     assert burst_fifo.total_read == word_fifo.total_read == len(words)
     assert burst_fifo.blocking_waits == word_fifo.blocking_waits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=2 * MIN_SPAN_WORDS),
+    st.booleans(),
+    st.booleans(),
+)
+def test_smart_burst_equals_word_loop(seed, depth, sync_on_access, constant):
+    """``write_burst``/``read_burst`` are bit-exact with the word loop:
+    same words, same per-word insertion/read dates, same final local
+    dates, same kernel date and counters — for random chunkings that
+    include empty spans, spans of exactly ``depth`` words and spans
+    larger than the free/busy space (forcing the blocking split).  The
+    depths reach past the span-length crossover, so both the bulk span
+    path and its word fallback are drawn."""
+    _assert_burst_equals_word(seed, depth, sync_on_access, constant)
+
+
+def _spy(monkeypatch, owner, name, probe, seen):
+    """Count in ``seen[name]`` the calls of ``owner.name`` that ``probe``
+    accepts (it sees the arguments before the call runs)."""
+    original = getattr(owner, name)
+
+    def spied(*args):
+        if probe(*args):
+            seen[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spied)
+
+
+def test_drawn_bursts_reach_every_span_case(monkeypatch):
+    """The draws of :func:`test_smart_burst_equals_word_loop` reach what
+    the bulk span path must get right, so the property cannot quietly
+    stop covering it: span dates run through the freeing/insertion
+    recurrence (cells reused after the ring went round), spans wrap the
+    buffer end, and one burst call moves spans on both sides of a
+    blocking split.  A fixed set of draws past the crossover is checked
+    for exactness and for each of those cases."""
+    seen = Counter()
+
+    _spy(monkeypatch, CellRing, "push_span",
+         lambda ring, items, dates: ring._first_free + len(items) > ring.depth,
+         seen)
+    _spy(monkeypatch, CellRing, "pop_span",
+         lambda ring, count, dates: ring._first_busy + count > ring.depth,
+         seen)
+    # Only the recurrence branch of _write_span/_read_span reads these.
+    _spy(monkeypatch, CellRing, "head_free_freeing_span",
+         lambda ring, count: True, seen)
+    _spy(monkeypatch, CellRing, "head_busy_insertion_span",
+         lambda ring, count: True, seen)
+
+    # Every span of a burst call but its last takes all the free (busy)
+    # cells there are, so the next one waits behind a blocking split: a
+    # call that moves two spans has moved them on both sides of a split.
+    def split_counter(name, counter):
+        original = getattr(SmartFifo, name)
+
+        def burst(fifo, *args):
+            before = getattr(fifo, counter)
+            result = yield from original(fifo, *args)
+            if getattr(fifo, counter) - before >= 2:
+                seen[name] += 1
+            return result
+
+        monkeypatch.setattr(SmartFifo, name, burst)
+
+    split_counter("write_burst", "burst_span_writes")
+    split_counter("read_burst", "burst_span_reads")
+
+    for seed in range(12):
+        for depth in (MIN_SPAN_WORDS, MIN_SPAN_WORDS + 5):
+            for constant in (True, False):
+                _assert_burst_equals_word(seed, depth, False, constant)
+    assert sorted(seen) == [
+        "head_busy_insertion_span",
+        "head_free_freeing_span",
+        "pop_span",
+        "push_span",
+        "read_burst",
+        "write_burst",
+    ], dict(seen)
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,6 +459,54 @@ def test_burst_campaign_rows_bit_exact(spec):
     burst_spec = replace(spec, burst=True, params=dict(spec.params))
     burst = execute_spec(burst_spec, "digest").deterministic_row()
     assert burst == word
+
+
+#: The Smart specs above whose bursts can move bulk spans, again at depth
+#: MIN_SPAN_WORDS or just past it and long enough for spans to land on
+#: cells the ring already went round.  At the depths above every span is
+#: shorter than the crossover and takes the word path.
+DEEP = MIN_SPAN_WORDS
+DEEP_BURST_SWEEP_SPECS = [
+    ScenarioSpec("str_deep", "streaming", mode="smart", depth=DEEP,
+                 params={"n_blocks": 4, "words_per_block": 40}),
+    ScenarioSpec("video_deep", "video", mode="smart", depth=DEEP,
+                 params={"n_frames": 2, "macroblocks_per_frame": 40}),
+    ScenarioSpec("bursty_deep", "bursty", mode="smart", depth=DEEP, seed=3,
+                 params={"n_bursts": 4, "max_burst": 40}),
+    ScenarioSpec("random_deep", "random_traffic", mode="smart", depth=DEEP,
+                 seed=7, params={"item_count": 60, "monitor_samples": 4}),
+    ScenarioSpec("noc_deep", "noc_stress", mode="smart", depth=DEEP + 4,
+                 params={"packets_per_stream": 3, "packet_size": DEEP}),
+    ScenarioSpec("fault_deep", "fault_drop", mode="smart", depth=DEEP + 4,
+                 params={"item_count": 60}),
+    ScenarioSpec("mixed_deep", "mixed", mode="smart", depth=DEEP,
+                 params={"item_count": 60}),
+    ScenarioSpec("packet_deep", "packet_stream", mode="smart",
+                 depth=DEEP + 4, params={"packet_size": DEEP}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", DEEP_BURST_SWEEP_SPECS, ids=lambda spec: spec.label
+)
+def test_deep_burst_campaign_rows_bit_exact(spec):
+    """The campaign-row exactness above, where bursts do move bulk spans:
+    the telemetry must count span transfers, so the comparison cannot
+    quietly fall back to comparing the word path with itself."""
+    word = execute_spec(spec, "digest").deterministic_row()
+    telemetry = Telemetry("deep_burst_sweep")
+    burst_spec = replace(spec, burst=True, params=dict(spec.params))
+    burst = execute_spec(burst_spec, "digest", telemetry=telemetry)
+    assert burst.deterministic_row() == word
+    counters = {
+        event["name"]: event["value"]
+        for event in telemetry.drain()
+        if event["kind"] == "counter"
+    }
+    assert (
+        counters.get("fifo.burst_span_writes", 0)
+        + counters.get("fifo.burst_span_reads", 0)
+    ) > 0, counters
 
 
 # ---------------------------------------------------------------------------

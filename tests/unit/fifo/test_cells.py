@@ -4,13 +4,33 @@ from array import array
 
 import pytest
 
+from repro.fifo import SmartFifo
 from repro.fifo.cells import Cell, CellRing, NEVER
-from repro.kernel import FifoError
+from repro.kernel import FifoError, Simulator
 from repro.kernel.simtime import ns
 
 
 def fs(nanoseconds):
     return ns(nanoseconds).femtoseconds
+
+
+class WordRing:
+    """A ring filled and drained one word at a time at explicit dates.
+
+    The per-word push and pop of the ring are the Smart FIFO's word path
+    (``SmartFifo._do_write`` / ``_do_read``), so these tests drive that
+    path, outside any process, on the FIFO's own ring.
+    """
+
+    def __init__(self, depth):
+        self.fifo = SmartFifo(Simulator("cells"), "fifo", depth=depth)
+        self.ring = self.fifo._cells
+
+    def push(self, data, insertion_fs):
+        self.fifo._do_write(None, self.fifo._manager, data, insertion_fs)
+
+    def pop(self, freeing_fs):
+        return self.fifo._do_read(None, self.fifo._manager, freeing_fs)
 
 
 class TestRingMechanics:
@@ -19,53 +39,64 @@ class TestRingMechanics:
             CellRing(0)
 
     def test_push_pop_order_and_wraparound(self):
-        ring = CellRing(2)
-        ring.push("a", fs(1))
-        ring.push("b", fs(2))
+        word = WordRing(2)
+        ring = word.ring
+        word.push("a", fs(1))
+        word.push("b", fs(2))
         assert ring.busy_count == ring.depth
-        assert ring.pop(fs(3)) == "a"
-        ring.push("c", fs(4))
-        assert ring.pop(fs(5)) == "b"
-        assert ring.pop(fs(6)) == "c"
+        assert word.pop(fs(3)) == "a"
+        word.push("c", fs(4))
+        assert word.pop(fs(5)) == "b"
+        assert word.pop(fs(6)) == "c"
         assert ring.busy_count == 0
 
     def test_push_full_raises(self):
-        ring = CellRing(1)
-        ring.push("a", 0)
+        word = WordRing(1)
+        ring = word.ring
+        word.push("a", 0)
         with pytest.raises(FifoError):
-            ring.push("b", 0)
+            word.push("b", 0)
+        # The guard raises before any state moves.
+        assert ring.busy_count == 1
+        assert ring.first_busy_cell().data == "a"
 
     def test_pop_empty_raises(self):
-        ring = CellRing(1)
+        word = WordRing(1)
+        ring = word.ring
         with pytest.raises(FifoError):
-            ring.pop(0)
+            word.pop(0)
+        assert ring.busy_count == 0
+        assert word.fifo.total_read == 0
 
     def test_first_cells_and_counts(self):
-        ring = CellRing(3)
+        word = WordRing(3)
+        ring = word.ring
         assert ring.first_busy_cell() is None
-        ring.push("a", fs(1))
-        ring.push("b", fs(2))
+        word.push("a", fs(1))
+        word.push("b", fs(2))
         assert ring.busy_count == 2
         assert ring.first_busy_cell().data == "a"
         assert [cell.data for cell in ring.cells()] == ["a", "b", None]
         assert [cell.insertion_fs for cell in ring.cells()] == [fs(1), fs(2), NEVER]
 
     def test_single_item_leaves_the_other_cells_free(self):
-        ring = CellRing(3)
-        ring.push("a", 0)
+        word = WordRing(3)
+        ring = word.ring
+        word.push("a", 0)
         assert ring.busy_count == 1
         assert ring.first_busy_cell().data == "a"
         assert [cell.busy for cell in ring.cells()] == [True, False, False]
 
     def test_timestamps_recorded(self):
-        ring = CellRing(1)
-        ring.push("a", fs(10))
+        word = WordRing(1)
+        ring = word.ring
+        word.push("a", fs(10))
         cell = ring.first_busy_cell()  # live view over slot 0
         assert cell.insertion_fs == fs(10)
-        ring.pop(fs(25))
+        word.pop(fs(25))
         assert cell.freeing_fs == fs(25)
         # Re-using the cell keeps the previous freeing date until the next pop.
-        ring.push("b", fs(40))
+        word.push("b", fs(40))
         assert cell.insertion_fs == fs(40)
         assert cell.freeing_fs == fs(25)
 
@@ -74,12 +105,13 @@ class TestSpanMechanics:
     """Bulk span transfers (burst path) and the CellView staleness guard."""
 
     def test_push_span_pop_span_wraparound(self):
-        ring = CellRing(4)
+        word = WordRing(4)
+        ring = word.ring
         # Rotate the head so the span has to wrap the buffer end.
-        ring.push("x", fs(1))
-        ring.push("y", fs(1))
-        assert ring.pop(fs(2)) == "x"
-        assert ring.pop(fs(2)) == "y"
+        word.push("x", fs(1))
+        word.push("y", fs(1))
+        assert word.pop(fs(2)) == "x"
+        assert word.pop(fs(2)) == "y"
         ring.push_span(["a", "b", "c", "d"], array("q", [fs(3)] * 4))
         assert ring.busy_count == ring.depth
         assert list(ring.head_busy_insertion_span(4)) == [fs(3)] * 4
@@ -90,17 +122,19 @@ class TestSpanMechanics:
         assert list(ring.head_free_freeing_span(4)) == [fs(4), fs(5), fs(6), fs(7)]
 
     def test_span_overrun_raises(self):
-        ring = CellRing(2)
-        ring.push("a", 0)
+        word = WordRing(2)
+        ring = word.ring
+        word.push("a", 0)
         with pytest.raises(FifoError):
             ring.push_span(["b", "c"], array("q", [0, 0]))
         with pytest.raises(FifoError):
             ring.pop_span(2, array("q", [0, 0]))
 
     def test_mutations_counted_per_span_not_per_word(self):
-        ring = CellRing(4)
-        ring.push("a", 0)
-        ring.pop(0)
+        word = WordRing(4)
+        ring = word.ring
+        word.push("a", 0)
+        word.pop(0)
         assert ring.mutations == 0
         ring.push_span([], array("q", []))
         assert ring.mutations == 0
@@ -109,8 +143,9 @@ class TestSpanMechanics:
         assert ring.mutations == 2
 
     def test_views_go_stale_after_span_transfer(self):
-        ring = CellRing(4)
-        ring.push("a", fs(1))
+        word = WordRing(4)
+        ring = word.ring
+        word.push("a", fs(1))
         view = ring.first_busy_cell()
         assert view.data == "a"
         ring.push_span(["b", "c"], array("q", [fs(2)] * 2))
@@ -123,11 +158,12 @@ class TestSpanMechanics:
         assert ring.first_busy_cell().data == "a"
 
     def test_word_push_pop_keep_views_fresh(self):
-        ring = CellRing(4)
-        ring.push("a", fs(1))
+        word = WordRing(4)
+        ring = word.ring
+        word.push("a", fs(1))
         view = ring.first_busy_cell()
-        ring.push("b", fs(2))
-        ring.pop(fs(3))
+        word.push("b", fs(2))
+        word.pop(fs(3))
         # Word transfers never invalidate views; the view is live over the
         # slot and reflects the pop.
         assert view.busy is False
@@ -164,11 +200,12 @@ class TestMonitorInterpretation:
         assert not cell.really_busy_at(fs(100))
 
     def test_real_size_at_mixed_ring(self):
-        ring = CellRing(3)
-        ring.push("a", fs(10))
-        ring.push("b", fs(20))
-        ring.pop(fs(30))            # "a" freed at 30
-        ring.push("c", fs(40))
+        word = WordRing(3)
+        ring = word.ring
+        word.push("a", fs(10))
+        word.push("b", fs(20))
+        word.pop(fs(30))            # "a" freed at 30
+        word.push("c", fs(40))
         # At t=25: "a" still there (freed at 30 in the future, inserted at 10),
         # "b" there (inserted 20), "c" not yet (inserted 40) -> 2 items.
         assert ring.real_size_at(fs(25)) == 2

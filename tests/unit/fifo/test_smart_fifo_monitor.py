@@ -125,8 +125,8 @@ class TestPureObservers:
         fifo = SmartFifo(sim, "fifo", depth=4)
         manager_dates = [(1, 10), (2, 20), (3, 30)]
         for value, date in manager_dates:
-            fifo._cells.push(value, ns(date).femtoseconds)
-        fifo._cells.pop(ns(25).femtoseconds)
+            fifo._do_write(None, fifo._manager, value, ns(date).femtoseconds)
+        fifo._do_read(None, fifo._manager, ns(25).femtoseconds)
         assert fifo.size_at(ns(5)) == 0
         assert fifo.size_at(ns(15)) == 1
         assert fifo.size_at(ns(22)) == 2
@@ -170,7 +170,7 @@ class TestPureObservers:
 
     def test_internal_size_differs_from_real_size(self, sim):
         fifo = SmartFifo(sim, "fifo", depth=4)
-        fifo._cells.push("x", ns(100).femtoseconds)
+        fifo._do_write(None, fifo._manager, "x", ns(100).femtoseconds)
         assert fifo.internal_size == 1
         assert fifo.size_at(ns(0)) == 0
         assert fifo.depth == 4

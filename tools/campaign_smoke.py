@@ -8,7 +8,10 @@ scale-out invariant:
 2. shard 0/2 and shard 1/2, each across 2 worker processes, streaming
    their rows to JSONL files;
 3. the merge of the two JSONL files;
-4. unsharded again with ``burst=True`` (span FIFO transfers);
+4. unsharded again with ``burst=True`` (span FIFO transfers), then word
+   and burst again at depth ``MIN_SPAN_WORDS``, deep enough for bursts to
+   move bulk spans rather than falling back to the word path (the
+   telemetry must count span transfers);
 5. a record-and-replay sweep through ``auto_replay``: one recorded
    anchor simulation, two replayed depth points, one of them
    cross-validated against a fresh simulation (must match bit for bit;
@@ -63,6 +66,7 @@ from repro.campaign import (  # noqa: E402
 )
 from repro.campaign.executor import _batch_size  # noqa: E402
 from repro.campaign.spec import spec_is_pairable  # noqa: E402
+from repro.fifo.smart_fifo import MIN_SPAN_WORDS  # noqa: E402
 from repro.telemetry import load_events  # noqa: E402
 
 #: A fast subset of the default campaign covering old and new workloads.
@@ -179,6 +183,44 @@ def main(argv=None) -> int:
         )
         return 1
     print("[smoke] OK: burst=True reproduces the word-mode fingerprint")
+
+    # At the smoke depths every burst span is shorter than the span-length
+    # crossover and takes the word path; retargeted this deep, bursts move
+    # bulk spans, so the comparison covers the span path too.
+    print(f"[smoke] word vs burst at depth {MIN_SPAN_WORDS} (bulk spans)...")
+    deep_word = CampaignRunner(workers=1).run([
+        replace(spec, depth=MIN_SPAN_WORDS, params=dict(spec.params))
+        for spec in specs
+    ])
+    deep_tele = os.path.join(args.out_dir, "deep-burst-telemetry")
+    deep_burst = CampaignRunner(workers=1, telemetry_dir=deep_tele).run([
+        replace(spec, depth=MIN_SPAN_WORDS, params=dict(spec.params))
+        for spec in burst_specs
+    ])
+    span_ops = sum(
+        event["value"]
+        for event in load_events(os.path.join(deep_tele, "telemetry.jsonl"))
+        if event["kind"] == "counter"
+        and event["name"] in ("fifo.burst_span_writes", "fifo.burst_span_reads")
+    )
+    if deep_burst.fingerprint() != deep_word.fingerprint():
+        print(
+            f"FAIL: at depth {MIN_SPAN_WORDS} the burst-mode fingerprint "
+            "differs from the word-mode run",
+            file=sys.stderr,
+        )
+        return 1
+    if span_ops == 0:
+        print(
+            f"FAIL: no burst moved a bulk span at depth {MIN_SPAN_WORDS}; "
+            "the comparison did not reach the span path",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"[smoke] OK: burst=True reproduces the word-mode fingerprint at "
+        f"depth {MIN_SPAN_WORDS} across {span_ops} span transfers"
+    )
 
     print("[smoke] record-and-replay sweep (1 anchor, 2 replays, 1 validated)...")
     anchor = ScenarioSpec(
