@@ -138,7 +138,6 @@ class ReplayEvaluator:
             spool, self.anchor_record = record_spool(anchor, trace_sink)
         else:
             self.anchor_record = None
-        self.spool = spool
         self.engine = ReplayEngine(spool)
         self.engine.self_check()
 

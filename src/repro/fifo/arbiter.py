@@ -31,10 +31,9 @@ from typing import Any, List, Optional, Sequence, Union
 
 from ..kernel.errors import FifoError
 from ..kernel.module import Module
-from ..kernel.process import WaitEvent
 from ..kernel.simtime import SimTime, ZERO_TIME
 from ..kernel.simulator import Simulator
-from ..kernel.tracing import DEP_SMART_READ, DEP_SMART_WRITE
+from ..kernel.tracing import OP_SMART_READ, OP_SMART_WRITE
 from ..td.decoupling import sync
 from ..td.local_time import get_local_time_manager
 from .cells import NEVER
@@ -229,13 +228,13 @@ class WriteArbiter(_SideArbiter, FifoWriterInterface):
                 try:
                     yield from sync(sim=self.sim)
                     if cells.busy_count == depth:
-                        yield WaitEvent(fifo._cell_freed)
+                        yield fifo._wait_cell_freed
                 finally:
                     fifo._blocked_writers -= 1
             self._grant()
             fifo._do_write(process, manager, words[i])
             if dep is not None:
-                dep.word(DEP_SMART_WRITE, fifo_idx, fifo._last_write_fs)
+                dep.word(OP_SMART_WRITE, fifo_idx, fifo._last_write_fs)
             if dates_out is not None:
                 dates_out.append(fifo._last_write_fs)
             gap = gap_const if gaps is None else gaps[i]
@@ -305,13 +304,13 @@ class ReadArbiter(_SideArbiter, FifoReaderInterface):
                 try:
                     yield from sync(sim=self.sim)
                     if cells.busy_count == 0:
-                        yield WaitEvent(fifo._cell_filled)
+                        yield fifo._wait_cell_filled
                 finally:
                     fifo._blocked_readers -= 1
             self._grant()
             words.append(fifo._do_read(process, manager))
             if dep is not None:
-                dep.word(DEP_SMART_READ, fifo_idx, fifo._last_read_fs)
+                dep.word(OP_SMART_READ, fifo_idx, fifo._last_read_fs)
             if dates_out is not None:
                 dates_out.append(fifo._last_read_fs)
             gap = gap_const if gaps is None else gaps[i]

@@ -34,8 +34,8 @@ from ..kernel.tracing import (
     BR_NB_READ,
     BR_PKT_AVAILABLE,
     BR_PKT_SPACE,
-    DEP_SMART_READ,
-    DEP_SMART_WRITE,
+    OP_SMART_READ,
+    OP_SMART_WRITE,
 )
 from .smart_fifo import SmartFifo
 
@@ -100,7 +100,7 @@ class PacketSmartFifo(SmartFifo):
                 self._do_write(self._scheduler.current_process, self._manager, word)
                 if self._dep is not None:
                     self._dep.word(
-                        DEP_SMART_WRITE, self._dep_idx, self._last_write_fs
+                        OP_SMART_WRITE, self._dep_idx, self._last_write_fs
                     )
         # Count the packet only once the last word has landed: an exception
         # (or an abandoned generator) mid-packet must not leave the counter
@@ -127,7 +127,7 @@ class PacketSmartFifo(SmartFifo):
                 word = self._do_read(self._scheduler.current_process, self._manager)
                 if self._dep is not None:
                     self._dep.word(
-                        DEP_SMART_READ, self._dep_idx, self._last_read_fs
+                        OP_SMART_READ, self._dep_idx, self._last_read_fs
                     )
             words.append(word)
         self.packets_read += 1

@@ -33,8 +33,8 @@ from ..kernel.tracing import (
     BR_REG_NB_WRITE,
     BR_REG_PEEK,
     BR_REG_SIZE,
-    DEP_REG_READ,
-    DEP_REG_WRITE,
+    OP_REG_READ,
+    OP_REG_WRITE,
 )
 from .interfaces import FifoInterface, _require_plain_burst
 
@@ -50,6 +50,9 @@ class RegularFifo(Module, FifoInterface):
         self._items: Deque[Any] = deque()
         self._data_written_event = self.create_event("data_written")
         self._data_read_event = self.create_event("data_read")
+        # The one wait descriptor of each event that blocked accesses yield.
+        self._wait_data_written = WaitEvent(self._data_written_event)
+        self._wait_data_read = WaitEvent(self._data_read_event)
         #: Counters mirrored by the Smart FIFO, used by tests and benchmarks.
         self.total_written = 0
         self.total_read = 0
@@ -113,13 +116,13 @@ class RegularFifo(Module, FifoInterface):
         """Blocking write: waits (suspends the thread) while the FIFO is full."""
         items = self._items
         while len(items) >= self._depth:
-            yield WaitEvent(self._data_read_event)
+            yield self._wait_data_read
         items.append(data)
         self.total_written += 1
         self._data_written_event.notify_fs(0)
         if self._dep is not None:
-            self._dep.regular(
-                DEP_REG_WRITE, self._dep_idx, self.sim.scheduler.now_fs
+            self._dep.word(
+                OP_REG_WRITE, self._dep_idx, self.sim.scheduler.now_fs
             )
 
     def nb_write(self, data: Any) -> bool:
@@ -150,7 +153,7 @@ class RegularFifo(Module, FifoInterface):
         index, n = 0, len(words)
         while index < n:
             while len(items) >= self._depth:
-                yield WaitEvent(self._data_read_event)
+                yield self._wait_data_read
             chunk = min(self._depth - len(items), n - index)
             items.extend(words[index:index + chunk])
             self.total_written += chunk
@@ -184,13 +187,13 @@ class RegularFifo(Module, FifoInterface):
         """Blocking read: waits (suspends the thread) while the FIFO is empty."""
         items = self._items
         while not items:
-            yield WaitEvent(self._data_written_event)
+            yield self._wait_data_written
         data = items.popleft()
         self.total_read += 1
         self._data_read_event.notify_fs(0)
         if self._dep is not None:
-            self._dep.regular(
-                DEP_REG_READ, self._dep_idx, self.sim.scheduler.now_fs
+            self._dep.word(
+                OP_REG_READ, self._dep_idx, self.sim.scheduler.now_fs
             )
         return data
 
@@ -224,7 +227,7 @@ class RegularFifo(Module, FifoInterface):
         words: List[Any] = []
         while len(words) < count:
             while not items:
-                yield WaitEvent(self._data_written_event)
+                yield self._wait_data_written
             chunk = min(len(items), count - len(words))
             for _ in range(chunk):
                 words.append(items.popleft())

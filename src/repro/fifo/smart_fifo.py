@@ -45,10 +45,8 @@ from ..kernel.tracing import (
     BR_NB_READ,
     BR_NB_WRITE,
     BR_PEEK_SIZE,
-    DEP_SMART_READ,
-    DEP_SMART_WRITE,
-    DEP_SPAN_READ,
-    DEP_SPAN_WRITE,
+    OP_SMART_READ,
+    OP_SMART_WRITE,
 )
 from ..kernel.module import Module
 from ..kernel.process import Process, WaitEvent
@@ -124,9 +122,12 @@ class SmartFifo(Module, FifoInterface):
         self._scheduler = self.sim.scheduler
         self._manager = get_local_time_manager(self.sim)
 
-        # Internal events used to wake a blocked blocking access.
+        # Internal events used to wake a blocked blocking access, and the
+        # one wait descriptor of each that every blocked access yields.
         self._cell_filled = self.create_event("cell_filled")
         self._cell_freed = self.create_event("cell_freed")
+        self._wait_cell_filled = WaitEvent(self._cell_filled)
+        self._wait_cell_freed = WaitEvent(self._cell_freed)
         # External events of the non-blocking interface (delayed notifications).
         self._not_empty_event = self.create_event("not_empty")
         self._not_full_event = self.create_event("not_full")
@@ -327,12 +328,12 @@ class SmartFifo(Module, FifoInterface):
             try:
                 yield from sync(sim=self.sim)
                 if cells.busy_count == depth:
-                    yield WaitEvent(self._cell_freed)
+                    yield self._wait_cell_freed
             finally:
                 self._blocked_writers -= 1
         self._do_write(self._scheduler.current_process, self._manager, data)
         if self._dep is not None:
-            self._dep.word(DEP_SMART_WRITE, self._dep_idx, self._last_write_fs)
+            self._dep.word(OP_SMART_WRITE, self._dep_idx, self._last_write_fs)
 
     def wait_writable(self):
         """Block (sync + wait) until the FIFO is not *internally* full.
@@ -357,7 +358,7 @@ class SmartFifo(Module, FifoInterface):
             try:
                 yield from sync(sim=self.sim)
                 if cells.busy_count == depth:
-                    yield WaitEvent(self._cell_freed)
+                    yield self._wait_cell_freed
             finally:
                 self._blocked_writers -= 1
 
@@ -561,7 +562,7 @@ class SmartFifo(Module, FifoInterface):
                 try:
                     yield from sync(sim=self.sim)
                     if cells.busy_count == depth:
-                        yield WaitEvent(self._cell_freed)
+                        yield self._wait_cell_freed
                 finally:
                     self._blocked_writers -= 1
             # One span: every word the free cells take now.
@@ -592,7 +593,7 @@ class SmartFifo(Module, FifoInterface):
                                  dates_out)
             written += k
         if dep is not None:
-            dep.span(DEP_SPAN_WRITE, self._dep_idx, n, gap_fs, gaps,
+            dep.span(OP_SMART_WRITE, self._dep_idx, n, gap_fs, gaps,
                      dates_out[dep_start:])
 
     def _write_span(self, process: Process, words: Sequence[Any], start: int,
@@ -752,12 +753,12 @@ class SmartFifo(Module, FifoInterface):
             try:
                 yield from sync(sim=self.sim)
                 if cells.busy_count == 0:
-                    yield WaitEvent(self._cell_filled)
+                    yield self._wait_cell_filled
             finally:
                 self._blocked_readers -= 1
         data = self._do_read(self._scheduler.current_process, self._manager)
         if self._dep is not None:
-            self._dep.word(DEP_SMART_READ, self._dep_idx, self._last_read_fs)
+            self._dep.word(OP_SMART_READ, self._dep_idx, self._last_read_fs)
         return data
 
     def wait_readable(self):
@@ -775,7 +776,7 @@ class SmartFifo(Module, FifoInterface):
             try:
                 yield from sync(sim=self.sim)
                 if cells.busy_count == 0:
-                    yield WaitEvent(self._cell_filled)
+                    yield self._wait_cell_filled
             finally:
                 self._blocked_readers -= 1
 
@@ -916,7 +917,7 @@ class SmartFifo(Module, FifoInterface):
                 try:
                     yield from sync(sim=self.sim)
                     if cells.busy_count == 0:
-                        yield WaitEvent(self._cell_filled)
+                        yield self._wait_cell_filled
                 finally:
                     self._blocked_readers -= 1
             # One span: every word the busy cells hold now.
@@ -944,7 +945,7 @@ class SmartFifo(Module, FifoInterface):
             else:
                 self._read_span(process, words, k, gap_fs, gaps, dates_out)
         if dep is not None:
-            dep.span(DEP_SPAN_READ, self._dep_idx, count, gap_fs, gaps,
+            dep.span(OP_SMART_READ, self._dep_idx, count, gap_fs, gaps,
                      dates_out[dep_start:])
         return words
 

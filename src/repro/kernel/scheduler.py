@@ -295,9 +295,16 @@ class Scheduler:
         step (advance to the earliest timed notification and wake what it
         releases).  With telemetry on the same loop reads the clock around
         each step and reports the totals as ``kernel.delta_loop_s`` and
-        ``kernel.timed_loop_s``.
+        ``kernel.timed_loop_s``.  An ``until`` earlier than the current
+        date raises :class:`SchedulingError` before anything runs: the
+        clock never moves back.
         """
         until_fs = None if until is None else until.femtoseconds
+        if until_fs is not None and until_fs < self.now_fs:
+            raise SchedulingError(
+                f"cannot run until {until}: the simulation is already at "
+                f"{SimTime.from_femtoseconds(self.now_fs)}"
+            )
         if not self._started:
             self._initialize()
         telemetry = self.telemetry
@@ -362,9 +369,9 @@ class Scheduler:
                                 event.listener_count += 1
                             elif kind is Timeout:
                                 # arm_timeout, inline: calling it costs the
-                                # Fig. 5 TDLESS pipeline 6.7 Python calls
-                                # per switch instead of 5.5 (the budget in
-                                # test_switch_budget.py is 6).
+                                # Fig. 5 TDLESS pipeline 6.3 Python calls
+                                # per switch instead of 5.1 (the budget in
+                                # test_switch_budget.py is 5.25).
                                 duration_fs = descriptor.duration_fs
                                 if duration_fs:
                                     heappush(queue, (
@@ -430,8 +437,8 @@ class Scheduler:
                     event._spare_timed = record
             if not queue or (until_fs is not None and queue[0][0] > until_fs):
                 # Out of work, or the next date lies past ``until``: stop
-                # there (never moving the clock back when out of work).
-                if until_fs is not None and (queue or until_fs > self.now_fs):
+                # there (``until`` is never behind the clock, see above).
+                if until_fs is not None:
                     self.now_fs = until_fs
                 if clocked:
                     timed_s += perf() - start

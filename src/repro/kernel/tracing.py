@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import tempfile
+from array import array
 from dataclasses import dataclass
 from typing import Dict, IO, Iterable, Iterator, List, Optional, TextIO, Tuple
 
@@ -434,25 +435,30 @@ def make_sink(kind: str) -> TraceSink:
 # ---------------------------------------------------------------------------
 # Dependency recording (record-and-replay evaluation)
 # ---------------------------------------------------------------------------
-#: Op codes of the dependency record stream.  Word/sync/advance ops are
-#: recorded in program order per process; the replay engine re-executes them
-#: against a miniature scheduler, so one reference simulation can be
-#: re-evaluated at any FIFO depth / quantum without processes or coroutines.
-DEP_SMART_WRITE = 0   # (code, fifo_index, insertion_date_fs)
-DEP_SMART_READ = 1    # (code, fifo_index, read_date_fs)
-DEP_SYNC = 2          # (code, local_fs_at_sync)
-DEP_TIMED = 3         # (code, duration_fs)          plain wait()
-DEP_QUANTUM = 4       # (code, duration_fs)          quantum-keeper advance
-DEP_REG_WRITE = 5     # (code, fifo_index, now_fs)   regular FIFO push
-DEP_REG_READ = 6      # (code, fifo_index, now_fs)   regular FIFO pop
-DEP_INC = 7           # (code, delta_fs)             local-time annotation
-DEP_SPAN_WRITE = 8    # (code, fifo_index, n, gap_const_fs, gaps|None, dates)
-DEP_SPAN_READ = 9     # (code, fifo_index, n, gap_const_fs, gaps|None, dates)
-DEP_BRANCH = 10       # (code, construct, fifo_index, outcome, date_fs, now_fs)
-DEP_WAIT_CAP = 11     # (code, fifo_index, side)     wait_writable/wait_readable
-DEP_GRANT = 12        # (code, arbiter_index, grant_fs, access_fs)
+#: Op codes of the recorded programs.  The recorder writes each process's
+#: accesses and timing annotations, in program order, as the flat
+#: ``(op, a, b, pre)`` tuples the replay engine executes, so one reference
+#: simulation can be re-evaluated at any FIFO depth / quantum without
+#: processes or coroutines.  ``pre`` is the local-time advance of the
+#: ``inc()`` calls since the previous op, fused into this one.  The date an
+#: op carries is not in the tuple but in the process's date column (0 for
+#: ops that carry none), so equal tuples are one shared object.
+OP_SMART_WRITE = 0  # a = fifo index; date = insertion date
+OP_SMART_READ = 1   # a = fifo index; date = read date
+OP_SYNC = 2         # date = local date at the sync
+OP_TIMED = 3        # a = duration of a plain wait() (fs)
+OP_QUANTUM = 4      # a = quantum-keeper annotation (fs)
+OP_REG_WRITE = 5    # a = fifo index; date = kernel date
+OP_REG_READ = 6     # a = fifo index; date = kernel date
+OP_INC = 7          # a = trailing local-time advance with no op after it
+OP_BRANCH = 8       # a = fifo index, b = (construct, outcome[, offset])
+OP_WAIT_CAP = 9     # a = fifo index, b = side (0 = writable, 1 = readable)
+OP_GRANT = 10       # a = arbiter index, b = access duration; date = grant
+# A thread's OP_BRANCH is dated at the caller's local date.  A method
+# process's is dated at the kernel date its pinned replay fires at, and
+# carries ``offset``: the probe's local date minus that kernel date.
 
-#: ``construct`` codes of :data:`DEP_BRANCH` records — which occupancy
+#: ``construct`` codes of :data:`OP_BRANCH` records — which occupancy
 #: probe produced the outcome.  The replay engine recomputes each probe
 #: from its emulated FIFO state and compares against the recorded outcome:
 #: a mismatch means the anchor's control flow is not valid at the
@@ -490,32 +496,38 @@ BR_NAMES = {
     BR_REG_SIZE: "get_size",
 }
 
-DEP_SPOOL_VERSION = 2
+DEP_SPOOL_VERSION = 3
 
 
 class DependencySpool:
     """One reference run's structured dependency record.
 
-    Everything the replay engine needs: per-process op streams (program
-    order), the FIFO roster with final counters, the kernel counters of the
-    recorded run (the replay self-check oracle) and the recorded global
-    quantum.  Plain ints/tuples/dicts throughout, so a spool pickles across
-    campaign worker processes.
+    Everything the replay engine needs: one program per process in the
+    engine's own form (``OP_*`` tuples, shared between equal ops) with
+    its date column, the FIFO roster with final counters, the kernel
+    counters of the recorded run (the replay self-check oracle) and the
+    recorded global quantum.  The engine executes the programs as they
+    are, so a recording exists once in memory.
     """
 
     __slots__ = (
-        "version", "threads", "ops", "fifos", "stats", "sim_end_fs",
-        "quantum_fs", "process_local_fs", "poison", "methods", "arbiters",
+        "version", "threads", "programs", "dates", "fifos", "stats",
+        "sim_end_fs", "quantum_fs", "process_local_fs", "poison", "methods",
+        "arbiters",
     )
 
-    def __init__(self, threads, ops, fifos, stats, sim_end_fs, quantum_fs,
-                 process_local_fs, poison, methods=(), arbiters=()):
+    def __init__(self, threads, programs, dates, fifos, stats, sim_end_fs,
+                 quantum_fs, process_local_fs, poison, methods=(),
+                 arbiters=()):
         self.version = DEP_SPOOL_VERSION
         #: ``(name, pid)`` in thread-registration order (= the order the
         #: scheduler seeds its runnable queue with at initialization).
         self.threads = threads
-        #: pid -> list of op tuples (see the ``DEP_*`` codes).
-        self.ops = ops
+        #: pid -> list of ``(op, a, b, pre)`` tuples (see the ``OP_*`` codes).
+        self.programs = programs
+        #: pid -> ``array('q')``: the date of each op of the program (0 for
+        #: ops that carry none); the replay reads it only to check dates.
+        self.dates = dates
         #: One dict per registered FIFO, in registration order: name, kind
         #: ("smart"/"regular"), depth, sync_on_access, final counters.
         self.fifos = fifos
@@ -537,106 +549,134 @@ class DependencySpool:
         self.arbiters = list(arbiters)
 
 
+class _Stream:
+    """The program one process has recorded so far."""
+
+    __slots__ = ("program", "dates", "pre")
+
+    def __init__(self):
+        self.program: List[tuple] = []
+        self.dates = array("q")
+        #: Local-time advance of the ``inc()`` calls since the last op.
+        self.pre = 0
+
+
 class DependencyRecorder:
     """Collects the dependency record of one simulation.
 
     Attach before building the scenario (``sim.dep_recorder = recorder``):
     FIFOs and workload modules pick the recorder up at construction time, so
-    the non-recording hot paths stay one ``is None`` check.  Accesses that
-    replay cannot reproduce (non-blocking/query interfaces, method
-    processes, process-less callers) poison the recording instead of
-    raising, and :meth:`finalize` reports the reason.
+    the non-recording hot paths stay one ``is None`` check.  Each process's
+    accesses go straight into its replay program: equal op tuples are
+    interned (a word loop records one tuple per distinct gap), an ``inc()``
+    is fused into the next op's ``pre``, a burst span is recorded as the
+    word ops it is bit-exact with, and each op's date is appended to the
+    process's ``array('q')`` date column.  Accesses that replay cannot
+    reproduce (method-process waits, process-less callers) poison the
+    recording instead of raising, and :meth:`finalize` reports the reason.
     """
 
     def __init__(self, sim):
         self.sim = sim
         self._scheduler = sim.scheduler
-        self._ops_by_pid: Dict[int, list] = {}
+        self._streams: Dict[int, _Stream] = {}
+        #: One object per distinct op tuple, dropped by :meth:`finalize`.
+        self._intern: Dict[tuple, tuple] = {}
         self._fifos: List[dict] = []
         self._fifo_objs: List[object] = []
         self._arbiters: List[dict] = []
         self.poison_reason: Optional[str] = None
         # One-entry cache: consecutive ops of the same process skip the dict.
         self._last_pid = -1
-        self._last_ops: Optional[list] = None
+        self._last: Optional[_Stream] = None
 
     # -- hot-path append helpers ---------------------------------------
-    def _ops(self) -> Optional[list]:
+    def _stream(self) -> Optional[_Stream]:
         process = self._scheduler.current_process
         if process is None:
             self.poison("FIFO/timing access outside of any process")
             return None
         pid = process.pid
         if pid == self._last_pid:
-            return self._last_ops
-        ops = self._ops_by_pid.get(pid)
-        if ops is None:
-            ops = self._ops_by_pid[pid] = []
+            return self._last
+        stream = self._streams.get(pid)
+        if stream is None:
+            stream = self._streams[pid] = _Stream()
         self._last_pid = pid
-        self._last_ops = ops
-        return ops
+        self._last = stream
+        return stream
 
-    def word(self, code: int, fifo_index: int, date_fs: int) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((code, fifo_index, date_fs))
+    def _append(self, op: int, a, b, date_fs: int) -> None:
+        stream = self._stream()
+        if stream is not None:
+            key = (op, a, b, stream.pre)
+            stream.program.append(self._intern.setdefault(key, key))
+            stream.dates.append(date_fs)
+            stream.pre = 0
 
-    def span(self, code: int, fifo_index: int, count: int, gap_const_fs: int,
+    def word(self, op: int, fifo_index: int, date_fs: int) -> None:
+        """Record one FIFO word access (``OP_SMART_*``/``OP_REG_*``)."""
+        self._append(op, fifo_index, 0, date_fs)
+
+    def span(self, op: int, fifo_index: int, count: int, gap_const_fs: int,
              gaps, dates) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((code, fifo_index, count, gap_const_fs,
-                        None if gaps is None else tuple(gaps), tuple(dates)))
+        """Record one burst span as its word loop: ``count`` word ops
+        dated ``dates``, each word followed by its local-time advance
+        (``gap_const_fs``, or ``gaps[i]`` when per-word)."""
+        stream = self._stream()
+        if stream is None:
+            return
+        intern = self._intern.setdefault
+        append = stream.program.append
+        pre = stream.pre
+        for index in range(count):
+            key = (op, fifo_index, 0, pre)
+            append(intern(key, key))
+            pre = gap_const_fs if gaps is None else gaps[index]
+        stream.dates.extend(dates)
+        stream.pre = pre
 
     def sync_point(self, local_fs: int) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_SYNC, local_fs))
+        self._append(OP_SYNC, 0, 0, local_fs)
 
     def timed(self, duration_fs: int) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_TIMED, duration_fs))
+        self._append(OP_TIMED, duration_fs, 0, 0)
 
     def quantum(self, duration_fs: int) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_QUANTUM, duration_fs))
+        self._append(OP_QUANTUM, duration_fs, 0, 0)
 
     def inc(self, delta_fs: int) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_INC, delta_fs))
-
-    def regular(self, code: int, fifo_index: int, now_fs: int) -> None:
-        ops = self._ops()
-        if ops is not None:
-            ops.append((code, fifo_index, now_fs))
+        # An inc never suspends, so it runs in the same activation, at the
+        # same kernel date, as the next op: it becomes that op's ``pre``.
+        stream = self._stream()
+        if stream is not None:
+            stream.pre += delta_fs
 
     def branch(self, construct: int, fifo_index: int, outcome: int,
                date_fs: int) -> None:
         """Record the outcome of one occupancy-dependent probe.
 
         ``outcome`` is the probe's result (bool as 0/1, or a fill level);
-        ``date_fs`` the local date the probe evaluated at.  The kernel date
-        rides along so method-process streams can replay pinned in time.
+        ``date_fs`` the local date the probe evaluated at.  A method
+        process's probe is dated at the kernel date instead, so its
+        stream can replay pinned in time, with the local date kept as an
+        offset.
         """
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_BRANCH, construct, fifo_index, outcome, date_fs,
-                        self._scheduler.now_fs))
+        process = self._scheduler.current_process
+        if process is not None and not process.is_thread:
+            now_fs = self._scheduler.now_fs
+            self._append(OP_BRANCH, fifo_index,
+                         (construct, outcome, date_fs - now_fs), now_fs)
+        else:
+            self._append(OP_BRANCH, fifo_index, (construct, outcome), date_fs)
 
     def wait_cap(self, fifo_index: int, side: int) -> None:
         """Record one arbiter capacity wait (wait_writable/wait_readable)."""
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_WAIT_CAP, fifo_index, side))
+        self._append(OP_WAIT_CAP, fifo_index, side, 0)
 
     def grant(self, arbiter_index: int, grant_fs: int, access_fs: int) -> None:
         """Record one arbiter port grant (the port-free arithmetic)."""
-        ops = self._ops()
-        if ops is not None:
-            ops.append((DEP_GRANT, arbiter_index, grant_fs, access_fs))
+        self._append(OP_GRANT, arbiter_index, access_fs, grant_fs)
 
     def poison(self, reason: str) -> None:
         """Mark the recording as non-replayable (first reason wins).
@@ -685,10 +725,17 @@ class DependencyRecorder:
         sim = self.sim
         threads = [(p.name, p.pid) for p in scheduler._threads]
         methods = [(p.name, p.pid) for p in scheduler._methods]
-        for name, pid in threads:
-            self._ops_by_pid.setdefault(pid, [])
-        for name, pid in methods:
-            self._ops_by_pid.setdefault(pid, [])
+        streams = self._streams
+        for process in scheduler._threads + scheduler._methods:
+            if process.pid not in streams:
+                streams[process.pid] = _Stream()
+        for stream in streams.values():
+            if stream.pre:
+                # A trailing inc with no op after it stays a standalone op.
+                key = (OP_INC, stream.pre, 0, 0)
+                stream.program.append(self._intern.setdefault(key, key))
+                stream.dates.append(0)
+        self._intern = {}
         fifos = []
         for info, fifo in zip(self._fifos, self._fifo_objs):
             info = dict(info)
@@ -705,7 +752,8 @@ class DependencyRecorder:
             process_local_fs[p.pid] = p.local_fs
         return DependencySpool(
             threads=threads,
-            ops=self._ops_by_pid,
+            programs={pid: s.program for pid, s in streams.items()},
+            dates={pid: s.dates for pid, s in streams.items()},
             fifos=fifos,
             stats=stats,
             sim_end_fs=sim.now_fs,
@@ -715,4 +763,3 @@ class DependencyRecorder:
             methods=methods,
             arbiters=self._arbiters,
         )
-

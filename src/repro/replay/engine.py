@@ -2,9 +2,10 @@
 
 One reference simulation records, per thread and in program order, every
 FIFO access and every timing annotation (a :class:`DependencySpool`, see
-``repro.kernel.tracing``).  :class:`ReplayEngine` compiles that record into
-flat per-thread programs and re-executes them against a miniature explicit
-scheduler: completion dates follow the paper's recurrence
+``repro.kernel.tracing``) as a flat program of shared ``(op, a, b, pre)``
+tuples plus one column of recorded dates.  :class:`ReplayEngine` executes
+those programs as they are, with no compile step and no copy, against a
+miniature explicit scheduler: completion dates follow the paper's recurrence
 ``d_i = max(d_{i-1} + gap_i, cell_date_i)``, blocking waits come from
 re-deriving when a Smart FIFO's cell ring is internally full/empty at the
 *replayed* depth, and the global date advances through the same
@@ -15,7 +16,9 @@ The engine mirrors the real kernel exactly (same counters, same wake
 order, same local-time clamping), which is what makes the anchor
 self-check meaningful: replaying at the recorded configuration must
 reproduce the recorded per-access dates, kernel counters and final date
-bit-exactly, otherwise the run is declared non-replayable.
+bit-exactly, otherwise the run is declared non-replayable.  The date
+columns are read only then (and in strict, method-pinned replays): a
+retargeted replay needs the ops, never the dates they had.
 """
 
 from __future__ import annotations
@@ -42,19 +45,17 @@ from ..kernel.tracing import (
     BR_REG_NB_WRITE,
     BR_REG_PEEK,
     BR_REG_SIZE,
-    DEP_BRANCH,
-    DEP_GRANT,
-    DEP_INC,
-    DEP_QUANTUM,
-    DEP_REG_READ,
-    DEP_REG_WRITE,
-    DEP_SMART_READ,
-    DEP_SMART_WRITE,
-    DEP_SPAN_READ,
-    DEP_SPAN_WRITE,
-    DEP_SYNC,
-    DEP_TIMED,
-    DEP_WAIT_CAP,
+    OP_BRANCH,
+    OP_GRANT,
+    OP_INC,
+    OP_QUANTUM,
+    OP_REG_READ,
+    OP_REG_WRITE,
+    OP_SMART_READ,
+    OP_SMART_WRITE,
+    OP_SYNC,
+    OP_TIMED,
+    OP_WAIT_CAP,
     DependencySpool,
 )
 
@@ -97,22 +98,6 @@ class ReplayInvalid(ReplayError):
         super().__init__(message)
 
 
-# Compiled opcodes (uniform ``(op, a, b, pre)`` tuples, ``pre`` being the
-# fused local-time advance of the preceding INC records; spans are
-# expanded to word ops at compile time, exactly the word loop they are
-# bit-exact with).
-OP_SMART_WRITE = 0  # a = fifo index, b = recorded insertion date (fs)
-OP_SMART_READ = 1   # a = fifo index, b = recorded read date (fs)
-OP_SYNC = 2         # a = recorded local date at the sync (fs)
-OP_TIMED = 3        # a = wait duration (fs)
-OP_QUANTUM = 4      # a = quantum-keeper annotation (fs)
-OP_REG_WRITE = 5    # a = fifo index, b = recorded kernel date (fs)
-OP_REG_READ = 6     # a = fifo index, b = recorded kernel date (fs)
-OP_INC = 7          # a = local-time annotation (fs)
-OP_BRANCH = 8       # a = fifo index, b = (construct, outcome, date_fs)
-OP_WAIT_CAP = 9     # a = fifo index, b = side (0 = writable, 1 = readable)
-OP_GRANT = 10       # a = arbiter index, b = (grant_fs, access_fs)
-
 _OP_NAMES = (
     "smart_write", "smart_read", "sync", "timed", "quantum",
     "reg_write", "reg_read", "inc", "branch", "wait_cap", "grant",
@@ -125,14 +110,16 @@ class _Proc:
     """Replay image of one thread process."""
 
     __slots__ = (
-        "pid", "name", "program", "length", "pc", "phase", "stored",
-        "wait_id", "runnable", "terminated",
+        "pid", "name", "program", "dates", "length", "pc", "phase",
+        "stored", "wait_id", "runnable", "terminated",
     )
 
-    def __init__(self, pid: int, name: str, program: List[tuple]):
+    def __init__(self, pid: int, name: str, program: List[tuple], dates):
         self.pid = pid
         self.name = name
         self.program = program
+        #: Recorded date of each op (read only to check dates).
+        self.dates = dates
         self.length = len(program)
         self.pc = 0
         #: Sub-state of a multi-suspension op (the blocking-loop machine).
@@ -224,21 +211,25 @@ class _Method:
     """Replay image of one method process: a pinned branch-record stream.
 
     Methods cannot block or synchronize, so their recorded streams contain
-    only ``DEP_BRANCH`` records.  They replay *pinned*: each record fires at
-    its recorded kernel date once the emulated FIFO state verifies against
-    the recorded outcome (exact-occupancy matching orders concurrent method
-    accesses the way the anchor ordered them); a record that stays
-    infeasible at its date pushes the point outside the validity envelope.
+    only ``OP_BRANCH`` records.  They replay *pinned*: each record fires at
+    its recorded kernel date (its date column) once the emulated FIFO state
+    verifies against the recorded outcome (exact-occupancy matching orders
+    concurrent method accesses the way the anchor ordered them); a record
+    that stays infeasible at its date pushes the point outside the validity
+    envelope.
     """
 
-    __slots__ = ("pid", "name", "records", "length", "pc")
+    __slots__ = ("pid", "name", "program", "dates", "length", "pc")
 
-    def __init__(self, pid: int, name: str, records: List[tuple]):
+    def __init__(self, pid: int, name: str, program: List[tuple], dates):
         self.pid = pid
         self.name = name
-        #: ``(due_fs, construct, fifo_index, outcome, date_fs)`` per record.
-        self.records = records
-        self.length = len(records)
+        #: ``(OP_BRANCH, fifo_index, (construct, outcome, offset), 0)``
+        #: per record; the probe's local date is its kernel date + offset.
+        self.program = program
+        #: Kernel date each record fires at.
+        self.dates = dates
+        self.length = len(program)
         self.pc = 0
 
 
@@ -346,7 +337,7 @@ class ReplayResult:
 
 
 class ReplayEngine:
-    """Compile one :class:`DependencySpool` and replay it at will.
+    """Replay the programs of one :class:`DependencySpool` at will.
 
     The engine is immutable after construction; every :meth:`replay` call
     creates fresh emulator state, so one recorded anchor can be replayed
@@ -359,8 +350,10 @@ class ReplayEngine:
         self.spool = spool
         self.fifos: List[dict] = list(spool.fifos)
         self.arbiters: List[dict] = list(getattr(spool, "arbiters", ()))
-        self.programs: List[Tuple[str, int, List[tuple]]] = [
-            (name, pid, _compile_ops(spool.ops.get(pid, ())))
+        #: ``(name, pid, program, dates)`` per thread: the recorded
+        #: program itself, not a copy.
+        self.programs: List[Tuple[str, int, List[tuple], object]] = [
+            (name, pid, spool.programs[pid], spool.dates[pid])
             for name, pid in spool.threads
         ]
         #: Pinned branch-record streams of the method processes (see
@@ -368,24 +361,20 @@ class ReplayEngine:
         #: replays in *strict* mode: every recorded date is verified and
         #: the result is the recorded run itself (identical-execution
         #: envelope), because method invocation times cannot be re-derived.
-        self.method_programs: List[Tuple[str, int, List[tuple]]] = []
-        for name, pid in getattr(spool, "methods", ()):
-            records = []
-            for op in spool.ops.get(pid, ()):
-                if op[0] != DEP_BRANCH:
+        self.method_programs: List[Tuple[str, int, List[tuple], object]] = []
+        for name, pid in spool.methods:
+            program = spool.programs[pid]
+            for op, _a, _b, pre in program:
+                if op != OP_BRANCH or pre:
                     raise ReplayError(
-                        f"method process {name} recorded op code {op[0]}; "
-                        "only branch probes are replayable from methods"
+                        f"method process {name} recorded "
+                        f"{'an inc' if pre else _OP_NAMES[op]}; only "
+                        "branch probes are replayable from methods"
                     )
-                _, construct, fifo_index, outcome, date_fs, now_fs = op
-                records.append(
-                    (now_fs, construct, fifo_index, outcome, date_fs)
-                )
-            self.method_programs.append((name, pid, records))
-        self.strict = any(recs for _, _, recs in self.method_programs)
-        self.op_count = sum(len(prog) for _, _, prog in self.programs) + sum(
-            len(recs) for _, _, recs in self.method_programs
-        )
+            self.method_programs.append(
+                (name, pid, program, spool.dates[pid])
+            )
+        self.strict = any(prog for _, _, prog, _ in self.method_programs)
         self._envelope = self._collect_envelope()
 
     def _collect_envelope(self) -> Dict[int, dict]:
@@ -409,17 +398,12 @@ class ReplayEngine:
                 entry[kind] = (BR_NAMES.get(construct, str(construct)),
                                process)
 
-        for name, _pid, program in self.programs:
+        for name, _pid, program, _dates in (
+            self.programs + self.method_programs
+        ):
             for op, a, b, _pre in program:
-                if op != OP_BRANCH:
-                    continue
-                construct, outcome, _date = b
-                self._constrain_one(constrain, a, construct, outcome, name)
-        for name, _pid, records in self.method_programs:
-            for _due, construct, fifo_index, outcome, _date in records:
-                self._constrain_one(
-                    constrain, fifo_index, construct, outcome, name
-                )
+                if op == OP_BRANCH:
+                    self._constrain_one(constrain, a, b[0], b[1], name)
         return envelope
 
     def _constrain_one(self, constrain, fifo_index: int, construct: int,
@@ -560,75 +544,6 @@ class ReplayEngine:
         return result
 
 
-def _compile_ops(ops: Sequence[tuple]) -> List[tuple]:
-    """Flatten one thread's recorded ops into ``(op, a, b, pre)`` tuples.
-
-    ``pre`` is the accumulated local-time advance (the INC records) fused
-    into the op that follows it: an INC never suspends, so it always
-    executes in the same activation — and at the same kernel date — as
-    phase 0 of the next op, and word loops (one INC per word) would
-    otherwise double the interpreter's dispatch count.  Consecutive INCs
-    merge additively (``max(max(s, now) + a, now) + b == max(s, now) +
-    a + b`` for non-negative advances); only a trailing INC with no op
-    after it survives as a standalone ``OP_INC``.
-
-    Spans expand to the word loop they are bit-exact with: word op, then
-    the per-word local-time advance (including the trailing one — the word
-    loop advances after the last word too).
-    """
-    program: List[tuple] = []
-    append = program.append
-    pending = 0
-    for op in ops:
-        code = op[0]
-        if code == DEP_SMART_WRITE or code == DEP_SMART_READ:
-            append((code, op[1], op[2], pending))
-            pending = 0
-        elif code == DEP_SYNC:
-            append((OP_SYNC, op[1], 0, pending))
-            pending = 0
-        elif code == DEP_TIMED:
-            append((OP_TIMED, op[1], 0, pending))
-            pending = 0
-        elif code == DEP_QUANTUM:
-            append((OP_QUANTUM, op[1], 0, pending))
-            pending = 0
-        elif code == DEP_REG_WRITE or code == DEP_REG_READ:
-            append((code, op[1], op[2], pending))
-            pending = 0
-        elif code == DEP_INC:
-            pending += op[1]
-        elif code == DEP_SPAN_WRITE or code == DEP_SPAN_READ:
-            word_op = (
-                OP_SMART_WRITE if code == DEP_SPAN_WRITE else OP_SMART_READ
-            )
-            _, fifo_index, count, gap_const, gaps, dates = op
-            if len(dates) != count or (gaps is not None and len(gaps) != count):
-                raise ReplayError(
-                    f"corrupt span record: {count} words, "
-                    f"{len(dates)} dates"
-                )
-            for index in range(count):
-                append((word_op, fifo_index, dates[index], pending))
-                pending = gap_const if gaps is None else gaps[index]
-        elif code == DEP_BRANCH:
-            # (code, construct, fifo_index, outcome, date_fs, now_fs);
-            # the kernel date is only needed by pinned method streams.
-            append((OP_BRANCH, op[2], (op[1], op[3], op[4]), pending))
-            pending = 0
-        elif code == DEP_WAIT_CAP:
-            append((OP_WAIT_CAP, op[1], op[2], pending))
-            pending = 0
-        elif code == DEP_GRANT:
-            append((OP_GRANT, op[1], (op[2], op[3]), pending))
-            pending = 0
-        else:
-            raise ReplayError(f"unknown dependency op code {code}")
-    if pending:
-        append((OP_INC, pending, 0, 0))
-    return program
-
-
 class _Emulator:
     """One replay run: miniature scheduler + flat-program interpreter.
 
@@ -664,12 +579,12 @@ class _Emulator:
         ]
         self.depths = depths
         self.procs = [
-            _Proc(pid, name, program)
-            for name, pid, program in engine.programs
+            _Proc(pid, name, program, dates)
+            for name, pid, program, dates in engine.programs
         ]
         self.methods = [
-            _Method(pid, name, records)
-            for name, pid, records in engine.method_programs
+            _Method(pid, name, program, dates)
+            for name, pid, program, dates in engine.method_programs
         ]
         #: Port-free date per recorded arbiter (NEVER before any grant).
         self.port_free = [-1] * len(engine.arbiters)
@@ -741,6 +656,7 @@ class _Emulator:
                 activations += 1
                 # -- run ``proc`` until it suspends or terminates --------
                 program = proc.program
+                dates = proc.dates
                 length = proc.length
                 pc = proc.pc
                 phase = proc.phase
@@ -775,8 +691,8 @@ class _Emulator:
                                 if not ev.pending:
                                     ev.pending = True
                                     delta_events.append(ev)
-                            if check and local != b:
-                                self._mismatch(proc, pc, op, b, local)
+                            if check and local != dates[pc]:
+                                self._mismatch(proc, pc, op, dates[pc], local)
                             pc += 1
                             continue
                         suspended = False
@@ -840,8 +756,10 @@ class _Emulator:
                                     if not ev.pending:
                                         ev.pending = True
                                         delta_events.append(ev)
-                                if check and local != b:
-                                    self._mismatch(proc, pc, op, b, local)
+                                if check and local != dates[pc]:
+                                    self._mismatch(
+                                        proc, pc, op, dates[pc], local
+                                    )
                                 pc += 1
                                 phase = 0
                                 break
@@ -864,8 +782,8 @@ class _Emulator:
                                 if not ev.pending:
                                     ev.pending = True
                                     delta_events.append(ev)
-                            if check and local != b:
-                                self._mismatch(proc, pc, op, b, local)
+                            if check and local != dates[pc]:
+                                self._mismatch(proc, pc, op, dates[pc], local)
                             pc += 1
                             continue
                         suspended = False
@@ -927,8 +845,10 @@ class _Emulator:
                                     if not ev.pending:
                                         ev.pending = True
                                         delta_events.append(ev)
-                                if check and local != b:
-                                    self._mismatch(proc, pc, op, b, local)
+                                if check and local != dates[pc]:
+                                    self._mismatch(
+                                        proc, pc, op, dates[pc], local
+                                    )
                                 pc += 1
                                 phase = 0
                                 break
@@ -943,8 +863,10 @@ class _Emulator:
                         if phase == 0:
                             if check:
                                 local = stored if stored > now else now
-                                if local != a:
-                                    self._mismatch(proc, pc, op, a, local)
+                                if local != dates[pc]:
+                                    self._mismatch(
+                                        proc, pc, op, dates[pc], local
+                                    )
                             if stored > now:
                                 phase = 1
                                 proc.wait_id = wid = proc.wait_id + 1
@@ -1000,8 +922,8 @@ class _Emulator:
                         if not ev.pending:
                             ev.pending = True
                             delta_events.append(ev)
-                        if check and now != b:
-                            self._mismatch(proc, pc, op, b, now)
+                        if check and now != dates[pc]:
+                            self._mismatch(proc, pc, op, dates[pc], now)
                         pc += 1
                         phase = 0
                         continue
@@ -1018,13 +940,13 @@ class _Emulator:
                         if not ev.pending:
                             ev.pending = True
                             delta_events.append(ev)
-                        if check and now != b:
-                            self._mismatch(proc, pc, op, b, now)
+                        if check and now != dates[pc]:
+                            self._mismatch(proc, pc, op, dates[pc], now)
                         pc += 1
                         phase = 0
                         continue
                     if op == OP_BRANCH:
-                        construct, rec_outcome, rec_date = b
+                        construct, rec_outcome = b
                         f = fifos[a]
                         if construct >= BR_REG_NB_WRITE:
                             occ = f.occupancy
@@ -1087,8 +1009,8 @@ class _Emulator:
                                         f"recorded occupancy {rec_outcome}, "
                                         f"replayed {occ}",
                                     )
-                            if check and now != rec_date:
-                                self._mismatch(proc, pc, op, rec_date, now)
+                            if check and now != dates[pc]:
+                                self._mismatch(proc, pc, op, dates[pc], now)
                         else:
                             local = stored if stored > now else now
                             outcome, _armed = _smart_probe(
@@ -1117,8 +1039,10 @@ class _Emulator:
                                     if not ev.pending:
                                         ev.pending = True
                                         delta_events.append(ev)
-                            if check and local != rec_date:
-                                self._mismatch(proc, pc, op, rec_date, local)
+                            if check and local != dates[pc]:
+                                self._mismatch(
+                                    proc, pc, op, dates[pc], local
+                                )
                         pc += 1
                         continue
                     if op == OP_WAIT_CAP:
@@ -1196,12 +1120,12 @@ class _Emulator:
                         if local < pf:
                             local = pf
                             stored = pf
-                        port_free[a] = local + b[1]
-                        if check and local != b[0]:
-                            self._mismatch(proc, pc, op, b[0], local)
+                        port_free[a] = local + b
+                        if check and local != dates[pc]:
+                            self._mismatch(proc, pc, op, dates[pc], local)
                         pc += 1
                         continue
-                    raise ReplayError(f"unknown compiled op {op}")
+                    raise ReplayError(f"unknown op code {op}")
                 proc.pc = pc
                 proc.phase = phase
                 proc.stored = stored
@@ -1238,21 +1162,22 @@ class _Emulator:
                 if self._pump(now):
                     continue
                 for m in methods:
-                    if m.pc < m.length and m.records[m.pc][0] <= now:
-                        due, construct, fifo_index, outcome, _date = (
-                            m.records[m.pc]
+                    if m.pc < m.length and m.dates[m.pc] <= now:
+                        _op, fifo_index, (construct, outcome, _), _pre = (
+                            m.program[m.pc]
                         )
                         self._invalid(
                             m.name, fifos[fifo_index].name, construct,
                             f"pinned record (outcome {outcome}) could not "
-                            f"be applied at its recorded date {due} fs",
+                            f"be applied at its recorded date "
+                            f"{m.dates[m.pc]} fs",
                         )
             # -- timed phase: advance to the next pending date -----------
             time_fs = heap[0][0] if heap else -1
             if have_methods:
                 for m in methods:
                     if m.pc < m.length:
-                        due = m.records[m.pc][0]
+                        due = m.dates[m.pc]
                         if time_fs < 0 or due < time_fs:
                             time_fs = due
             if time_fs < 0:
@@ -1333,36 +1258,38 @@ class _Emulator:
         while progress:
             progress = False
             for m in self.methods:
-                records = m.records
                 while m.pc < m.length:
-                    record = records[m.pc]
-                    due = record[0]
+                    due = m.dates[m.pc]
                     if due > now:
                         break
+                    _op, fifo_index, b, _pre = m.program[m.pc]
                     if due < now:
                         # Defensive: the timed phase never advances past a
                         # pending due date, and the quiescence check fires
                         # first; an earlier due here means corrupt state.
                         self._invalid(
-                            m.name, self.fifos[record[2]].name, record[1],
+                            m.name, self.fifos[fifo_index].name, b[0],
                             f"pinned record for kernel date {due} fs "
                             f"outlived its date (now {now} fs)",
                         )
-                    if not self._apply_pinned(record):
+                    if not self._apply_pinned(fifo_index, b, due):
                         break
                     m.pc += 1
                     progress = True
                     fired = True
         return fired
 
-    def _apply_pinned(self, record: tuple) -> bool:
+    def _apply_pinned(self, fifo_index: int, b: tuple, due: int) -> bool:
         """Verify one pinned method record and apply its effect.
 
-        Returns False to defer (not this record's interleaving point yet,
-        or the retargeted state cannot reproduce it — the quiescence check
-        turns a permanent deferral into :class:`ReplayInvalid`).
+        ``b`` is the record's ``(construct, outcome, offset)`` and ``due``
+        its kernel date.  Returns False to defer (not this record's
+        interleaving point yet, or the retargeted state cannot reproduce
+        it — the quiescence check turns a permanent deferral into
+        :class:`ReplayInvalid`).
         """
-        _due, construct, fifo_index, outcome, date_fs = record
+        construct, outcome, offset = b
+        date_fs = due + offset
         f = self.fifos[fifo_index]
         if construct >= BR_REG_NB_WRITE:
             occ = f.occupancy
@@ -1450,9 +1377,9 @@ class _Emulator:
         spool = self.engine.spool
         for m in self.methods:
             if m.pc < m.length:
-                record = m.records[m.pc]
+                _op, fifo_index, b, _pre = m.program[m.pc]
                 self._invalid(
-                    m.name, self.fifos[record[2]].name, record[1],
+                    m.name, self.fifos[fifo_index].name, b[0],
                     f"{m.length - m.pc} pinned records never became "
                     f"applicable",
                 )

@@ -125,7 +125,7 @@ def test_quantum_retarget_matches_fresh_simulation(
 # Conditional workloads: branch-outcome replay inside the validity envelope
 # ---------------------------------------------------------------------------
 #: Workloads whose control flow inspects FIFO occupancy (probes, monitors,
-#: non-blocking accesses): their recordings carry DEP_BRANCH records and a
+#: non-blocking accesses): their recordings carry OP_BRANCH ops and a
 #: retarget is only honoured inside the recording's validity envelope.
 CONDITIONAL_WORKLOADS = (
     ("random_traffic", {"item_count": 14, "monitor_samples": 3}),

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.kernel import Event, ProcessError, Simulator, Timeout, ns
+from repro.kernel import (
+    Event, ProcessError, SchedulingError, Simulator, Timeout, ns,
+)
 from repro.kernel.simtime import TimeUnit
 
 
@@ -96,6 +98,28 @@ class TestRunUntil:
     def test_run_until_with_no_events_advances_time(self, sim):
         sim.run(until=25)
         assert now_ns(sim) == 25.0
+
+    def test_run_until_an_earlier_date_is_refused(self, sim, host):
+        seen = []
+
+        def proc():
+            while True:
+                yield host.wait(30)
+                seen.append(now_ns(sim))
+
+        host.add(proc)
+        sim.run(until=100)
+        assert now_ns(sim) == 100.0
+        with pytest.raises(
+            SchedulingError, match=r"cannot run until 50 ns: .* at 100 ns"
+        ):
+            sim.run(until=50)
+        assert now_ns(sim) == 100.0
+        assert seen == [30.0, 60.0, 90.0]
+        sim.run(until=100)
+        assert now_ns(sim) == 100.0
+        sim.run(until=130)
+        assert seen == [30.0, 60.0, 90.0, 120.0]
 
     def test_stop_request(self, sim, host):
         seen = []

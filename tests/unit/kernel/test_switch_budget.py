@@ -64,11 +64,11 @@ def _soc_sync_per_access(sim):
     "label, build, budget",
     [
         pytest.param(
-            "Fig. 5 TDFULL word path, depth 1", _fig5(PipelineModel.TDFULL), 9,
+            "Fig. 5 TDFULL word path, depth 1", _fig5(PipelineModel.TDFULL), 7.5,
             id="fig5_tdfull_word_d1",
         ),
         pytest.param(
-            "Fig. 5 TDLESS, depth 1", _fig5(PipelineModel.TDLESS), 6,
+            "Fig. 5 TDLESS, depth 1", _fig5(PipelineModel.TDLESS), 5.25,
             id="fig5_tdless_d1",
         ),
         pytest.param(
@@ -102,7 +102,7 @@ def test_python_calls_per_context_switch(label, build, budget):
         ),
         pytest.param(
             "Fig. 5 TDFULL burst, depth 1",
-            _fig5(PipelineModel.TDFULL, depth=1, burst=True), 45,
+            _fig5(PipelineModel.TDFULL, depth=1, burst=True), 37.5,
             id="fig5_tdfull_burst_d1",
         ),
     ],

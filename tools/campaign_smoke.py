@@ -15,7 +15,8 @@ scale-out invariant:
 5. a record-and-replay sweep through ``auto_replay``: one recorded
    anchor simulation, two replayed depth points, one of them
    cross-validated against a fresh simulation (must match bit for bit;
-   counted from the ``replay.validate`` telemetry spans);
+   counted from the ``replay.validate`` telemetry spans); the sweep's
+   fingerprint must equal a pinned constant;
 6. an auto-routed conditional sweep: a branch-recording workload
    (random traffic) swept over depths through ``--auto-replay`` —
    the anchor simulates, every in-envelope point replays, and the
@@ -94,6 +95,15 @@ PR3_SMOKE_FINGERPRINT = (
 #: was simulated or replayed — this constant pins that property.
 PR9_AUTO_REPLAY_FINGERPRINT = (
     "47846c9c8ed552bc7389aa14cfbd8cc40aca02db7fca388e013d611c7bfe0f80"
+)
+
+
+#: Fingerprint of the phase-5 streaming sweep (Fig. 5 pipeline, depth-4
+#: anchor replayed at depths 1 and 16, one point cross-validated).  It
+#: gates the recorded program format on the streaming path byte for byte,
+#: as the constant above does on random traffic.
+STREAMING_REPLAY_FINGERPRINT = (
+    "4dc3548afd0a68bfc5e79a2343b5ef78219ac3b4452385e789aef453c2ec1a98"
 )
 
 
@@ -248,9 +258,18 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    print(f"[smoke] replay sweep fingerprint: {sweep.fingerprint()}")
+    if sweep.fingerprint() != STREAMING_REPLAY_FINGERPRINT:
+        print(
+            "FAIL: streaming replay sweep fingerprint drifted from the "
+            f"recorded one ({STREAMING_REPLAY_FINGERPRINT})",
+            file=sys.stderr,
+        )
+        return 1
     print(
         f"[smoke] OK: {replayed} replayed points, "
-        f"{len(validated)} cross-validated against a fresh simulation"
+        f"{len(validated)} cross-validated against a fresh simulation, "
+        "fingerprint matches the recorded value"
     )
 
     print("[smoke] auto-routed conditional sweep (--auto-replay)...")
