@@ -12,7 +12,9 @@ code::
     python -m repro.analysis.cli campaign --workers 4
 
 Every subcommand prints the corresponding ASCII table; ``--csv`` also dumps
-the raw rows for external plotting.
+the raw rows for external plotting.  Importing this module loads the
+simulation layers and the table code; the replay engine loads in the
+handlers that can replay (``fig5 --replay`` and ``campaign``).
 
 The ``campaign`` subcommand runs the declarative scenario campaign of
 :mod:`repro.campaign`: every spec once (sharded over ``--workers``
@@ -71,7 +73,6 @@ from ..campaign import (
     sweep_point_specs,
 )
 from ..campaign.evaluators import unbuildable_points
-from ..replay import ReplayError
 from ..kernel.tracing import SINK_KINDS
 from ..soc import SocConfig
 from ..telemetry import render_report
@@ -418,6 +419,8 @@ def run_fig2(args: argparse.Namespace) -> str:
 
 def run_fig5(args: argparse.Namespace):
     if args.replay:
+        from ..replay import ReplayError  # loads the replay engine
+
         try:
             result = experiments.fig5_replay_sweep(
                 depths=args.depths,
@@ -547,6 +550,9 @@ def run_campaign(args: argparse.Namespace) -> str:
         if args.csv:
             write_csv(result.run_rows(), args.csv)
         return _campaign_output(result)
+    # A merge never replays; from here on, a sweep or a run may.
+    from ..replay import ReplayError  # loads the replay engine
+
     if args.replay_sweep:
         args.specs, args.auto_replay, args.no_paired = (
             args.replay_sweep, True, True

@@ -27,6 +27,12 @@ campaign-scale engine:
   (``--auto-replay``, its ``--replay-sweep SPEC`` shorthand and
   ``fig5 --replay``).
 
+Importing the package loads the simulation layers only.  Each heavier
+layer loads where a run first uses it: the replay engine with the first
+routed sweep group, :mod:`multiprocessing` with the first pooled or
+budgeted run, OpenSSL (:mod:`hashlib`) with the first trace digest or
+``fingerprint()``, and the trace differ with the first mismatching pair.
+
 The aggregated result is **byte-identical for any worker count** — the
 deterministic rows carry simulated dates, kernel counters and trace digests
 only — so ``CampaignResult.fingerprint()`` is a stable handle for

@@ -20,6 +20,9 @@ replays, fresh-simulation cross-validation of a sampled subset.  Its one
 caller is the campaign runner's ``auto_replay`` pass, the route of every
 sweep (``campaign --auto-replay``, its ``--replay-sweep SPEC`` shorthand
 and ``fig5 --replay``), which simulates the points the router refuses.
+
+The replay engine and its errors load in the functions that use them, so
+importing :mod:`repro.campaign` does not compile the engine.
 """
 
 from __future__ import annotations
@@ -29,25 +32,25 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Deque, List, Optional, Sequence, Tuple,
+)
 
 from ..kernel.errors import SimulationError
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import (
+    EMPTY_TRACE_DIGEST,
     DependencyRecorder,
     DependencySpool,
     make_sink,
-    trace_lines_digest,
 )
-from ..replay import ReplayEngine, ReplayError, ReplayInvalid, ReplayResult
 from ..telemetry import NULL_TELEMETRY
 from .runner import DEFAULT_TRACE_SINK, SpecRunRecord, _record_from
 from .scenarios import build_scenario
 from .spec import ScenarioSpec
 
-#: Digest of a trace with no lines — replay runs no trace statements, so
-#: its rows carry the digest a ``null``-sink simulation would report.
-EMPTY_TRACE_DIGEST = trace_lines_digest([])
+if TYPE_CHECKING:
+    from ..replay import ReplayError, ReplayResult
 
 #: Femtoseconds per nanosecond (spec quanta are in ns, spools in fs).
 _FS_PER_NS = 1_000_000
@@ -133,6 +136,9 @@ class ReplayEvaluator:
         spool: Optional[DependencySpool] = None,
         trace_sink: str = DEFAULT_TRACE_SINK,
     ):
+        # The engine loads with the first evaluator, not with the campaign.
+        from ..replay import ReplayEngine
+
         self.anchor = anchor
         if spool is None:
             spool, self.anchor_record = record_spool(anchor, trace_sink)
@@ -142,6 +148,8 @@ class ReplayEvaluator:
         self.engine.self_check()
 
     def _check_point(self, spec: ScenarioSpec) -> None:
+        from ..replay import ReplayError  # loaded with the engine already
+
         anchor = self.anchor
         fixed = ("workload", "mode", "seed", "timing", "burst")
         for key in fixed:
@@ -203,6 +211,8 @@ def sweep_point_specs(
     quantum would name two points alike and raises
     :class:`~repro.replay.ReplayError`.
     """
+    from ..replay import ReplayError  # sweep points exist to be replayed
+
     for kind, values in (("depths", depths), ("quanta", quanta_ns)):
         values = list(values)
         if len(set(values)) != len(values):
@@ -342,6 +352,8 @@ def _cross_validate(
 ) -> None:
     """Diff ``result`` against a fresh recorded run of ``point``; raise
     :class:`~repro.replay.ReplayError` on any difference."""
+    from ..replay import ReplayEngine, ReplayError  # route_group loaded them
+
     with telemetry.span("replay.validate", spec=point.name):
         fresh_spool, _ = record_spool(point, trace_sink)
         if fresh_spool.poison is not None:
@@ -387,6 +399,9 @@ def route_group(
     per-construct ``replay.refusals.*`` counters.  ``on_row`` is called
     with the anchor's name and each replayed point's as its row is ready.
     """
+    # The engine loads when a sweep group first routes, not at import.
+    from ..replay import ReplayError, ReplayInvalid
+
     try:
         with telemetry.span("replay.record", spec=anchor.name):
             evaluator = ReplayEvaluator(anchor, trace_sink=trace_sink)

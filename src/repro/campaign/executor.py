@@ -26,6 +26,11 @@ uses whenever its jobs leave the calling process:
   the timeout row and re-executes the spec, healing the file back to the
   uninterrupted fingerprint.
 
+Only :func:`run_with_budget` and the worker body load
+:mod:`multiprocessing`, threads, queues and :mod:`pickle`, so an inline
+campaign, which imports this module for :class:`RunBudget` and
+:class:`TimeoutRecord`, loads none of them.
+
 Determinism: *whether* a spec times out depends on the machine, so a
 budgeted campaign is only reproducible when the overrun is deterministic
 (the test suite seeds one with the ``slow_spin_ms`` knob of the bursty
@@ -36,17 +41,16 @@ byte-identical rows to an unbudgeted one.
 from __future__ import annotations
 
 import math
-import pickle
-import threading
 import time
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
-from queue import SimpleQueue
-from typing import Deque, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, Optional, Tuple
 
 from .spec import ScenarioSpec
+
+if TYPE_CHECKING:
+    from queue import SimpleQueue
 
 #: Scope values of a :class:`TimeoutRecord`.
 SCOPE_SPEC = "spec"
@@ -184,6 +188,11 @@ def _worker_main(conn, func, per_job: bool) -> None:
     ``per_job``, one per batch otherwise.  An exception is shipped back
     (stringified when it does not pickle) and ends the worker.
     """
+    # Worker-side only: an inline campaign never starts a thread or pickles.
+    import pickle
+    import threading
+    from queue import SimpleQueue
+
     inbox: SimpleQueue = SimpleQueue()
     threading.Thread(
         target=_read_batches, args=(conn, inbox), daemon=True
@@ -244,6 +253,9 @@ def run_with_budget(
     worker is reaped; a worker that dies without reporting raises
     :class:`RuntimeError` naming its job.
     """
+    # The pipe wait loads multiprocessing, which only a pooled run needs.
+    from multiprocessing.connection import wait as _connection_wait
+
     jobs = list(jobs)
     per_job = budget.active
     size = _batch_size(len(jobs), processes)

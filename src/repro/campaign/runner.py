@@ -72,16 +72,12 @@ and with it trace validation — entirely).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..analysis.reporting import dict_rows_table
-from ..analysis.trace_diff import compare_spools
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import SINK_KINDS, make_sink
 from ..telemetry import (
@@ -444,6 +440,9 @@ def diff_pair_streaming(spec: ScenarioSpec) -> PairRecord:
     without ever materializing either trace.  Deterministic, hence
     identical for any worker count.
     """
+    # Only a mismatching pair reaches the line-level differ.
+    from ..analysis.trace_diff import compare_spools
+
     ref_spec = spec.with_mode(MODE_REFERENCE)
     smart_spec = spec.with_mode(MODE_SMART)
     ref_sim, ref_built, ref_wall = _run_one(ref_spec, "spool")
@@ -1137,6 +1136,8 @@ class CampaignResult:
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical aggregate (the comparison handle)."""
+        import hashlib  # loads OpenSSL: only a fingerprinted campaign needs it
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     # ------------------------------------------------------------------
@@ -1167,6 +1168,8 @@ class CampaignResult:
         return rows
 
     def table(self) -> str:
+        from ..analysis.reporting import dict_rows_table  # tables are for humans
+
         columns = [
             "name", "workload", "mode", "depth", "seed", "context_switches",
             "trace_lines", "trace_digest", "wall_s",
@@ -1174,6 +1177,8 @@ class CampaignResult:
         return dict_rows_table(self.run_rows(), columns, title="Campaign runs")
 
     def pairs_table(self) -> str:
+        from ..analysis.reporting import dict_rows_table  # tables are for humans
+
         return dict_rows_table(
             self.pair_rows(),
             ["name", "equivalent", "trace_lines", "reference_digest",
@@ -1379,7 +1384,8 @@ class CampaignRunner:
         point).  Persisted to ``sink`` like worker results.
         """
         # Imported here: evaluators imports _record_from from this module,
-        # so a module-level import would be circular.
+        # so a module-level import would be circular.  The replay engine
+        # loads later still, in route_group, once a group has points.
         from .evaluators import replay_group_key, route_group
 
         telemetry = self._telemetry
@@ -1643,7 +1649,10 @@ class CampaignRunner:
             executor = _run_inline
             if self.workers > 1 or self.budget.active:
                 # Even at workers=1 a budget needs a worker process: a
-                # stuck inline simulation cannot be killed.
+                # stuck inline simulation cannot be killed.  Only this
+                # path loads multiprocessing.
+                import multiprocessing
+
                 executor = functools.partial(
                     run_with_budget,
                     budget=self.budget,

@@ -24,6 +24,9 @@ record in memory:
   files).  ``DigestSink.digest()`` is byte-identical to hashing the
   reordered, formatted lines of a :class:`ListSink` holding the same
   records, so campaign rows keep their historical ``trace_digest`` values.
+  :mod:`hashlib` (OpenSSL) loads with the first digest and
+  :mod:`tempfile` with the first spill, so a run that digests nothing
+  loads neither.
 * :class:`SpoolSink` — the same bounded-memory external spool, kept around
   after the run so consumers can stream the *reordered* lines back out:
   :func:`repro.analysis.trace_diff.compare_spools` merge-diffs two spools
@@ -43,9 +46,7 @@ messages already are — and dates to fit 20 decimal digits of femtoseconds
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import tempfile
 from array import array
 from dataclasses import dataclass
 from typing import Dict, IO, Iterable, Iterator, List, Optional, TextIO, Tuple
@@ -86,6 +87,8 @@ def trace_lines_digest(lines: Iterable[str]) -> str:
     Defined as the hash of ``"\\n".join(lines)``; :meth:`DigestSink.digest`
     computes the same value incrementally.
     """
+    import hashlib  # loads OpenSSL: only runs that digest a trace pay for it
+
     digest = hashlib.sha256()
     first = True
     for line in lines:
@@ -96,8 +99,11 @@ def trace_lines_digest(lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-#: Digest of a run that emitted no trace lines at all.
-EMPTY_TRACE_DIGEST = hashlib.sha256(b"").hexdigest()
+#: Digest of a run that emitted no trace lines at all: ``sha256(b"")``,
+#: spelled out so that importing the kernel hashes nothing.
+EMPTY_TRACE_DIGEST = (
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +332,8 @@ class _StreamingSortSink(TraceSink):
 
     def _spill(self) -> None:
         """Write the buffer out as one sorted run and empty it."""
+        import tempfile  # only a trace that outgrows the buffer spills
+
         self._buffer.sort()
         run = tempfile.TemporaryFile(mode="w+", prefix="trace_spool_")
         run.writelines(line + "\n" for line in self._buffer)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import time
 from typing import Dict, IO, Iterable, List, Optional, Sequence
 
@@ -222,6 +221,8 @@ class Telemetry:
     # Flushing / inspection
     # ------------------------------------------------------------------
     def _meta_line(self) -> Dict[str, object]:
+        import socket  # the hostname is read once per sideband file
+
         return {
             "kind": "meta",
             "schema": TELEMETRY_SCHEMA,

@@ -7,11 +7,13 @@ on (group keys, point specs, the validation sample, the replay row).
 """
 
 import copy
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.campaign import ScenarioSpec, sweep_point_specs
+from repro.kernel import tracing
 from repro.campaign.evaluators import (
     EMPTY_TRACE_DIGEST,
     ReplayEvaluator,
@@ -201,6 +203,22 @@ class TestEvaluatorHelpers:
             "all_terminated": True,
         }
         assert (row["name"], row["depth"]) == ("engine_stream_d1", 1)
+
+    def test_one_empty_trace_digest(self, engine):
+        """One literal, with nothing hashed at import: it is the SHA-256 of
+        no bytes, what an empty digest sink reports and what every
+        replayed row carries."""
+        result = engine.replay(
+            depths=engine.retarget_depths(STREAMING.depth, 1)
+        )
+        point = replace(STREAMING, name="engine_stream_d1", depth=1)
+        row = replay_record(point, result, wall=0.0).deterministic_row()
+        assert EMPTY_TRACE_DIGEST is tracing.EMPTY_TRACE_DIGEST
+        assert {
+            hashlib.sha256(b"").hexdigest(),
+            tracing.DigestSink().digest(),
+            row["trace_digest"],
+        } == {tracing.EMPTY_TRACE_DIGEST}
 
     @pytest.mark.parametrize("change, field", [
         ({"seed": 5}, "seed"),
