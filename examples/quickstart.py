@@ -19,7 +19,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.analysis import compare_collectors
+from repro.analysis.trace_diff import compare_collectors
 from repro.kernel import Simulator
 from repro.workloads import ExampleMode, WriterReaderExample
 

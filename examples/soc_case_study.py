@@ -20,7 +20,7 @@ Run with::
 import argparse
 import time
 
-from repro.analysis import format_gain
+from repro.analysis.reporting import format_gain
 from repro.kernel import Simulator
 from repro.soc import FifoPolicy, SocConfig, SocPlatform
 

@@ -18,7 +18,8 @@ Run with::
 
 import argparse
 
-from repro.analysis import experiments, text_plot
+from repro.analysis import experiments
+from repro.analysis.reporting import text_plot
 from repro.workloads import PipelineModel, StreamingConfig
 
 

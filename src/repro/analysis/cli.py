@@ -75,7 +75,7 @@ from ..campaign import (
 from ..campaign.evaluators import unbuildable_points
 from ..kernel.tracing import SINK_KINDS
 from ..soc import SocConfig
-from ..telemetry import render_report
+from ..telemetry.report import render_report
 from ..workloads import StreamingConfig
 from . import experiments
 from .reporting import dict_rows_table, write_csv

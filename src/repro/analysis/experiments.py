@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..campaign.evaluators import sweep_point_specs
-from ..campaign.runner import CampaignRunner, SpecRunRecord
+from ..campaign.rows import SpecRunRecord
+from ..campaign.runner import CampaignRunner
 from ..campaign.spec import MODE_REFERENCE, MODE_SMART, ScenarioSpec
 from ..kernel.simtime import SimTime, TimeUnit, ns
 from ..kernel.simulator import Simulator
@@ -239,7 +240,7 @@ class Fig5ReplayResult:
     delta cycles), which are the machine-independent Fig. 5 companions.
     """
 
-    #: Campaign rows (see :class:`~repro.campaign.runner.SpecRunRecord`)
+    #: Campaign rows (see :class:`~repro.campaign.rows.SpecRunRecord`)
     #: per mode.
     runs: Dict[str, List[SpecRunRecord]]
 

@@ -7,7 +7,6 @@ rows/series the paper reports.
 
 from __future__ import annotations
 
-import csv
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
@@ -51,6 +50,8 @@ def dict_rows_table(
 
 def write_csv(rows: Sequence[Mapping[str, object]], path: str) -> None:
     """Dump dict rows to a CSV file (columns from the first row)."""
+    import csv  # only a ``--csv`` run needs it, not every CLI start
+
     if not rows:
         with open(path, "w", newline="") as handle:
             handle.write("")

@@ -14,18 +14,21 @@ campaign-scale engine:
   (writer/reader, streaming, video, random traffic, bursty, arbiter
   contention, SoC case study) plus :func:`default_campaign`;
 * :mod:`repro.campaign.runner` — the :class:`CampaignRunner`, which runs
-  specs inline or on long-lived worker processes (each run owns a private
-  :class:`~repro.kernel.simulator.Simulator`), and the paired
-  reference/Smart equivalence campaign built on
-  :mod:`repro.analysis.trace_diff`;
+  specs inline or on long-lived worker processes, one job per spec and
+  mode, and recombines the reference and Smart records of each pairable
+  spec into the paired Section IV-A check;
+* :mod:`repro.campaign.evaluators` — how one spec is evaluated: simulated
+  in a private :class:`~repro.kernel.simulator.Simulator`
+  (:func:`execute_spec`), or priced by the record-and-replay router behind
+  the runner's ``auto_replay`` pass, the one route of every sweep
+  (``--auto-replay``, its ``--replay-sweep SPEC`` shorthand and
+  ``fig5 --replay``);
+* :mod:`repro.campaign.rows` — the deterministic run, pair and timeout
+  records, their JSONL format, ``--resume``, :func:`merge_jsonl` and the
+  aggregated :class:`CampaignResult`;
 * :mod:`repro.campaign.executor` — the process executor of long-lived,
   killable workers behind every multi-worker campaign, and the wall-clock
-  run budgets (``--spec-timeout`` / ``--campaign-budget``) with their
-  deterministic ``timeout`` rows;
-* :mod:`repro.campaign.evaluators` — the record-and-replay router
-  behind the runner's ``auto_replay`` pass, the one route of every sweep
-  (``--auto-replay``, its ``--replay-sweep SPEC`` shorthand and
-  ``fig5 --replay``).
+  run budgets (``--spec-timeout`` / ``--campaign-budget``).
 
 Importing the package loads the simulation layers only.  Each heavier
 layer loads where a run first uses it: the replay engine with the first
@@ -43,31 +46,25 @@ the ``equivalence_campaign`` / ``dense_sweep`` workloads of ``perfbench/``.
 """
 
 from .evaluators import (
+    DEFAULT_TRACE_SINK,
     ReplayEvaluator,
     ReplaySweepResult,
     compare_replay_to_spool,
+    execute_spec,
     record_spool,
     replay_group_key,
     sweep_point_specs,
 )
-from .executor import RunBudget, TimeoutRecord
-from .runner import (
-    DEFAULT_TRACE_SINK,
-    CampaignResumeError,
+from .executor import RunBudget
+from .rows import (
     CampaignResult,
-    CampaignRunner,
-    JsonlSink,
-    PairHalf,
+    CampaignResumeError,
     PairRecord,
     SpecRunRecord,
-    combine_pair,
-    diff_pair_streaming,
-    execute_half,
-    execute_spec,
-    load_resume_state,
+    TimeoutRecord,
     merge_jsonl,
-    parse_jsonl_rows,
 )
+from .runner import CampaignRunner, combine_pair, diff_pair_streaming
 from .scenarios import build_scenario, default_campaign
 from .spec import (
     MODE_REFERENCE,
@@ -87,7 +84,6 @@ __all__ = [
     "CampaignResumeError",
     "CampaignResult",
     "CampaignRunner",
-    "JsonlSink",
     "ReplayEvaluator",
     "ReplaySweepResult",
     "compare_replay_to_spool",
@@ -98,7 +94,6 @@ __all__ = [
     "TimeoutRecord",
     "MODE_REFERENCE",
     "MODE_SMART",
-    "PairHalf",
     "PairRecord",
     "ScenarioSpec",
     "SpecRunRecord",
@@ -109,11 +104,8 @@ __all__ = [
     "default_campaign",
     "describe_specs",
     "diff_pair_streaming",
-    "execute_half",
-    "load_resume_state",
     "execute_spec",
     "merge_jsonl",
-    "parse_jsonl_rows",
     "register_workload",
     "registered_workloads",
     "spec_is_pairable",

@@ -1,19 +1,24 @@
-"""Record once, replay many: the sweep router.
+"""How a campaign evaluates a spec: simulate it, or replay a recording.
 
-A campaign sweep evaluates the same workload at many (depth, quantum)
-points.  Every point could be a full scheduler run; the paper's
-observables, however, are completely determined by the *dependency
-structure* of the anchor run — each FIFO access's producer date and the
-local-time gaps between accesses — which Smart-FIFO temporal decoupling
-keeps invariant across depth and quantum.  This module exploits that:
+:func:`simulate` is the one place that builds, runs and verifies a spec
+in a fresh :class:`~repro.kernel.simulator.Simulator`; every campaign job
+(:func:`execute_spec`), every recorded anchor (:func:`record_spool`) and
+the line-level diff of a mismatching pair go through it.
+
+Replay is the sweep shortcut.  A campaign sweep evaluates the same
+workload at many (depth, quantum) points.  Every point could be a full
+scheduler run; the paper's observables, however, are completely
+determined by the *dependency structure* of the anchor run — each FIFO
+access's producer date and the local-time gaps between accesses — which
+Smart-FIFO temporal decoupling keeps invariant across depth and quantum.
 :class:`ReplayEvaluator` records the anchor point **once** with a
 :class:`~repro.kernel.tracing.DependencyRecorder`, self-checks the
 recording bit-for-bit against the anchor, then prices every other point
 by replaying the recorded programs on :class:`~repro.replay.ReplayEngine`
 — no scheduler, no generators, no scenario rebuild.
 
-Replayed points produce :class:`~repro.campaign.runner.SpecRunRecord`
-rows in the campaign's JSONL schema, tagged ``"evaluator": "replay"``
+Replayed points produce :class:`~repro.campaign.rows.SpecRunRecord` rows
+in the campaign's JSONL schema, tagged ``"evaluator": "replay"``
 (simulated rows omit the key, so pre-replay files are byte-identical).
 :func:`route_group` is the one routing loop — anchor simulation, N
 replays, fresh-simulation cross-validation of a sampled subset.  Its one
@@ -44,39 +49,146 @@ from ..kernel.tracing import (
     DependencySpool,
     make_sink,
 )
-from ..telemetry import NULL_TELEMETRY
-from .runner import DEFAULT_TRACE_SINK, SpecRunRecord, _record_from
+from ..telemetry import NULL_TELEMETRY, Telemetry
+from .rows import SpecRunRecord
 from .scenarios import build_scenario
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:
     from ..replay import ReplayError, ReplayResult
 
+#: Sink kind run by campaign workers unless overridden: digests stream out
+#: of the simulation without the trace ever being materialized.
+DEFAULT_TRACE_SINK = "digest"
+
 #: Femtoseconds per nanosecond (spec quanta are in ns, spools in fs).
 _FS_PER_NS = 1_000_000
 
 
-def record_spool(
-    spec: ScenarioSpec, trace_sink: str = DEFAULT_TRACE_SINK
-) -> Tuple[DependencySpool, SpecRunRecord]:
-    """Run ``spec`` once with a dependency recorder attached.
+def _collect_fifo_counters(sim: Simulator, telemetry: Telemetry) -> None:
+    """Fold the per-FIFO burst routing counts of a finished run into
+    telemetry counters.
 
-    Returns ``(spool, record)``: the finalized
-    :class:`~repro.kernel.tracing.DependencySpool` and the anchor's
-    :class:`~repro.campaign.runner.SpecRunRecord` — the same numbers
-    :func:`~repro.campaign.runner.execute_spec` would report (recording
-    only observes; it never changes scheduling).
+    Duck-typed on the Smart FIFO counter attributes, so reference FIFOs
+    (which have no span path) contribute nothing.  The span-vs-word split
+    is the hit rate of the batch-quantum fast path; ``span_words`` over
+    ``cell_mutations`` is how many words each ring mutation moved.
     """
-    sim = Simulator(f"record_{spec.label}", trace_sink=make_sink(trace_sink))
-    sim.dep_recorder = DependencyRecorder(sim)
+    span_writes = word_writes = span_reads = word_reads = 0
+    span_words = mutations = 0
+    for module in sim.walk_modules():
+        if not hasattr(module, "burst_span_writes"):
+            continue
+        span_writes += module.burst_span_writes
+        word_writes += module.burst_word_writes
+        span_reads += module.burst_span_reads
+        word_reads += module.burst_word_reads
+        cells = getattr(module, "_cells", None)
+        if cells is not None:
+            span_words += cells.span_words
+            mutations += cells.mutations
+    if span_writes or word_writes:
+        telemetry.counter("fifo.burst_span_writes", span_writes)
+        telemetry.counter("fifo.burst_word_writes", word_writes)
+    if span_reads or word_reads:
+        telemetry.counter("fifo.burst_span_reads", span_reads)
+        telemetry.counter("fifo.burst_word_reads", word_reads)
+    if span_words or mutations:
+        telemetry.counter("fifo.span_words", span_words)
+        telemetry.counter("fifo.cell_mutations", mutations)
+
+
+def simulate(
+    spec: ScenarioSpec,
+    trace_sink: str = DEFAULT_TRACE_SINK,
+    telemetry: Telemetry = NULL_TELEMETRY,
+    record_dependencies: bool = False,
+) -> Tuple[Simulator, SpecRunRecord]:
+    """Build, run and verify ``spec`` in a fresh simulator.
+
+    Returns the finished simulator, whose trace sink the caller closes,
+    and the spec's run record.  ``trace_sink`` names the
+    :mod:`repro.kernel.tracing` sink kind the simulation emits into
+    (``"digest"`` on the campaign happy path, so no trace record list ever
+    exists).  ``telemetry`` is handed to the simulator, so an enabled
+    sideband gets the kernel phase spans and — after the run — the
+    per-FIFO burst routing counters.  ``record_dependencies`` attaches a
+    :class:`~repro.kernel.tracing.DependencyRecorder` as
+    ``sim.dep_recorder``; recording only observes, so the record is the
+    same either way.
+    """
+    sim = Simulator(f"campaign_{spec.label}", trace_sink=make_sink(trace_sink))
+    sim.telemetry = telemetry
+    if record_dependencies:
+        sim.dep_recorder = DependencyRecorder(sim)
     built = build_scenario(sim, spec)
     start = time.perf_counter()
     built.scenario.run()
     wall = time.perf_counter() - start
     if built.verify is not None:
         built.verify()
+    if telemetry.enabled:
+        _collect_fifo_counters(sim, telemetry)
+    record = SpecRunRecord(
+        name=spec.name,
+        workload=spec.workload,
+        mode=spec.mode,
+        depth=spec.depth,
+        quantum_ns=spec.quantum_ns,
+        seed=spec.seed,
+        timing=spec.timing,
+        sim_end_fs=sim.now_fs,
+        context_switches=sim.stats.context_switches,
+        method_invocations=sim.stats.method_invocations,
+        delta_cycles=sim.stats.delta_cycles,
+        trace_lines=len(sim.trace),
+        trace_digest=sim.trace.digest(),
+        extra=built.extras() if built.extras is not None else {},
+        wall_seconds=wall,
+        worker_pid=os.getpid(),
+    )
+    return sim, record
+
+
+def execute_spec(
+    spec: ScenarioSpec,
+    trace_sink: str = DEFAULT_TRACE_SINK,
+    trace_out: Optional[str] = None,
+    telemetry: Telemetry = NULL_TELEMETRY,
+) -> SpecRunRecord:
+    """The body of one campaign job: simulate ``spec`` in its own mode.
+
+    A paired spec runs as two such jobs, one per mode
+    (``spec.with_mode(mode)``).  With ``trace_out`` the reordered trace is
+    written to ``trace_out/<spec>.<mode>.trace``, which needs a
+    spool-backed sink.
+    """
+    sim, record = simulate(spec, trace_sink, telemetry)
+    if trace_out is not None:
+        writer = getattr(sim.trace, "write_sorted", None)
+        if writer is None:
+            raise ValueError(
+                f"--trace-out needs a spool-backed sink, got {sim.trace.kind!r}"
+            )
+        os.makedirs(trace_out, exist_ok=True)
+        path = os.path.join(trace_out, f"{spec.name}.{spec.mode}.trace")
+        with open(path, "w") as stream:
+            writer(stream)
+    sim.trace.close()
+    return record
+
+
+def record_spool(
+    spec: ScenarioSpec, trace_sink: str = DEFAULT_TRACE_SINK
+) -> Tuple[DependencySpool, SpecRunRecord]:
+    """Simulate ``spec`` once with a dependency recorder attached.
+
+    Returns ``(spool, record)``: the finalized
+    :class:`~repro.kernel.tracing.DependencySpool` and the anchor's run
+    record — the same numbers :func:`execute_spec` reports.
+    """
+    sim, record = simulate(spec, trace_sink, record_dependencies=True)
     spool = sim.dep_recorder.finalize()
-    record = _record_from(spec, sim, built, wall)
     sim.trace.close()
     return spool, record
 

@@ -17,19 +17,16 @@ uses whenever its jobs leave the calling process:
   a private pipe, so killing the worker of an overrunning job never
   touches another worker's channel; a replacement takes over the killed
   worker's unstarted jobs.
-* :class:`TimeoutRecord` — the deterministic outcome of a killed job.
-  The row records the spec identity, the killed mode, the *configured*
-  limit and the scope (``"spec"`` or ``"campaign"``) — never the elapsed
-  wall time, which would break the byte-identical-aggregation guarantee.
-  Timeout rows are first-class JSONL citizens: ``merge_jsonl`` accepts a
-  timed-out spec in place of its run/pair rows, and ``--resume`` drops
-  the timeout row and re-executes the spec, healing the file back to the
-  uninterrupted fingerprint.
+
+A killed job is reported to the runner, which records it as a
+deterministic :class:`~repro.campaign.rows.TimeoutRecord` row: the spec
+identity, the killed mode, the *configured* limit and the scope
+(``"spec"`` or ``"campaign"``) — never the elapsed wall time.
 
 Only :func:`run_with_budget` and the worker body load
 :mod:`multiprocessing`, threads, queues and :mod:`pickle`, so an inline
-campaign, which imports this module for :class:`RunBudget` and
-:class:`TimeoutRecord`, loads none of them.
+campaign, which imports this module for :class:`RunBudget`, loads none
+of them.
 
 Determinism: *whether* a spec times out depends on the machine, so a
 budgeted campaign is only reproducible when the overrun is deterministic
@@ -47,15 +44,10 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Iterator, Optional, Tuple
 
-from .spec import ScenarioSpec
+from .rows import SCOPE_CAMPAIGN, SCOPE_SPEC
 
 if TYPE_CHECKING:
     from queue import SimpleQueue
-
-#: Scope values of a :class:`TimeoutRecord`.
-SCOPE_SPEC = "spec"
-SCOPE_CAMPAIGN = "campaign"
-SCOPES = (SCOPE_SPEC, SCOPE_CAMPAIGN)
 
 
 @dataclass(frozen=True)
@@ -86,66 +78,6 @@ class RunBudget:
     def active(self) -> bool:
         """True when at least one limit is set."""
         return self.spec_timeout_s is not None or self.campaign_budget_s is not None
-
-
-@dataclass
-class TimeoutRecord:
-    """Deterministic outcome of a job killed by a :class:`RunBudget`.
-
-    Carries the spec identity columns (so a resume can validate the row
-    against the campaign definition exactly like a run row), the mode of
-    the killed job, the scope of the limit that fired and the configured
-    limit itself.  Elapsed wall time is deliberately absent.
-    """
-
-    name: str
-    workload: str
-    mode: str
-    depth: int
-    quantum_ns: Optional[int]
-    seed: int
-    timing: Optional[str]
-    scope: str
-    limit_s: float
-
-    def deterministic_row(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "workload": self.workload,
-            "mode": self.mode,
-            "depth": self.depth,
-            "quantum_ns": self.quantum_ns,
-            "seed": self.seed,
-            "timing": self.timing,
-            "scope": self.scope,
-            "limit_s": self.limit_s,
-        }
-
-    @classmethod
-    def from_row(cls, row: Dict[str, object]) -> "TimeoutRecord":
-        """Rebuild a record from a persisted deterministic row."""
-        return cls(**{key: row[key] for key in (
-            "name", "workload", "mode", "depth", "quantum_ns", "seed",
-            "timing", "scope", "limit_s",
-        )})
-
-    @classmethod
-    def for_spec(
-        cls, spec: ScenarioSpec, mode: str, scope: str, limit_s: float
-    ) -> "TimeoutRecord":
-        if scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-        return cls(
-            name=spec.name,
-            workload=spec.workload,
-            mode=mode,
-            depth=spec.depth,
-            quantum_ns=spec.quantum_ns,
-            seed=spec.seed,
-            timing=spec.timing,
-            scope=scope,
-            limit_s=limit_s,
-        )
 
 
 # ---------------------------------------------------------------------------

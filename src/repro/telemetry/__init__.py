@@ -2,7 +2,8 @@
 
 See :mod:`repro.telemetry.core` for the event layer and sideband schema,
 :mod:`repro.telemetry.report` for the ``telemetry-report`` aggregation
-and :mod:`repro.telemetry.progress` for the ``--progress`` stderr ticker.
+(import it from there: a process that only simulates never loads it) and
+:mod:`repro.telemetry.progress` for the ``--progress`` stderr ticker.
 """
 
 from .core import (
@@ -16,7 +17,6 @@ from .core import (
     telemetry_files,
 )
 from .progress import ProgressTicker
-from .report import TelemetryAggregate, aggregate_telemetry, render_report
 
 __all__ = [
     "DEFAULT_BUFFER_LIMIT",
@@ -25,10 +25,7 @@ __all__ = [
     "NullTelemetry",
     "Telemetry",
     "ProgressTicker",
-    "TelemetryAggregate",
-    "aggregate_telemetry",
     "load_events",
     "merge_telemetry_files",
-    "render_report",
     "telemetry_files",
 ]

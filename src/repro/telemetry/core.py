@@ -2,7 +2,7 @@
 
 The campaign's deterministic JSONL rows must never contain wall-clock
 values or PIDs — that property is what makes shard files merge byte for
-byte (see :mod:`repro.campaign.runner`).  Everything wall-clock therefore
+byte (see :mod:`repro.campaign.rows`).  Everything wall-clock therefore
 lives *beside* the rows: a :class:`Telemetry` instance records
 monotonic-clock spans, scalar counters and gauges into a bounded
 in-memory buffer and flushes them as a JSONL *sideband* file that tooling

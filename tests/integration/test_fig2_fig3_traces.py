@@ -5,7 +5,7 @@ the three executions of the writer/reader example, plus the trace-level
 equivalence between the reference and the Smart FIFO executions.
 """
 
-from repro.analysis import compare_collectors, emission_order_changed
+from repro.analysis.trace_diff import compare_collectors, emission_order_changed
 from repro.analysis.experiments import fig2_fig3_example
 from repro.kernel import Simulator
 from repro.kernel.simtime import TimeUnit

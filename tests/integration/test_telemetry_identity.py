@@ -18,7 +18,8 @@ import pytest
 from repro.campaign import CampaignRunner, default_campaign
 from repro.campaign.runner import MERGED_TELEMETRY
 from repro.fifo.smart_fifo import MIN_SPAN_WORDS
-from repro.telemetry import aggregate_telemetry, load_events
+from repro.telemetry import load_events
+from repro.telemetry.report import aggregate_telemetry
 
 SPEC_NAMES = ["writer_reader_d1", "writer_reader_d4", "streaming_d2", "mixed_d3"]
 

@@ -8,7 +8,7 @@ accesses are part of the traces.
 
 import pytest
 
-from repro.analysis import compare_collectors
+from repro.analysis.trace_diff import compare_collectors
 from repro.kernel import Simulator
 from repro.kernel.simtime import TimeUnit
 from repro.workloads import (

@@ -2,16 +2,18 @@
 
 import os
 
-from repro.analysis import (
+from repro.analysis.reporting import (
     ascii_table,
-    compare_collectors,
-    compare_traces,
     dict_rows_table,
-    emission_order_changed,
     format_gain,
-    sorted_lines,
     text_plot,
     write_csv,
+)
+from repro.analysis.trace_diff import (
+    compare_collectors,
+    compare_traces,
+    emission_order_changed,
+    sorted_lines,
 )
 from repro.kernel import ListSink, TraceRecord
 from repro.kernel.simtime import ns

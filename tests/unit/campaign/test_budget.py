@@ -163,6 +163,42 @@ class TestSpecTimeout:
         assert not any(row["type"] == "timeout" for row in rows)
         assert merge_jsonl([path]).fingerprint() == uninterrupted_fingerprint
 
+    def test_a_recovered_half_that_times_out_on_resume_heals_next_time(
+        self, tmp_path, uninterrupted_fingerprint
+    ):
+        # The slow spec's run row survives but its pair row is lost, so a
+        # budgeted resume re-runs both halves and the half whose run row
+        # was recovered times out: the file then holds a run row and a
+        # timeout row for one job, which the next resume must accept.
+        path = str(tmp_path / "budget.jsonl")
+        CampaignRunner(workers=2).run(CAMPAIGN, jsonl=path)
+        lines = open(path).read().splitlines()
+        kept = [
+            line for line in lines
+            if not (json.loads(line)["type"] == "pair"
+                    and json.loads(line)["name"] == SLOW.name)
+        ]
+        assert len(kept) == len(lines) - 1
+        with open(path, "w") as handle:
+            handle.write("".join(line + "\n" for line in kept))
+        budgeted = CampaignRunner(
+            workers=2, budget=RunBudget(spec_timeout_s=SPEC_TIMEOUT)
+        ).run(CAMPAIGN, jsonl=path, resume=True)
+        assert not budgeted.complete
+        rows = [json.loads(line) for line in open(path)]
+        jobs = {(row["type"], row["name"], row["mode"])
+                for row in rows if row["type"] in ("run", "timeout")}
+        assert {("run", SLOW.name, SLOW.mode),
+                ("timeout", SLOW.name, SLOW.mode)} <= jobs
+        healed = CampaignRunner(workers=2).run(
+            CAMPAIGN, jsonl=path, resume=True
+        )
+        assert healed.complete
+        assert healed.fingerprint() == uninterrupted_fingerprint
+        rows = [json.loads(line) for line in open(path)]
+        assert not any(row["type"] == "timeout" for row in rows)
+        assert merge_jsonl([path]).fingerprint() == uninterrupted_fingerprint
+
     def test_generous_budget_leaves_the_fingerprint_unchanged(
         self, uninterrupted_fingerprint
     ):
@@ -272,7 +308,7 @@ class TestProcessExecutor:
         execute_job = runner._execute_job
 
         def dying(job):
-            if job[2].name == "slow":
+            if job[1].name == "slow":
                 os._exit(3)
             return execute_job(job)
 

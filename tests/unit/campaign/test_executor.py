@@ -14,14 +14,11 @@ import time
 import pytest
 
 from repro.campaign.executor import (
-    SCOPE_CAMPAIGN,
-    SCOPE_SPEC,
     RunBudget,
-    TimeoutRecord,
     _batch_size,
     run_with_budget,
 )
-from repro.campaign.spec import ScenarioSpec
+from repro.campaign.rows import SCOPE_CAMPAIGN, SCOPE_SPEC
 
 FORK = multiprocessing.get_context("fork")
 #: Far longer than any limit below: a job that sleeps this long is stuck.
@@ -189,23 +186,3 @@ class TestRunWithBudget:
         assert next(events)[0] == "result"
         events.close()
         assert no_children_left()
-
-
-class TestTimeoutRecord:
-    SPEC = ScenarioSpec("bursty_q", "bursty", depth=3, seed=7,
-                        quantum_ns=50, timing="quantum")
-
-    @pytest.mark.parametrize("scope", [SCOPE_SPEC, SCOPE_CAMPAIGN])
-    def test_row_round_trips_for_every_scope(self, scope):
-        record = TimeoutRecord.for_spec(self.SPEC, "smart", scope, 1.5)
-        row = record.deterministic_row()
-        assert TimeoutRecord.from_row(row) == record
-        assert row["scope"] == scope
-        assert (row["quantum_ns"], row["timing"]) == (50, "quantum")
-
-    def test_row_carries_the_configured_limit_not_elapsed_time(self):
-        row = TimeoutRecord.for_spec(
-            self.SPEC, "reference", SCOPE_SPEC, 2.0
-        ).deterministic_row()
-        assert row["limit_s"] == 2.0
-        assert not any("wall" in key or "elapsed" in key for key in row)

@@ -1,4 +1,4 @@
-"""Campaign JSONL rows: header, parser, sink, resume checks and merge rules.
+"""Campaign JSONL rows: records, header, reader, sink, resume and merge rules.
 
 ``test_runner.py`` and ``test_resume.py`` exercise these through whole
 campaigns; this module pins the individual rules one file edit at a
@@ -11,20 +11,25 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import cli
 from repro.campaign import (
     CampaignResult,
     CampaignResumeError,
     CampaignRunner,
+    PairRecord,
     ScenarioSpec,
     TimeoutRecord,
-    load_resume_state,
     merge_jsonl,
 )
-from repro.campaign.runner import (
+from repro.campaign.rows import (
+    SCOPE_CAMPAIGN,
+    SCOPE_SPEC,
+    CampaignRows,
     JsonlSink,
     SpecRunRecord,
     campaign_header_row,
-    parse_jsonl_rows,
+    load_resume_state,
+    read_jsonl,
 )
 
 CAMPAIGN = [
@@ -99,20 +104,37 @@ class TestHeaderRow:
         assert written == set(NAMES)
 
 
-class TestParseRows:
-    def test_blank_lines_are_skipped(self):
-        lines = ["", '{"type":"campaign"}', "   ", '{"type":"run"}', ""]
-        assert [kind for kind, _ in parse_jsonl_rows(lines)] == [
-            "campaign", "run",
-        ]
+class TestReadJsonl:
+    def test_blank_lines_are_skipped(self, tmp_path, full_rows):
+        path = tmp_path / "f.jsonl"
+        path.write_text("\n" + json.dumps(full_rows[0]) + "\n   \n"
+                        + json.dumps(full_rows[1]) + "\n\n")
+        rows = read_jsonl(str(path))
+        assert (len(rows.headers), len(rows.runs)) == (1, 1)
 
-    def test_invalid_json_names_its_line(self):
+    def test_invalid_json_names_its_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"type":"campaign","schema":1}\n{not json\n')
         with pytest.raises(ValueError, match="line 2 is not valid JSON"):
-            list(parse_jsonl_rows(['{"type":"campaign"}', "{not json"]))
+            read_jsonl(str(path))
 
-    def test_unknown_type_names_its_line(self):
+    def test_unknown_type_names_its_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"type":"rum"}\n')
         with pytest.raises(ValueError, match="line 1 has unknown type 'rum'"):
-            list(parse_jsonl_rows(['{"type":"rum"}']))
+            read_jsonl(str(path))
+
+    def test_only_a_torn_final_line_may_be_dropped(self, tmp_path, full_rows):
+        torn = [json.dumps(row) for row in full_rows[:3]] + ['{"type":"ru']
+        path = tmp_path / "f.jsonl"
+        path.write_text("\n".join(torn))
+        with pytest.raises(ValueError, match="line 4 is not valid JSON"):
+            read_jsonl(str(path))
+        healed = read_jsonl(str(path), drop_torn_tail=True)
+        assert len(healed.runs) + len(healed.pairs) == 2
+        path.write_text("\n".join(torn + [torn[1]]))
+        with pytest.raises(ValueError, match="line 4"):
+            read_jsonl(str(path), drop_torn_tail=True)
 
 
 class TestJsonlSink:
@@ -122,8 +144,10 @@ class TestJsonlSink:
 
     def test_rows_are_compact_sorted_json(self, full_rows):
         stream = io.StringIO()
-        sink = JsonlSink(stream, CAMPAIGN, workers=1, paired=True)
-        sink.run_completed(self.record(full_rows))
+        CampaignRows(headers=[campaign_header_row(CAMPAIGN, 1, True)]).write(
+            stream
+        )
+        JsonlSink(stream).run_completed(self.record(full_rows))
         header, run = stream.getvalue().splitlines()
         assert header == json.dumps(
             campaign_header_row(CAMPAIGN, 1, True),
@@ -132,31 +156,41 @@ class TestJsonlSink:
         assert json.loads(run)["type"] == "run"
         assert ", " not in run and ": " not in run
 
-    def test_replayed_rows_are_written_once_then_skipped(self, full_rows):
+    def test_recovered_rows_win_over_re_executed_ones(self, full_rows):
         stream = io.StringIO()
-        sink = JsonlSink(stream, CAMPAIGN, workers=1, paired=True)
         record = self.record(full_rows)
-        sink.replay([record], [])
-        sink.run_completed(record)
-        assert len(stream.getvalue().splitlines()) == 2
+        pair = PairRecord.from_row(rows_of(full_rows, "pair")[0])
+        sink = JsonlSink(
+            stream, CampaignRows(runs=[record], pairs=[pair])
+        )
+        sink.run_completed(replace(record, wall_seconds=9.0))
+        sink.pair_completed(replace(pair, wall_seconds=9.0))
+        assert stream.getvalue() == ""
+        assert (sink.runs, sink.pairs) == ([record], [pair])
 
     def test_timeout_rows_are_never_skipped(self):
         stream = io.StringIO()
-        sink = JsonlSink(stream, CAMPAIGN, workers=1, paired=True)
+        sink = JsonlSink(stream)
         record = TimeoutRecord.for_spec(CAMPAIGN[0], "smart", "spec", 1.0)
         sink.timeout_completed(record)
         sink.timeout_completed(record)
         assert [json.loads(line)["type"]
                 for line in stream.getvalue().splitlines()] == [
-            "campaign", "timeout", "timeout",
+            "timeout", "timeout",
         ]
+        assert sink.timeouts == [record, record]
 
-    def test_a_given_header_row_is_written_verbatim(self):
+    def test_without_a_stream_the_sink_only_collects(self, full_rows):
+        sink = JsonlSink(None)
+        sink.run_completed(self.record(full_rows))
+        assert len(sink.runs) == 1
+
+    def test_a_recovered_header_row_is_written_verbatim(self):
         stream = io.StringIO()
         header = {"type": "campaign", "schema": 1, "specs": ["x"],
                   "workers": 9, "paired": False, "shard": "0/2",
                   "shard_by": "cost"}
-        JsonlSink(stream, CAMPAIGN, 1, True, header_row=header)
+        CampaignRows(headers=[header]).write(stream)
         assert json.loads(stream.getvalue()) == header
 
 
@@ -204,9 +238,9 @@ class TestLoadResumeState:
         self, tmp_path, full_rows
     ):
         rows = full_rows[:1] + [timeout_row(CAMPAIGN[1])]
-        header, runs, pairs = self.resume(write_rows(tmp_path / "f.jsonl", rows))
-        assert header["specs"] == NAMES
-        assert (runs, pairs) == ([], [])
+        state = self.resume(write_rows(tmp_path / "f.jsonl", rows))
+        assert state.headers[0]["specs"] == NAMES
+        assert (state.runs, state.pairs, state.timeouts) == ([], [], [])
 
     def test_a_timeout_row_for_an_unknown_spec_is_rejected(
         self, tmp_path, full_rows
@@ -224,17 +258,32 @@ class TestLoadResumeState:
         with pytest.raises(CampaignResumeError, match="different spec"):
             self.resume(write_rows(tmp_path / "f.jsonl", rows))
 
+    def test_a_timeout_row_next_to_the_run_row_of_its_job_is_dropped(
+        self, tmp_path, full_rows
+    ):
+        # A resume that re-runs a recovered half which then times out
+        # writes this file itself; the next resume must heal it.
+        run = rows_of(full_rows, "run")[0]
+        spec = next(spec for spec in CAMPAIGN if spec.name == run["name"])
+        rows = full_rows + [timeout_row(spec, mode=run["mode"])]
+        path = write_rows(tmp_path / "f.jsonl", rows)
+        state = self.resume(path)
+        assert state.timeouts == []
+        assert len(state.runs) == len(rows_of(full_rows, "run"))
+        with pytest.raises(ValueError, match="contradictory"):
+            merge_jsonl([path])
+
     def test_a_shard_header_without_shard_by_reads_as_index(
         self, tmp_path, shard_rows
     ):
         rows = [dict(row) for row in shard_rows[0]]
         del rows[0]["shard_by"]
         shard_specs = CampaignRunner.shard_specs(CAMPAIGN, 0, 2)
-        header, runs, _ = self.resume(
+        state = self.resume(
             write_rows(tmp_path / "f.jsonl", rows), (0, 2), shard_specs
         )
-        assert "shard_by" not in header
-        assert {record.name for record in runs} == {
+        assert "shard_by" not in state.headers[0]
+        assert {record.name for record in state.runs} == {
             spec.name for spec in shard_specs
         }
 
@@ -276,6 +325,15 @@ class TestMergeRules:
         merged = merge_jsonl([write_rows(tmp_path / "f.jsonl", rows)])
         assert (len(merged.runs), merged.pairs) == (len(CAMPAIGN), [])
 
+    def test_concatenated_shard_files_merge(self, tmp_path, shard_rows):
+        joined = write_rows(tmp_path / "all.jsonl",
+                            shard_rows[0] + shard_rows[1])
+        separate = [write_rows(tmp_path / "s0.jsonl", shard_rows[0]),
+                    write_rows(tmp_path / "s1.jsonl", shard_rows[1])]
+        merged = merge_jsonl([joined])
+        assert len(merged.runs) == len(CAMPAIGN)
+        assert merged.fingerprint() == merge_jsonl(separate).fingerprint()
+
     def test_merged_workers_is_the_largest_header_value(
         self, tmp_path, shard_rows
     ):
@@ -283,6 +341,14 @@ class TestMergeRules:
         paths = [write_rows(tmp_path / "s0.jsonl", first),
                  write_rows(tmp_path / "s1.jsonl", shard_rows[1])]
         assert merge_jsonl(paths).workers == 4
+
+    def test_an_empty_path_list_is_rejected(self):
+        with pytest.raises(ValueError, match="no campaign JSONL file"):
+            merge_jsonl([])
+
+    def test_the_cli_refuses_an_empty_merge(self):
+        with pytest.raises(SystemExit, match="cannot merge campaign JSONL"):
+            cli.main(["campaign", "--merge-jsonl", ","])
 
     def test_merged_rows_carry_no_worker_pids(self, tmp_path, full_rows):
         merged = merge_jsonl([write_rows(tmp_path / "f.jsonl", full_rows)])
@@ -321,6 +387,20 @@ class TestCampaignResult:
             "of 1.5s (--resume re-runs it)",
         ]
 
+    def test_the_summary_lists_pair_mismatches_by_name(self, full_rows):
+        first, second = sorted(
+            (replace(PairRecord.from_row(row), equivalent=False,
+                     report=f"report of {row['name']}")
+             for row in rows_of(full_rows, "pair")[:2]),
+            key=lambda pair: pair.name,
+        )
+        result = self.result(full_rows)
+        result.pairs = [second, first]
+        assert result.summary().splitlines()[-4:] == [
+            f"PAIR MISMATCH {first.name}:", f"report of {first.name}",
+            f"PAIR MISMATCH {second.name}:", f"report of {second.name}",
+        ]
+
     def test_the_evaluator_column_appears_only_for_replayed_rows(
         self, full_rows
     ):
@@ -331,3 +411,23 @@ class TestCampaignResult:
         replayed = replace(record, evaluator="replay")
         round_trip = SpecRunRecord.from_row(replayed.deterministic_row())
         assert round_trip.evaluator == "replay"
+
+
+class TestTimeoutRecord:
+    SPEC = ScenarioSpec("bursty_q", "bursty", depth=3, seed=7,
+                        quantum_ns=50, timing="quantum")
+
+    @pytest.mark.parametrize("scope", [SCOPE_SPEC, SCOPE_CAMPAIGN])
+    def test_row_round_trips_for_every_scope(self, scope):
+        record = TimeoutRecord.for_spec(self.SPEC, "smart", scope, 1.5)
+        row = record.deterministic_row()
+        assert TimeoutRecord.from_row(row) == record
+        assert row["scope"] == scope
+        assert (row["quantum_ns"], row["timing"]) == (50, "quantum")
+
+    def test_row_carries_the_configured_limit_not_elapsed_time(self):
+        row = TimeoutRecord.for_spec(
+            self.SPEC, "reference", SCOPE_SPEC, 2.0
+        ).deterministic_row()
+        assert row["limit_s"] == 2.0
+        assert not any("wall" in key or "elapsed" in key for key in row)

@@ -12,9 +12,9 @@ from repro.campaign import (
     CampaignRunner,
     ScenarioSpec,
     default_campaign,
-    load_resume_state,
     merge_jsonl,
 )
+from repro.campaign.rows import load_resume_state
 
 CAMPAIGN = [
     ScenarioSpec("writer_reader_d2", "writer_reader", depth=2),
@@ -56,20 +56,20 @@ class TestResume:
         truncate_file(path, keep_lines=3)
         executed = []
 
-        import repro.campaign.runner as runner_module
-        original = runner_module._run_one
+        import repro.campaign.evaluators as evaluators
+        original = evaluators.simulate
 
-        def spying_run_one(spec, trace_sink="digest", *args, **kwargs):
+        def spying_simulate(spec, *args, **kwargs):
             executed.append((spec.name, spec.mode))
-            return original(spec, trace_sink, *args, **kwargs)
+            return original(spec, *args, **kwargs)
 
-        runner_module._run_one = spying_run_one
+        evaluators.simulate = spying_simulate
         try:
             resumed = CampaignRunner(workers=1).run(
                 CAMPAIGN, jsonl=str(path), resume=True
             )
         finally:
-            runner_module._run_one = original
+            evaluators.simulate = original
         assert resumed.fingerprint() == full.fingerprint()
         # The recovered spec must not have been re-simulated.
         assert ("writer_reader_d2", "reference") not in executed
@@ -220,10 +220,12 @@ class TestHeaderValidation:
 
     def test_load_resume_state_returns_rows(self, tmp_path):
         path, full = run_full(tmp_path)
-        header, runs, pairs = load_resume_state(str(path), CAMPAIGN, True, None)
-        assert header["specs"] == [spec.name for spec in CAMPAIGN]
-        assert {record.name for record in runs} == {spec.name for spec in CAMPAIGN}
-        assert len(pairs) == 3  # contention is not pairable
+        state = load_resume_state(str(path), CAMPAIGN, True, None)
+        assert state.headers[0]["specs"] == [spec.name for spec in CAMPAIGN]
+        assert {record.name for record in state.runs} == {
+            spec.name for spec in CAMPAIGN
+        }
+        assert len(state.pairs) == 3  # contention is not pairable
 
 
 class TestShardedResume:
@@ -245,20 +247,20 @@ class TestShardedResume:
         truncate_file(path, keep_lines=3)
         executed = []
 
-        import repro.campaign.runner as runner_module
-        original = runner_module._run_one
+        import repro.campaign.evaluators as evaluators
+        original = evaluators.simulate
 
-        def spying_run_one(spec, trace_sink="digest", *args, **kwargs):
+        def spying_simulate(spec, *args, **kwargs):
             executed.append((spec.name, spec.mode))
-            return original(spec, trace_sink, *args, **kwargs)
+            return original(spec, *args, **kwargs)
 
-        runner_module._run_one = spying_run_one
+        evaluators.simulate = spying_simulate
         try:
             resumed = self.shard_runner(0).run(
                 CAMPAIGN, jsonl=str(path), resume=True
             )
         finally:
-            runner_module._run_one = original
+            evaluators.simulate = original
         assert resumed.fingerprint() == full.fingerprint()
         done = {name for name, _ in executed}
         # Shard 0 of the round-robin partition is specs 0 and 2; the

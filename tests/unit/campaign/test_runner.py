@@ -177,42 +177,35 @@ class TestProgress:
 class TestSplitPairs:
     """The two halves of a pair are independent jobs, recombined exactly."""
 
-    def test_execute_half_matches_execute_spec(self):
-        from repro.campaign import execute_half
-
+    def test_the_run_row_is_the_half_in_the_specs_own_mode(self):
         spec = SMALL_CAMPAIGN[1]
-        for mode in ("reference", "smart"):
-            half = execute_half(spec, mode)
-            direct = execute_spec(spec.with_mode(mode))
-            assert half.record.deterministic_row() == direct.deterministic_row()
-            assert half.mode == mode
-            # Only the digest travels: no trace lines ride along anymore.
-            assert len(half.record.trace_digest) == 64
-            assert not hasattr(half, "sorted_lines")
+        (run,) = CampaignRunner(workers=1).run([spec]).runs
+        direct = execute_spec(spec.with_mode(spec.mode))
+        assert run.deterministic_row() == direct.deterministic_row()
+        # Only the digest travels: no trace lines ride along.
+        assert len(run.trace_digest) == 64
 
     def test_combine_pair_matches_the_campaign_pair(self):
-        from repro.campaign import combine_pair, execute_half
+        from repro.campaign import combine_pair
 
         spec = SMALL_CAMPAIGN[2]
-        ref = execute_half(spec, "reference")
-        smart = execute_half(spec, "smart")
+        ref = execute_spec(spec.with_mode("reference"))
+        smart = execute_spec(spec.with_mode("smart"))
         combined = combine_pair(ref, smart)
         (campaign_pair,) = CampaignRunner(workers=1).run([spec]).pairs
         assert combined.deterministic_row() == campaign_pair.deterministic_row()
         assert combined.equivalent
 
     def test_combine_pair_reports_mismatches(self):
-        from dataclasses import replace
-
-        from repro.campaign import combine_pair, execute_half
+        from repro.campaign import combine_pair
 
         spec = SMALL_CAMPAIGN[1]
-        ref = execute_half(spec, "reference")
-        smart = execute_half(spec, "smart")
-        smart.record = replace(
-            smart.record, trace_digest="0" * 64, trace_lines=smart.record.trace_lines - 1
+        ref = execute_spec(spec.with_mode("reference"))
+        smart = execute_spec(spec.with_mode("smart"))
+        smart = replace(
+            smart, trace_digest="0" * 64, trace_lines=smart.trace_lines - 1,
+            extra={"tampered": True},
         )
-        smart.extras = {"tampered": True}
         pair = combine_pair(ref, smart)
         assert not pair.equivalent
         assert not pair.extras_match
@@ -224,13 +217,12 @@ class TestSplitPairs:
 
         # An equivalent pair diffs empty through the spool path too, and
         # the digests match the digest-sink halves bit for bit.
-        from repro.campaign import execute_half
-
         spec = SMALL_CAMPAIGN[2]
         pair = diff_pair_streaming(spec)
         assert pair.equivalent
         assert pair.report == ""
-        assert pair.reference_digest == execute_half(spec, "reference").record.trace_digest
+        reference = execute_spec(spec.with_mode("reference"))
+        assert pair.reference_digest == reference.trace_digest
 
 
 class TestSharding:

@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from repro.telemetry import ProgressTicker, Telemetry, render_report
+from repro.telemetry import ProgressTicker, Telemetry
+from repro.telemetry.report import render_report
 from repro.telemetry.progress import _format_eta
 from repro.telemetry.report import SpanAgg, TelemetryAggregate
 

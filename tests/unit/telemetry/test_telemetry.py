@@ -21,12 +21,11 @@ from repro.telemetry import (
     NullTelemetry,
     ProgressTicker,
     Telemetry,
-    aggregate_telemetry,
     load_events,
     merge_telemetry_files,
-    render_report,
     telemetry_files,
 )
+from repro.telemetry.report import aggregate_telemetry, render_report
 
 from ..fifo.helpers import DecoupledReader, DecoupledWriter
 

@@ -2,9 +2,9 @@
 
 A process that only simulates (the paper's Fig. 5 sweep, the Section IV-C
 case study) needs the kernel, the FIFOs and the workloads.  The digests
-(OpenSSL), the process pool, the replay engine, the trace differ and the
-report tables each load at the call site that uses them, so such a process
-neither compiles nor maps them.  Each check runs in a fresh interpreter
+(OpenSSL), the process pool, the replay engine, the trace differ, the
+report tables and the telemetry report each load at the call site that
+uses them, so such a process neither compiles nor maps them.  Each check runs in a fresh interpreter
 started with ``-S`` and ``PYTHONPATH=src``, so the host's site hooks load
 nothing of their own, and reads ``sys.modules`` at the end: the set of
 loaded modules is deterministic, unlike the RSS or the time it costs.
@@ -27,6 +27,7 @@ SIMULATION_ONLY_ABSENT = (
     "repro.replay.engine",
     "repro.analysis.trace_diff",
     "repro.analysis.reporting",
+    "repro.telemetry.report",
 )
 
 
@@ -81,10 +82,11 @@ def test_an_inline_campaign_fingerprint_loads_hashlib_only():
     assert loaded == ["hashlib", "_hashlib"]
 
 
-def test_importing_the_cli_loads_no_replay_engine_openssl_or_pool():
+def test_importing_the_cli_loads_no_replay_engine_openssl_pool_or_differ():
     loaded = _loaded(
         "import repro.analysis.cli",
-        ("repro.replay.engine", "_hashlib", "multiprocessing", "socket"),
+        ("repro.replay.engine", "_hashlib", "multiprocessing", "socket",
+         "repro.analysis.trace_diff", "csv"),
     )
     assert loaded == []
 

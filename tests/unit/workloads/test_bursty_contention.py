@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import compare_collectors
+from repro.analysis.trace_diff import compare_collectors
 from repro.workloads import (
     ArbiterContentionScenario,
     BurstyConfig,
