@@ -59,6 +59,7 @@ ticker).  ``telemetry-report`` renders a collected sideband::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -672,7 +673,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     result = _COMMANDS[args.command](args)
     output, code = result if isinstance(result, tuple) else (result, 0)
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``... | head``).  Point stdout at devnull
+        # so the interpreter's flush at exit cannot raise again, and exit
+        # 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -57,7 +57,6 @@ from ..workloads.streaming import (
 )
 from ..workloads.video import VideoConfig, VideoPipeline
 from .spec import (
-    MODE_REFERENCE,
     MODE_SMART,
     BuiltScenario,
     ScenarioSpec,

@@ -19,7 +19,7 @@ Implementations:
 """
 
 from .arbiter import ReadArbiter, WriteArbiter
-from .cells import Cell, CellRing, CellView, NEVER
+from .cells import CellRing, NEVER
 from .interfaces import (
     FifoInterface,
     FifoMonitorInterface,
@@ -33,9 +33,7 @@ from .smart_fifo import SmartFifo
 from .sync_fifo import SyncFifo
 
 __all__ = [
-    "Cell",
     "CellRing",
-    "CellView",
     "FifoInterface",
     "FifoMonitorInterface",
     "FifoReadPort",

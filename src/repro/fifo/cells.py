@@ -6,28 +6,29 @@ and in addition to the data, we store both the last data insertion date and
 the last freeing date for each cell.  One index points to the first free
 cell and another to the first busy cell."*
 
-:class:`CellRing` implements exactly that structure plus the interpretation
-rules of the monitor interface (Section III-C), which need both dates to
-decide whether a cell is *really* busy at a given observation date.
+:class:`CellRing` holds exactly that state.  A cell's free/busy state is
+not stored a second time: the busy cells are the ``busy_count`` cells from
+the first busy index on, in ring order, and the others are free.
+:meth:`CellRing.real_size_at` states the interpretation rules of the
+monitor interface (Section III-C), which need both dates to decide whether
+a cell is *really* busy at a given observation date.
 
 Storage layout (hot-path note): the per-cell timestamps live in two
-preallocated ``array('q')`` buffers and the busy flags in a ``bytearray``,
-indexed by the cached head/tail positions — no per-cell Python object is
-touched on the push/pop path.  The ring moves words in bulk spans
-(:meth:`CellRing.push_span` / :meth:`CellRing.pop_span`); the per-word
-fill and free is the Smart FIFO's word path
-(``SmartFifo._do_write`` / ``_do_read``), which writes these buffers and
-the head/tail positions in place.  The object-style views (:meth:`cells`,
-:meth:`first_busy_cell`, ...) materialise lightweight :class:`CellView`
-proxies over that storage and are meant for the (low-rate) monitor
-interface and the tests; :class:`Cell` remains available as a standalone
-value type for direct experimentation with the Section III-C rules.
+preallocated ``array('q')`` buffers, indexed by the head/tail positions —
+no per-cell Python object is touched on the push/pop path.  The per-word
+fill and free is the Smart FIFO's word path (``SmartFifo._do_write`` /
+``_do_read``), which writes these buffers and the head/tail positions in
+place.  The burst path moves words in bulk spans (:meth:`CellRing.push_span`
+/ :meth:`CellRing.pop_span`), and every question about the dates of the
+cells at the head — the span guards, the packet guards, the non-blocking
+bursts — reads one slice of them (:meth:`CellRing.head_free_freeing_span`
+/ :meth:`CellRing.head_busy_insertion_span`).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterator, List, Optional
+from typing import Any, List
 
 from ..kernel.errors import FifoError
 
@@ -35,116 +36,13 @@ from ..kernel.errors import FifoError
 NEVER = -1
 
 
-def _really_busy(busy: int, insertion_fs: int, freeing_fs: int, date_fs: int) -> bool:
-    """The occupancy-interpretation rules of Section III-C.
-
-    * an internally **busy** cell is really busy if the insertion date is
-      in the past, or if the previous freeing date is in the future
-      (internally the cell has been freed and filled again since the
-      observation date, so at the observation date it still held the
-      previous item);
-    * an internally **free** cell is really busy if the freeing date is
-      in the future and the previous insertion date is in the past (the
-      item it held at the observation date had not yet left).
-    """
-    if busy:
-        return insertion_fs <= date_fs or freeing_fs > date_fs
-    return freeing_fs > date_fs and insertion_fs <= date_fs
-
-
-class Cell:
-    """One hardware FIFO slot with its timestamp history (value type)."""
-
-    __slots__ = ("data", "busy", "insertion_fs", "freeing_fs")
-
-    def __init__(
-        self,
-        data: Any = None,
-        busy: bool = False,
-        insertion_fs: int = NEVER,
-        freeing_fs: int = NEVER,
-    ):
-        self.data = data
-        self.busy = busy
-        #: Local date of the last data insertion into this cell (NEVER if none).
-        self.insertion_fs = insertion_fs
-        #: Local date of the last freeing (read) of this cell (NEVER if none).
-        self.freeing_fs = freeing_fs
-
-    def really_busy_at(self, date_fs: int) -> bool:
-        """Is this cell occupied in the *real* FIFO at ``date_fs``?"""
-        return _really_busy(self.busy, self.insertion_fs, self.freeing_fs, date_fs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Cell(data={self.data!r}, busy={self.busy}, "
-            f"insertion_fs={self.insertion_fs}, freeing_fs={self.freeing_fs})"
-        )
-
-
-class CellView:
-    """Live, read-only view of one slot of a :class:`CellRing`.
-
-    Unlike :class:`Cell` this proxies the ring's flat storage, so it keeps
-    reflecting later word-level pushes/pops of the same slot.  Span
-    transfers (:meth:`CellRing.push_span` / :meth:`CellRing.pop_span`)
-    rewrite many slots in one bulk copy; a view held across one would
-    silently show recycled-cell data, so every accessor raises
-    :class:`FifoError` once the ring's mutation counter has moved past the
-    value captured at view construction.
-    """
-
-    __slots__ = ("_ring", "_index", "_mark")
-
-    def __init__(self, ring: "CellRing", index: int):
-        self._ring = ring
-        self._index = index
-        self._mark = ring.mutations
-
-    def _check_fresh(self) -> None:
-        if self._ring.mutations != self._mark:
-            raise FifoError(
-                f"stale CellView of slot #{self._index}: the ring performed "
-                f"{self._ring.mutations - self._mark} span transfer(s) since "
-                "this view was taken — re-fetch the view instead of holding "
-                "it across push_span/pop_span"
-            )
-
-    @property
-    def data(self) -> Any:
-        self._check_fresh()
-        return self._ring._data[self._index]
-
-    @property
-    def busy(self) -> bool:
-        self._check_fresh()
-        return bool(self._ring._busy[self._index])
-
-    @property
-    def insertion_fs(self) -> int:
-        self._check_fresh()
-        return self._ring._insertion[self._index]
-
-    @property
-    def freeing_fs(self) -> int:
-        self._check_fresh()
-        return self._ring._freeing[self._index]
-
-    def really_busy_at(self, date_fs: int) -> bool:
-        self._check_fresh()
-        ring, index = self._ring, self._index
-        return _really_busy(
-            ring._busy[index],
-            ring._insertion[index],
-            ring._freeing[index],
-            date_fs,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CellView(#{self._index}, data={self.data!r}, busy={self.busy}, "
-            f"insertion_fs={self.insertion_fs}, freeing_fs={self.freeing_fs})"
-        )
+def _ring_slice(buffer: array, start: int, count: int) -> array:
+    """``count`` entries of ``buffer`` from ``start`` on in ring order,
+    wrapping round the buffer end: at most two slice copies."""
+    end = start + count
+    if end <= len(buffer):
+        return buffer[start:end]
+    return buffer[start:] + buffer[:end - len(buffer)]
 
 
 class CellRing:
@@ -156,7 +54,6 @@ class CellRing:
         "mutations",
         "span_words",
         "_data",
-        "_busy",
         "_insertion",
         "_freeing",
         "_first_free",
@@ -170,15 +67,14 @@ class CellRing:
         self.depth = depth
         #: Number of internally busy cells (not the real FIFO size).
         self.busy_count = 0
-        #: Monotonic counter bumped by every span transfer; CellViews use it
-        #: to detect that the slots under them were bulk-rewritten.
+        #: Span transfers (push_span + pop_span) performed — the
+        #: ``fifo.cell_mutations`` counter of the telemetry sideband.
         self.mutations = 0
         #: Words moved by span transfers (push_span + pop_span) — the
         #: numerator of the span-vs-word hit rate on the telemetry
         #: sideband (``total_written + total_read`` is the denominator).
         self.span_words = 0
         self._data: List[Any] = [None] * depth
-        self._busy = bytearray(depth)
         self._insertion = array("q", [NEVER]) * depth
         self._freeing = array("q", [NEVER]) * depth
         self._first_free = 0
@@ -201,16 +97,27 @@ class CellRing:
         """
         return self._insertion[self._first_busy]
 
-    def first_busy_cell(self) -> Optional[CellView]:
-        """The cell the next read will empty, or None when internally empty."""
-        if self.busy_count == 0:
-            return None
-        return CellView(self, self._first_busy)
+    def head_free_freeing_span(self, count: int) -> array:
+        """Freeing dates of the first ``count`` free cells in push order.
 
-    def cells(self) -> Iterator[CellView]:
-        """Iterate over all cells (monitor interface)."""
-        for index in range(self.depth):
-            yield CellView(self, index)
+        Callers must have checked ``count`` against the free cell count.
+        The returned ``array('q')`` is a fresh copy the caller may
+        overwrite in place: its ``max`` is the date at which room for
+        ``count`` words is really available, and the burst write path
+        turns it into the per-word insertion dates of the span.
+        """
+        return _ring_slice(self._freeing, self._first_free, count)
+
+    def head_busy_insertion_span(self, count: int) -> array:
+        """Insertion dates of the first ``count`` busy cells in pop order.
+
+        Symmetric twin of :meth:`head_free_freeing_span` (callers must
+        have checked ``count`` against :attr:`busy_count`): its ``max`` is
+        the date at which ``count`` words at the head are all externally
+        available, and the burst read path turns it into the per-word
+        freeing dates of the span.
+        """
+        return _ring_slice(self._insertion, self._first_busy, count)
 
     # ------------------------------------------------------------------
     # Mutations (span transfers of the burst path)
@@ -220,10 +127,10 @@ class CellRing:
 
         ``insertion_dates`` must be an ``array('q')`` of the same length as
         ``items``; entry *i* becomes the insertion date of the cell holding
-        ``items[i]``.  The caller is responsible for the date recurrence and
-        the worst-case-date guard (:meth:`head_free_ready_fs`) — this method
-        only moves storage: at most two wraparound slice assignments per
-        buffer instead of ``k`` word pushes.
+        ``items[i]``.  The caller is responsible for the dates (the span
+        schedule over :meth:`head_free_freeing_span`) — this method only
+        moves storage: at most two wraparound slice assignments per buffer
+        instead of ``k`` word pushes.
         """
         count = len(items)
         if count == 0:
@@ -240,12 +147,10 @@ class CellRing:
         first = min(count, depth - start)
         end = start + first
         self._data[start:end] = items[:first]
-        self._busy[start:end] = b"\x01" * first
         self._insertion[start:end] = insertion_dates[:first]
         rest = count - first
         if rest:
             self._data[0:rest] = items[first:]
-            self._busy[0:rest] = b"\x01" * rest
             self._insertion[0:rest] = insertion_dates[first:]
         self._first_free = (start + count) % depth
         self.busy_count += count
@@ -256,7 +161,8 @@ class CellRing:
         ``freeing_dates`` must be an ``array('q')`` of length ``count``;
         entry *i* becomes the freeing date of the *i*-th popped cell.
         Returns the popped data in pop order.  Symmetric storage-only twin
-        of :meth:`push_span` (guard: :meth:`head_busy_completion_fs`).
+        of :meth:`push_span` (dates: the span schedule over
+        :meth:`head_busy_insertion_span`).
         """
         if count == 0:
             return []
@@ -273,172 +179,51 @@ class CellRing:
         end = start + first
         data = self._data[start:end]
         self._data[start:end] = [None] * first
-        self._busy[start:end] = b"\x00" * first
         self._freeing[start:end] = freeing_dates[:first]
         rest = count - first
         if rest:
             data.extend(self._data[0:rest])
             self._data[0:rest] = [None] * rest
-            self._busy[0:rest] = b"\x00" * rest
             self._freeing[0:rest] = freeing_dates[first:]
         self._first_busy = (start + count) % depth
         self.busy_count -= count
         return data
 
-    def head_busy_insertion_span(self, count: int) -> array:
-        """Insertion dates of the first ``count`` busy cells in pop order.
-
-        At most two slice copies; callers must have checked ``count``
-        against :attr:`busy_count`.  The returned ``array('q')`` is a
-        fresh copy the caller may overwrite in place (the burst read path
-        turns it into the per-word freeing dates of the span).
-        """
-        insertion = self._insertion
-        start = self._first_busy
-        first = count if count <= self.depth - start else self.depth - start
-        dates = insertion[start:start + first]
-        if count > first:
-            dates.extend(insertion[:count - first])
-        return dates
-
-    def head_free_freeing_span(self, count: int) -> array:
-        """Freeing dates of the first ``count`` free cells in push order.
-
-        Symmetric twin of :meth:`head_busy_insertion_span` for the burst
-        write path (callers must have checked ``count`` against the free
-        cell count)."""
-        freeing = self._freeing
-        start = self._first_free
-        first = count if count <= self.depth - start else self.depth - start
-        dates = freeing[start:start + first]
-        if count > first:
-            dates.extend(freeing[:count - first])
-        return dates
-
-    def head_free_span(self, limit: int, date_fs: int) -> int:
-        """Number of leading free cells (push order, capped at ``limit``)
-        really freed by ``date_fs`` — the size of the span a non-blocking
-        burst write can move at that date."""
-        free = self.depth - self.busy_count
-        if limit > free:
-            limit = free
-        busy = self._busy
-        freeing = self._freeing
-        index = self._first_free
-        count = 0
-        while count < limit and not busy[index] and freeing[index] <= date_fs:
-            count += 1
-            index = (index + 1) % self.depth
-        return count
-
-    def head_busy_span(self, limit: int, date_fs: int) -> int:
-        """Number of leading busy cells (pop order, capped at ``limit``)
-        whose item is really present by ``date_fs`` — the size of the span
-        a non-blocking burst read can move at that date."""
-        if limit > self.busy_count:
-            limit = self.busy_count
-        busy = self._busy
-        insertion = self._insertion
-        index = self._first_busy
-        count = 0
-        while count < limit and busy[index] and insertion[index] <= date_fs:
-            count += 1
-            index = (index + 1) % self.depth
-        return count
-
     # ------------------------------------------------------------------
     # Monitor interpretation
     # ------------------------------------------------------------------
     def real_size_at(self, date_fs: int) -> int:
-        """Number of items the modelled hardware FIFO holds at ``date_fs``."""
-        busy = self._busy
-        insertion = self._insertion
-        freeing = self._freeing
-        count = 0
-        for index in range(self.depth):
-            if busy[index]:
-                if insertion[index] <= date_fs or freeing[index] > date_fs:
-                    count += 1
-            elif freeing[index] > date_fs and insertion[index] <= date_fs:
-                count += 1
-        return count
+        """Number of items the modelled hardware FIFO holds at ``date_fs``.
 
-    def count_busy_inserted_by(self, date_fs: int) -> int:
-        """Busy cells whose item is already present at ``date_fs``."""
-        busy = self._busy
-        insertion = self._insertion
-        count = 0
-        for index in range(self.depth):
-            if busy[index] and insertion[index] <= date_fs:
-                count += 1
-        return count
+        The occupancy-interpretation rules of Section III-C:
 
-    def head_busy_inserted_by(self, count: int, date_fs: int) -> bool:
-        """True when the first ``count`` busy cells *in pop order* all hold
-        items inserted by ``date_fs``.
-
-        This is the atomicity guard of packet-granularity reads: without
-        side ordering, :meth:`count_busy_inserted_by` can be satisfied by
-        non-head cells while a head cell still carries a future date, and a
-        word-by-word drain would raise after consuming part of the packet.
+        * an internally **busy** cell is really busy if the insertion date
+          is in the past, or if the previous freeing date is in the future
+          (internally the cell has been freed and filled again since the
+          observation date, so at the observation date it still held the
+          previous item);
+        * an internally **free** cell is really busy if the freeing date is
+          in the future and the previous insertion date is in the past (the
+          item it held at the observation date had not yet left).
         """
-        if count > self.busy_count:
-            return False
-        busy = self._busy
-        insertion = self._insertion
-        index = self._first_busy
-        for _ in range(count):
-            if not busy[index] or insertion[index] > date_fs:
-                return False
-            index = (index + 1) % self.depth
-        return True
-
-    def head_free_freed_by(self, count: int, date_fs: int) -> bool:
-        """True when the first ``count`` free cells *in push order* are all
-        really available (freed) by ``date_fs`` — the symmetric guard of
-        packet-granularity writes."""
-        if count > self.depth - self.busy_count:
-            return False
-        busy = self._busy
-        freeing = self._freeing
-        index = self._first_free
-        for _ in range(count):
-            if busy[index] or freeing[index] > date_fs:
-                return False
-            index = (index + 1) % self.depth
-        return True
-
-    def head_busy_completion_fs(self, count: int) -> int:
-        """Latest insertion date among the first ``count`` busy cells (pop
-        order), or ``NEVER`` when fewer than ``count`` cells are busy — the
-        date at which a ``count``-word packet at the head becomes fully
-        externally available."""
-        if count > self.busy_count:
-            return NEVER
-        insertion = self._insertion
-        index = self._first_busy
-        latest = NEVER
-        for _ in range(count):
-            if insertion[index] > latest:
-                latest = insertion[index]
-            index = (index + 1) % self.depth
-        return latest
-
-    def head_free_ready_fs(self, count: int) -> int:
-        """Latest freeing date among the first ``count`` free cells (push
-        order), or ``NEVER`` when fewer than ``count`` cells are free — the
-        date at which room for a ``count``-word packet at the head becomes
-        really available."""
-        if count > self.depth - self.busy_count:
-            return NEVER
-        freeing = self._freeing
-        index = self._first_free
-        latest = NEVER
-        for _ in range(count):
-            if freeing[index] > latest:
-                latest = freeing[index]
-            index = (index + 1) % self.depth
-        return latest
+        busy = self.busy_count
+        free = self.depth - busy
+        insertion, freeing = self._insertion, self._freeing
+        start, first_free = self._first_busy, self._first_free
+        count = 0
+        for insertion_fs, freeing_fs in zip(
+            _ring_slice(insertion, start, busy),
+            _ring_slice(freeing, start, busy),
+        ):
+            if insertion_fs <= date_fs or freeing_fs > date_fs:
+                count += 1
+        for insertion_fs, freeing_fs in zip(
+            _ring_slice(insertion, first_free, free),
+            _ring_slice(freeing, first_free, free),
+        ):
+            if freeing_fs > date_fs and insertion_fs <= date_fs:
+                count += 1
+        return count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

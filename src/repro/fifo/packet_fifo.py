@@ -140,24 +140,29 @@ class PacketSmartFifo(SmartFifo):
         """True when a full packet is externally available at the caller's date.
 
         "Available" means the *head* ``packet_size`` cells (pop order) all
-        hold words inserted by the caller's date, so a True guard promises
-        that :meth:`nb_read_packet` succeeds — also without side ordering,
-        where counting any ``packet_size`` available cells would overlook a
-        future-dated head cell and break the guard-then-act pattern.  (With
-        side ordering, insertion dates are monotone along the ring and the
-        head-first check coincides with the count.)
+        hold words inserted by the caller's date: one ``max`` over their
+        insertion dates
+        (:meth:`~repro.fifo.cells.CellRing.head_busy_insertion_span`).  A
+        True guard thus promises that :meth:`nb_read_packet` succeeds —
+        also without side ordering, where counting any ``packet_size``
+        available cells would overlook a future-dated head cell and break
+        the guard-then-act pattern.  (With side ordering, insertion dates
+        are monotone along the ring and the head-first check coincides
+        with the count.)
         """
         date_fs = self._caller_date_fs()
         cells = self._cells
         size = self.packet_size
-        if cells.head_busy_inserted_by(size, date_fs):
-            if self._dep is not None:
-                self._dep.branch(BR_PKT_AVAILABLE, self._dep_idx, 1, date_fs)
-            return True
-        # Re-arm the not_empty event at the date the head packet completes,
-        # if all of its words are already internally present.
-        completion_fs = cells.head_busy_completion_fs(size)
-        if completion_fs > date_fs:
+        if size <= cells.busy_count:
+            completion_fs = max(cells.head_busy_insertion_span(size))
+            if completion_fs <= date_fs:
+                if self._dep is not None:
+                    self._dep.branch(
+                        BR_PKT_AVAILABLE, self._dep_idx, 1, date_fs
+                    )
+                return True
+            # Re-arm the not_empty event at the date the head packet
+            # completes: all of its words are already internally present.
             self._notify_external(
                 self._not_empty_event, completion_fs, forced=True
             )
@@ -203,20 +208,22 @@ class PacketSmartFifo(SmartFifo):
         """True when a full packet can be written without blocking.
 
         Mirror of :meth:`packet_available`: the *head* ``packet_size`` free
-        cells (push order) must all be really freed at the caller's date,
-        so a True guard promises that :meth:`nb_write_packet` succeeds.
+        cells (push order) must all be really freed at the caller's date —
+        one ``max`` over their freeing dates
+        (:meth:`~repro.fifo.cells.CellRing.head_free_freeing_span`) — so a
+        True guard promises that :meth:`nb_write_packet` succeeds.
         """
         date_fs = self._caller_date_fs()
         cells = self._cells
         size = self.packet_size
-        if cells.head_free_freed_by(size, date_fs):
-            if self._dep is not None:
-                self._dep.branch(BR_PKT_SPACE, self._dep_idx, 1, date_fs)
-            return True
-        # Arm the not_full event at the date the head room really exists,
-        # when those frees were already performed internally.
-        ready_fs = cells.head_free_ready_fs(size)
-        if ready_fs > date_fs:
+        if size <= cells.depth - cells.busy_count:
+            ready_fs = max(cells.head_free_freeing_span(size))
+            if ready_fs <= date_fs:
+                if self._dep is not None:
+                    self._dep.branch(BR_PKT_SPACE, self._dep_idx, 1, date_fs)
+                return True
+            # Arm the not_full event at the date the head room really
+            # exists: those frees were already performed internally.
             self._notify_external(self._not_full_event, ready_fs, forced=True)
         if self._dep is not None:
             self._dep.branch(BR_PKT_SPACE, self._dep_idx, 0, date_fs)

@@ -33,7 +33,7 @@ decoupling; only the schedule and the number of delta cycles may change.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Any, List, Optional, Sequence, Union
 
 from ..kernel.errors import FifoError, TimingError
@@ -72,6 +72,50 @@ from .interfaces import FifoInterface
 #: that never blocks, where every span takes the cheap pure-gap branch,
 #: breaks even at 8 words.)
 MIN_SPAN_WORDS = 16
+
+
+def _span_schedule(cell_dates: array, local_fs: int, gap_fs: int,
+                   gaps: Optional[List[int]], start: int):
+    """Access dates of one bulk span and the caller's date after it.
+
+    ``cell_dates`` holds the dates of the span's cells in access order
+    (the freeing dates for a write, the insertion dates for a read): word
+    *i* cannot move before ``cell_dates[i]``.  The word path's dates obey
+    ``d_i = max(d_{i-1} + gap_{i-1}, cell_dates[i])``, the first word
+    starting from the caller's date ``local_fs``, with the gaps
+    ``gaps[start:]`` (or ``gap_fs`` after every word when ``gaps`` is
+    None).  When no cell is dated past ``local_fs`` the recurrence is the
+    pure gap schedule, built without a Python loop; otherwise it runs over
+    ``cell_dates`` in place.  Returns ``(dates, final_fs)``.
+    """
+    k = len(cell_dates)
+    if max(cell_dates) <= local_fs:
+        if gaps is None:
+            if gap_fs:
+                final_fs = local_fs + k * gap_fs
+                return array("q", range(local_fs, final_fs, gap_fs)), final_fs
+            return array("q", [local_fs]) * k, local_fs
+        dates = array(
+            "q", accumulate(gaps[start:start + k - 1], initial=local_fs)
+        )
+        return dates, dates[-1] + gaps[start + k - 1]
+    steps = repeat(gap_fs, k) if gaps is None else gaps[start:start + k]
+    prev = local_fs
+    for index, gap in enumerate(steps):
+        date_fs = cell_dates[index]
+        if date_fs < prev:
+            cell_dates[index] = date_fs = prev
+        prev = date_fs + gap
+    return cell_dates, prev
+
+
+def _leading_dated_by(dates: array, date_fs: int) -> int:
+    """Number of leading ``dates`` at or before ``date_fs`` — the words a
+    non-blocking burst can move at that date."""
+    for count, cell_fs in enumerate(dates):
+        if cell_fs > date_fs:
+            return count
+    return len(dates)
 
 
 class SmartFifo(Module, FifoInterface):
@@ -433,7 +477,6 @@ class SmartFifo(Module, FifoInterface):
         if self._enforce_side_ordering and local_fs < self._last_write_fs:
             self._ordering_error("write", local_fs)
         cells._data[index] = data
-        cells._busy[index] = 1
         cells._insertion[index] = local_fs
         index += 1
         if index == depth:
@@ -480,22 +523,6 @@ class SmartFifo(Module, FifoInterface):
         if any(gap < 0 for gap in gaps):
             raise FifoError(f"{side}_burst gaps must be >= 0")
         return 0, gaps
-
-    @staticmethod
-    def _span_dates(local_fs: int, count: int, gap_fs: int,
-                    gaps: Optional[List[int]], start: int) -> array:
-        """Access dates of one fast-path span: the pure gap schedule from
-        ``local_fs`` (the word-mode recurrence collapses to it once the
-        span's worst-case cell date is known to be <= ``local_fs``)."""
-        if gaps is None:
-            if gap_fs:
-                return array(
-                    "q", range(local_fs, local_fs + count * gap_fs, gap_fs)
-                )
-            return array("q", [local_fs]) * count
-        return array(
-            "q", accumulate(gaps[start:start + count - 1], initial=local_fs)
-        )
 
     def _notify_after_span_write(self, was_internally_empty: bool,
                                  first_date_fs: int) -> None:
@@ -603,11 +630,10 @@ class SmartFifo(Module, FifoInterface):
 
         :meth:`write_burst` calls it for a span of at least
         :data:`MIN_SPAN_WORDS` words that fits the free cells, with no
-        external ``not_full`` observer.  The dates are either the pure gap
-        schedule, when every target cell is already free at the caller's
-        date (one worst-case guard instead of k), or the exact word
-        recurrence ``d_i = max(d_{i-1} + gap_{i-1}, freeing_i)`` run over
-        the head freeing dates.
+        external ``not_full`` observer.  The dates are the span schedule
+        (:func:`_span_schedule`) over the freeing dates of the target
+        cells: the pure gap schedule when every target cell is already
+        free at the caller's date, the word recurrence otherwise.
         """
         cells = self._cells
         now_fs = self._scheduler.now_fs
@@ -615,29 +641,9 @@ class SmartFifo(Module, FifoInterface):
         if local_fs < now_fs:
             local_fs = now_fs
         self.burst_span_writes += 1
-        if cells.head_free_ready_fs(k) <= local_fs:
-            dates = self._span_dates(local_fs, k, gap_fs, gaps, start)
-            final_fs = dates[-1] + (
-                gap_fs if gaps is None else gaps[start + k - 1]
-            )
-        else:
-            dates = cells.head_free_freeing_span(k)
-            prev = local_fs
-            if gaps is None:
-                for index in range(k):
-                    date_fs = dates[index]
-                    if date_fs < prev:
-                        date_fs = prev
-                        dates[index] = prev
-                    prev = date_fs + gap_fs
-            else:
-                for index in range(k):
-                    date_fs = dates[index]
-                    if date_fs < prev:
-                        date_fs = prev
-                        dates[index] = prev
-                    prev = date_fs + gaps[start + index]
-            final_fs = prev
+        dates, final_fs = _span_schedule(
+            cells.head_free_freeing_span(k), local_fs, gap_fs, gaps, start
+        )
         if self._enforce_side_ordering and dates[0] < self._last_write_fs:
             # Dates are monotone, so only the span's first word can trip
             # the ordering check — exactly like the word loop would.
@@ -675,7 +681,10 @@ class SmartFifo(Module, FifoInterface):
             local_fs = process.local_fs
             if local_fs < now_fs:
                 local_fs = now_fs
-        k = cells.head_free_span(n, local_fs)
+        free = cells.depth - cells.busy_count
+        k = _leading_dated_by(
+            cells.head_free_freeing_span(n if n < free else free), local_fs
+        )
         if self._dep is not None:
             # The record stream of the repeated-nb_write loop: one accepted
             # branch per stored word (all at the caller's date — the span
@@ -845,7 +854,6 @@ class SmartFifo(Module, FifoInterface):
             self._ordering_error("read", local_fs)
         data = cells._data[index]
         cells._data[index] = None
-        cells._busy[index] = 0
         cells._freeing[index] = local_fs
         index += 1
         if index == depth:
@@ -955,11 +963,9 @@ class SmartFifo(Module, FifoInterface):
         """Drain the next ``k`` words into ``words`` as one bulk span.
 
         Symmetric twin of :meth:`_write_span`, called by
-        :meth:`read_burst` under the same conditions: pure gap schedule
-        when the span's worst-case insertion date has passed, otherwise
-        the exact word recurrence ``d_i = max(d_{i-1} + gap_{i-1},
-        insertion_i)`` over the head insertion dates — one ``pop_span``
-        either way."""
+        :meth:`read_burst` under the same conditions: the span schedule
+        (:func:`_span_schedule`) over the insertion dates of the head
+        cells, then one ``pop_span``."""
         cells = self._cells
         taken = len(words)
         now_fs = self._scheduler.now_fs
@@ -967,29 +973,9 @@ class SmartFifo(Module, FifoInterface):
         if local_fs < now_fs:
             local_fs = now_fs
         self.burst_span_reads += 1
-        if cells.head_busy_completion_fs(k) <= local_fs:
-            dates = self._span_dates(local_fs, k, gap_fs, gaps, taken)
-            final_fs = dates[-1] + (
-                gap_fs if gaps is None else gaps[taken + k - 1]
-            )
-        else:
-            dates = cells.head_busy_insertion_span(k)
-            prev = local_fs
-            if gaps is None:
-                for index in range(k):
-                    date_fs = dates[index]
-                    if date_fs < prev:
-                        date_fs = prev
-                        dates[index] = prev
-                    prev = date_fs + gap_fs
-            else:
-                for index in range(k):
-                    date_fs = dates[index]
-                    if date_fs < prev:
-                        date_fs = prev
-                        dates[index] = prev
-                    prev = date_fs + gaps[taken + index]
-            final_fs = prev
+        dates, final_fs = _span_schedule(
+            cells.head_busy_insertion_span(k), local_fs, gap_fs, gaps, taken
+        )
         if self._enforce_side_ordering and dates[0] < self._last_read_fs:
             # Dates are monotone, so only the span's first word can trip
             # the ordering check — exactly like the word loop would.
@@ -1027,7 +1013,11 @@ class SmartFifo(Module, FifoInterface):
             local_fs = process.local_fs
             if local_fs < now_fs:
                 local_fs = now_fs
-        k = cells.head_busy_span(count, local_fs)
+        busy = cells.busy_count
+        k = _leading_dated_by(
+            cells.head_busy_insertion_span(count if count < busy else busy),
+            local_fs,
+        )
         if self._dep is not None:
             # Record stream of the guarded word loop: one drained branch per
             # word (all at the caller's date), one refusal when stopping

@@ -13,7 +13,7 @@ validation methodology faithful to SystemC.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .module import Module
 from .simulator import Simulator

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Union
 
 from .errors import ElaborationError
-from .event import Event, EventList
+from .event import Event
 from .process import MethodProcess, ThreadProcess
 from .simtime import SimTime, TimeUnit
 from .simulator import Simulator

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from . import context
-from .errors import ElaborationError, ProcessError
+from .errors import ElaborationError
 from .event import Event, EventList
 from .process import (
     MethodProcess,

@@ -39,11 +39,9 @@ from ..kernel.tracing import (
     BR_PEEK_SIZE,
     BR_PKT_AVAILABLE,
     BR_PKT_SPACE,
-    BR_REG_IS_EMPTY,
     BR_REG_IS_FULL,
     BR_REG_NB_READ,
     BR_REG_NB_WRITE,
-    BR_REG_PEEK,
     BR_REG_SIZE,
     OP_BRANCH,
     OP_GRANT,

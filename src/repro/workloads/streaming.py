@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..fifo.interfaces import FifoInterface
 from ..fifo.regular_fifo import RegularFifo
 from ..fifo.smart_fifo import SmartFifo
-from ..fifo.sync_fifo import SyncFifo
-from ..kernel.module import Module
 from ..kernel.simtime import SimTime, TimeUnit, ns
 from ..kernel.simulator import Simulator
 from .base import TimingMode, WorkloadModule

@@ -266,11 +266,19 @@ def test_drawn_bursts_reach_every_span_case(monkeypatch):
     _spy(monkeypatch, CellRing, "pop_span",
          lambda ring, count, dates: ring._first_busy + count > ring.depth,
          seen)
-    # Only the recurrence branch of _write_span/_read_span reads these.
-    _spy(monkeypatch, CellRing, "head_free_freeing_span",
-         lambda ring, count: True, seen)
-    _spy(monkeypatch, CellRing, "head_busy_insertion_span",
-         lambda ring, count: True, seen)
+    # The span schedule runs the word recurrence, not the pure gap
+    # schedule, when a cell of the span is dated past the caller's date.
+    def caller_fs(fifo, process):
+        return max(process.local_fs, fifo._scheduler.now_fs)
+
+    _spy(monkeypatch, SmartFifo, "_write_span",
+         lambda fifo, process, words, start, k, *rest:
+         max(fifo._cells.head_free_freeing_span(k)) > caller_fs(fifo, process),
+         seen)
+    _spy(monkeypatch, SmartFifo, "_read_span",
+         lambda fifo, process, words, k, *rest:
+         max(fifo._cells.head_busy_insertion_span(k)) > caller_fs(fifo, process),
+         seen)
 
     # Every span of a burst call but its last takes all the free (busy)
     # cells there are, so the next one waits behind a blocking split: a
@@ -295,8 +303,8 @@ def test_drawn_bursts_reach_every_span_case(monkeypatch):
             for constant in (True, False):
                 _assert_burst_equals_word(seed, depth, False, constant)
     assert sorted(seen) == [
-        "head_busy_insertion_span",
-        "head_free_freeing_span",
+        "_read_span",
+        "_write_span",
         "pop_span",
         "push_span",
         "read_burst",

@@ -3,6 +3,9 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,27 @@ class TestParser:
     def test_int_list_parsing(self):
         args = cli.build_parser().parse_args(["fig5", "--depths", "1,2,8"])
         assert args.depths == [1, 2, 8]
+
+
+class TestBrokenPipe:
+    def test_a_reader_that_went_away_ends_the_run_quietly(self):
+        """``cli ... | head -1``: the reader closes the pipe before the
+        output is written.  The CLI exits 1 with nothing on stderr, not
+        with a ``BrokenPipeError`` traceback."""
+        src = Path(cli.__file__).resolve().parents[2]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro.analysis.cli", "fig2",
+                 "--depth", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.stderr == ""
+        assert child.returncode == 1
 
 
 class TestCommands:

@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 from repro.fifo import SmartFifo
-from repro.fifo.cells import Cell, CellRing, NEVER
+from repro.fifo.cells import CellRing, NEVER
 from repro.kernel import FifoError, Simulator
 from repro.kernel.simtime import ns
 
@@ -58,7 +58,7 @@ class TestRingMechanics:
             word.push("b", 0)
         # The guard raises before any state moves.
         assert ring.busy_count == 1
-        assert ring.first_busy_cell().data == "a"
+        assert word.pop(0) == "a"
 
     def test_pop_empty_raises(self):
         word = WordRing(1)
@@ -71,38 +71,41 @@ class TestRingMechanics:
     def test_first_cells_and_counts(self):
         word = WordRing(3)
         ring = word.ring
-        assert ring.first_busy_cell() is None
+        assert ring.busy_count == 0
         word.push("a", fs(1))
         word.push("b", fs(2))
         assert ring.busy_count == 2
-        assert ring.first_busy_cell().data == "a"
-        assert [cell.data for cell in ring.cells()] == ["a", "b", None]
-        assert [cell.insertion_fs for cell in ring.cells()] == [fs(1), fs(2), NEVER]
+        assert ring.head_busy_insertion_fs() == fs(1)
+        assert list(ring.head_busy_insertion_span(2)) == [fs(1), fs(2)]
+        assert list(ring._insertion) == [fs(1), fs(2), NEVER]
+        assert word.pop(fs(3)) == "a"
+        assert word.pop(fs(3)) == "b"
 
     def test_single_item_leaves_the_other_cells_free(self):
         word = WordRing(3)
         ring = word.ring
         word.push("a", 0)
         assert ring.busy_count == 1
-        assert ring.first_busy_cell().data == "a"
-        assert [cell.busy for cell in ring.cells()] == [True, False, False]
+        assert ring.head_busy_insertion_fs() == 0
+        # The two free cells follow the busy one, never filled or freed.
+        assert list(ring.head_free_freeing_span(2)) == [NEVER, NEVER]
+        assert ring._data == ["a", None, None]
 
     def test_timestamps_recorded(self):
         word = WordRing(1)
         ring = word.ring
         word.push("a", fs(10))
-        cell = ring.first_busy_cell()  # live view over slot 0
-        assert cell.insertion_fs == fs(10)
+        assert ring.head_busy_insertion_fs() == fs(10)
         word.pop(fs(25))
-        assert cell.freeing_fs == fs(25)
+        assert ring.head_free_freeing_fs() == fs(25)
         # Re-using the cell keeps the previous freeing date until the next pop.
         word.push("b", fs(40))
-        assert cell.insertion_fs == fs(40)
-        assert cell.freeing_fs == fs(25)
+        assert ring.head_busy_insertion_fs() == fs(40)
+        assert ring._freeing[0] == fs(25)
 
 
 class TestSpanMechanics:
-    """Bulk span transfers (burst path) and the CellView staleness guard."""
+    """Bulk span transfers (burst path)."""
 
     def test_push_span_pop_span_wraparound(self):
         word = WordRing(4)
@@ -142,62 +145,45 @@ class TestSpanMechanics:
         ring.pop_span(2, array("q", [0, 0]))
         assert ring.mutations == 2
 
-    def test_views_go_stale_after_span_transfer(self):
-        word = WordRing(4)
-        ring = word.ring
-        word.push("a", fs(1))
-        view = ring.first_busy_cell()
-        assert view.data == "a"
-        ring.push_span(["b", "c"], array("q", [fs(2)] * 2))
-        for accessor in ("data", "busy", "insertion_fs", "freeing_fs"):
-            with pytest.raises(FifoError):
-                getattr(view, accessor)
-        with pytest.raises(FifoError):
-            view.really_busy_at(fs(1))
-        # A re-fetched view works again and sees the untouched slot.
-        assert ring.first_busy_cell().data == "a"
-
-    def test_word_push_pop_keep_views_fresh(self):
-        word = WordRing(4)
-        ring = word.ring
-        word.push("a", fs(1))
-        view = ring.first_busy_cell()
-        word.push("b", fs(2))
-        word.pop(fs(3))
-        # Word transfers never invalidate views; the view is live over the
-        # slot and reflects the pop.
-        assert view.busy is False
-        assert view.freeing_fs == fs(3)
-
 
 class TestMonitorInterpretation:
-    """The real-occupancy rules of Section III-C."""
+    """The real-occupancy rules of Section III-C.
+
+    The four single-cell cases run on depth-1 rings, where ``real_size_at``
+    is 1 exactly when the one cell is really busy.
+    """
 
     def test_busy_cell_with_past_insertion_counts(self):
-        cell = Cell(data="x", busy=True, insertion_fs=fs(10), freeing_fs=NEVER)
-        assert cell.really_busy_at(fs(10))
-        assert cell.really_busy_at(fs(50))
-        assert not cell.really_busy_at(fs(5))
+        word = WordRing(1)
+        word.push("x", fs(10))
+        assert word.ring.real_size_at(fs(10)) == 1
+        assert word.ring.real_size_at(fs(50)) == 1
+        assert word.ring.real_size_at(fs(5)) == 0
 
     def test_busy_cell_refilled_since_observation_counts(self):
         # Internally the cell was freed at 30 and refilled at 40; observed at
         # 20 the cell still holds the *previous* item -> really busy.
-        cell = Cell(data="new", busy=True, insertion_fs=fs(40), freeing_fs=fs(30))
-        assert cell.really_busy_at(fs(20))
+        word = WordRing(1)
+        word.push("old", fs(10))
+        word.pop(fs(30))
+        word.push("new", fs(40))
+        assert word.ring.real_size_at(fs(20)) == 1
         # Observed between the freeing and the new insertion: really free.
-        assert not cell.really_busy_at(fs(35))
+        assert word.ring.real_size_at(fs(35)) == 0
 
     def test_free_cell_freed_in_the_future_counts(self):
-        cell = Cell(data=None, busy=False, insertion_fs=fs(10), freeing_fs=fs(50))
-        assert cell.really_busy_at(fs(20))
-        assert not cell.really_busy_at(fs(50))
-        assert not cell.really_busy_at(fs(60))
-        assert not cell.really_busy_at(fs(5))
+        word = WordRing(1)
+        word.push("x", fs(10))
+        word.pop(fs(50))
+        assert word.ring.real_size_at(fs(20)) == 1
+        assert word.ring.real_size_at(fs(50)) == 0
+        assert word.ring.real_size_at(fs(60)) == 0
+        assert word.ring.real_size_at(fs(5)) == 0
 
     def test_never_used_free_cell_never_counts(self):
-        cell = Cell()
-        assert not cell.really_busy_at(0)
-        assert not cell.really_busy_at(fs(100))
+        ring = CellRing(1)
+        assert ring.real_size_at(0) == 0
+        assert ring.real_size_at(fs(100)) == 0
 
     def test_real_size_at_mixed_ring(self):
         word = WordRing(3)

@@ -32,7 +32,6 @@ ALLOWLIST = {
     "size_at": "SmartFifo's SystemC-like monitor API: real size at a date",
     "any_of": "constructor of an or-EventList, which Simulator.wait accepts",
     "all_of": "constructor of an and-EventList, which Simulator.wait accepts",
-    "really_busy_at": "the Section III-C per-cell occupancy rule, pinned by tests",
     "depth_envelope": "ReplayEngine's validity envelope, to be shown by runs that explain themselves",
     "spilled_runs": "tests check through it that DigestSink spills bounded runs",
     "max_local_fs": "tests check through it how far decoupled processes run ahead",
