@@ -507,9 +507,11 @@ def route_group(
     their per-word dates, are alive at a time.
 
     ``telemetry`` gets ``replay.record``, ``replay.point`` and
-    ``replay.validate`` spans and ``replay.points_replayed`` /
-    per-construct ``replay.refusals.*`` counters.  ``on_row`` is called
-    with the anchor's name and each replayed point's as its row is ready.
+    ``replay.validate`` spans and ``replay.points_replayed``,
+    ``replay.ops_skipped`` (recorded ops the periodic fast-forward jumped
+    over) and per-construct ``replay.refusals.*`` counters.  ``on_row``
+    is called with the anchor's name and each replayed point's as its
+    row is ready.
     """
     # The engine loads when a sweep group first routes, not at import.
     from ..replay import ReplayError, ReplayInvalid
@@ -548,6 +550,7 @@ def route_group(
         if telemetry.enabled:
             telemetry.span_at("replay.point", start, wall, spec=point.name)
             telemetry.counter("replay.points_replayed")
+            telemetry.counter("replay.ops_skipped", result.ops_skipped)
         sweep.rows.append(replay_record(point, result, wall))
         if on_row is not None:
             on_row(point.name)

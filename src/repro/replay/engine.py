@@ -19,14 +19,28 @@ reproduce the recorded per-access dates, kernel counters and final date
 bit-exactly, otherwise the run is declared non-replayable.  The date
 columns are read only then (and in strict, method-pinned replays): a
 retargeted replay needs the ops, never the dates they had.
+
+A replay whose schedule turns exactly periodic (a streaming pipeline in
+steady state) does not interpret it period after period: once the whole
+schedule state repeats, shifted in time, the emulator applies as many
+more periods as every thread's program still repeats in one step
+(``_Emulator._probe``), with every result field as if each op had run.
+The jump covers thread-only recordings without branch probes, grants or
+capacity waits, outside strict mode.  Check mode never takes it, so the
+anchor self-check and each cross-validation's fresh self-check stay the
+full interpretation the fast-forward is held against.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import add, attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.tracing import (
@@ -103,13 +117,50 @@ _OP_NAMES = (
 
 _MAX_MISMATCHES = 25
 
+#: Ops whose effect depends on state the fast-forward does not compare.
+_UNSCOPED_OPS = frozenset((OP_BRANCH, OP_WAIT_CAP, OP_GRANT))
+
+
+def _smallest_period(ops: Sequence[tuple], start: int, stop: int) -> int:
+    """Smallest p with ``ops[i] is ops[i + p]`` wherever both lie in
+    ``ops[start:stop]``.
+
+    The Knuth-Morris-Pratt failure function: ``fail[i]`` is the length of
+    the longest proper prefix of the first ``i + 1`` ops that is also
+    their suffix, and the whole run's period is its length minus the
+    last one.  The table is an ``array`` so that it holds no int objects.
+    """
+    n = stop - start
+    if n <= 0:
+        return 1
+    fail = array("q", [0]) * n
+    k = 0
+    for i in range(1, n):
+        op = ops[start + i]
+        while k and op is not ops[start + k]:
+            k = fail[k - 1]
+        if op is ops[start + k]:
+            k += 1
+        fail[i] = k
+    return n - fail[-1]
+
+
+def _ahead(dates: List[int], now: int) -> List[int]:
+    """``dates`` relative to ``now``, with every date not after it as 0."""
+    return [date - now if date > now else 0 for date in dates]
+
+
+def _waiting(event: "_Event") -> List[Tuple["_Proc", int]]:
+    """An event's waiters, each wait id relative to its thread's current."""
+    return [(proc, proc.wait_id - wid) for proc, wid in event.waiters]
+
 
 class _Proc:
     """Replay image of one thread process."""
 
     __slots__ = (
         "pid", "name", "program", "dates", "length", "pc", "phase",
-        "stored", "wait_id", "runnable", "terminated",
+        "stored", "wait_id", "runnable", "terminated", "period",
     )
 
     def __init__(self, pid: int, name: str, program: List[tuple], dates):
@@ -127,6 +178,8 @@ class _Proc:
         self.wait_id = 0
         self.runnable = False
         self.terminated = False
+        #: Smallest period of the program's body (fast-forward only).
+        self.period = 1
 
 
 class _Event:
@@ -324,6 +377,11 @@ class ReplayResult:
     fifo_dates: List[Optional[Tuple[List[int], List[int]]]] = field(
         default_factory=list
     )
+    #: Recorded ops the periodic fast-forward jumped over instead of
+    #: interpreting.  A plain attribute, not a field: it says how the
+    #: result was computed, not what it is, so it takes no part in
+    #: equality and never reaches a campaign row.
+    ops_skipped = 0
 
     @property
     def context_switches(self) -> int:
@@ -337,7 +395,8 @@ class ReplayResult:
 class ReplayEngine:
     """Replay the programs of one :class:`DependencySpool` at will.
 
-    The engine is immutable after construction; every :meth:`replay` call
+    The engine is immutable after construction (apart from the program
+    periods, computed once on first use); every :meth:`replay` call
     creates fresh emulator state, so one recorded anchor can be replayed
     at hundreds of depth/quantum points.
     """
@@ -446,6 +505,28 @@ class ReplayEngine:
             })
         return report
 
+    @cached_property
+    def body_periods(self) -> Optional[List[int]]:
+        """Per thread, the smallest period of its program's body.
+
+        The body is ``program[1:-1]``: a thread's first and last ops often
+        differ from the loop between them (a first access with no gap, a
+        trailing ``inc``).  Ops compare by identity, which the recorder's
+        interning makes equality.  None when the recording is outside the
+        periodic fast-forward's scope: it has method processes, or a
+        thread probes occupancy, waits for capacity or asks an arbiter
+        for a grant, all of which read state the fast-forward does not
+        compare.
+        """
+        if self.method_programs:
+            return None
+        periods = []
+        for _name, _pid, program, _dates in self.programs:
+            if _UNSCOPED_OPS.intersection(map(itemgetter(0), program)):
+                return None
+            periods.append(_smallest_period(program, 1, len(program) - 1))
+        return periods
+
     # ------------------------------------------------------------------
     def retarget_depths(self, anchor_depth: int, depth: int) -> List[int]:
         """Per-FIFO depths for replaying a sweep point at ``depth``.
@@ -550,6 +631,12 @@ class _Emulator:
     per-event pending flag, stale wakes are filtered by wait id, timed
     phases pop every record of the next date — and the Smart FIFO
     blocking loops as a per-op phase machine.
+
+    Outside check mode, a recording in the fast-forward's scope (see
+    :attr:`ReplayEngine.body_periods`) is also probed for a periodic
+    schedule: :meth:`_probe` finds a repeated state, :meth:`_jump` skips
+    whole periods of it.  Check mode interprets every op: it is what the
+    jump must agree with, so it must not take the jump itself.
     """
 
     def __init__(self, engine: ReplayEngine, depths: List[int],
@@ -591,6 +678,24 @@ class _Emulator:
         self.delta_wakes: List[Tuple[_Proc, int]] = []
         self.heap: List[tuple] = []
         self.seq = 0
+        self.ops_skipped = 0
+        # Check mode never fast-forwards: it is the full interpretation
+        # that every other replay is held against.
+        periods = None if self.check else engine.body_periods
+        self.fast_forward = bool(periods)
+        if self.fast_forward:
+            for proc, period in zip(self.procs, periods):
+                proc.period = period
+            #: The thread whose body periods pace the probes (see
+            #: :meth:`_probe`).
+            self.gate = max(self.procs, key=attrgetter("period"))
+            #: Hash of each probe's cheap key -> the last timed phase it
+            #: was seen at.
+            self.seen: Dict[int, int] = {}
+            #: ``(key, due, state)``: the full state of the last probe
+            #: whose key repeated, and the timed phase its key should
+            #: repeat at if the schedule is periodic.
+            self.candidate: Optional[tuple] = None
 
     # -- scheduling primitives -----------------------------------------
     # The suspend / notify / wake primitives are inlined at their call
@@ -629,6 +734,10 @@ class _Emulator:
         port_free = self.port_free
         methods = self.methods
         have_methods = bool(methods)
+        fast_forward = self.fast_forward
+        if fast_forward:
+            gate = self.gate
+            gate_wrap = 1  # where the gate's next body period starts
         heappush = heapq.heappush
         heappop = heapq.heappop
         now = 0
@@ -1171,6 +1280,15 @@ class _Emulator:
                             f"{m.dates[m.pc]} fs",
                         )
             # -- timed phase: advance to the next pending date -----------
+            if fast_forward and gate.pc >= gate_wrap and heap:
+                now, activations, delta_cycles, timed_phases = self._probe(
+                    now, activations, delta_cycles, timed_phases
+                )
+                gate = self.gate
+                gate_wrap = min(
+                    gate.pc - (gate.pc - 1) % gate.period + gate.period,
+                    gate.length - 1,
+                )
             time_fs = heap[0][0] if heap else -1
             if have_methods:
                 for m in methods:
@@ -1195,7 +1313,7 @@ class _Emulator:
         self.timed_phases = timed_phases
         if self.strict:
             return self._finish_strict()
-        return ReplayResult(
+        result = ReplayResult(
             sim_end_fs=self.now,
             quantum_fs=self.quantum_fs,
             depths=self.depths,
@@ -1210,6 +1328,8 @@ class _Emulator:
             mismatches=self.mismatches,
             fifo_dates=self._fifo_dates(),
         )
+        result.ops_skipped = self.ops_skipped
+        return result
 
     def _fifo_stats(self) -> List[dict]:
         return [
@@ -1238,6 +1358,231 @@ class _Emulator:
             f"replay outside validity envelope: {name} on {fifo} "
             f"in {process}: {detail}",
             process=process, fifo=fifo, construct=name,
+        )
+
+    # -- periodic fast-forward ------------------------------------------
+    def _probe(self, now: int, activations: int, delta_cycles: int,
+               timed_phases: int) -> Tuple[int, int, int, int]:
+        """Jump over whole periods once the schedule state repeats.
+
+        ``run`` calls it before a timed phase, while nothing is runnable,
+        at the first timed phase after the gate thread entered another of
+        its body periods; it returns ``(now, activations, delta_cycles,
+        timed_phases)``, advanced past the skipped periods when it jumped.
+        The gate is the thread with the longest body period that is still
+        inside its body.  Every moving thread of a periodic schedule
+        advances whole body periods per schedule period, so the states
+        the probes see repeat with the schedule; and a thread with no
+        repetition has a period as long as its body, so an aperiodic
+        recording is hardly probed at all.
+
+        A cheap key filters the probes: each thread's position within its
+        body period, its phase and local date, the heap size and each
+        FIFO's occupancy and blocked counts.  When a key repeats, the full
+        state is kept as the candidate, due again after as many timed
+        phases as the key took to repeat; at the key's next appearance the
+        two full states are compared (:meth:`_periods_to_skip`) and, when
+        they match, :meth:`_jump` applies whole periods at once.
+        """
+        gate = self.gate
+        if gate.terminated or gate.pc > gate.length - 2:
+            inside = [
+                proc for proc in self.procs
+                if not proc.terminated and proc.pc <= proc.length - 2
+            ]
+            if inside:
+                self.gate = max(inside, key=attrgetter("period"))
+        key = (len(self.heap),)
+        for proc in self.procs:
+            if proc.terminated:
+                key += (-1,)
+            else:
+                stored = proc.stored
+                key += ((proc.pc - 1) % proc.period, proc.phase,
+                        stored - now if stored > now else -1)
+        for f in self.fifos:
+            if f.kind == "smart":
+                key += (f.nw - f.nr, f.blocked_readers, f.blocked_writers)
+            else:
+                key += (f.occupancy,)
+        key = hash(key)
+        counters = (now, activations, delta_cycles, timed_phases)
+        seen = self.seen
+        previous = seen.get(key)
+        seen[key] = timed_phases
+        candidate = self.candidate
+        if candidate is not None:
+            if key == candidate[0]:
+                state = self._state(counters)
+                periods = self._periods_to_skip(candidate[2], state)
+                if periods:
+                    return self._jump(periods, candidate[2], state)
+                self.candidate = (key, 2 * timed_phases - previous, state)
+                return counters
+            if timed_phases < candidate[1]:
+                return counters
+        # No candidate, or its key missed the phase it was due at.
+        self.candidate = None if previous is None else (
+            key, 2 * timed_phases - previous, self._state(counters)
+        )
+        return counters
+
+    def _state(self, counters: Tuple[int, int, int, int]) -> tuple:
+        """``(relative, absolute)``: the schedule state at a probe.
+
+        ``relative`` is everything the rest of the run depends on, with
+        dates taken relative to ``now`` and wait ids relative to their
+        thread's current one (so a stale wake stays stale): the heap in
+        pop order, each live thread's phase and local date, each FIFO's
+        occupancy, blocked counts and event waiters.  A Smart FIFO adds
+        the freeing dates the next writes wait for and the insertion
+        dates the next reads wait for; a date not ahead of ``now`` can no
+        longer delay anything, so it reads 0, like the cells a ring that
+        has not wrapped yet has never freed.  Pending flags need no entry:
+        the delta phase has just cleared them all.  ``absolute`` holds the
+        counters, program counters, wait ids and FIFO totals that a jump
+        advances.
+        """
+        now = counters[0]
+        relative = [[
+            (date - now, proc, proc.wait_id - wid)
+            for date, _seq, proc, wid in sorted(self.heap)
+        ]]
+        for proc in self.procs:
+            stored = proc.stored
+            relative.append(None if proc.terminated else (
+                proc.phase, stored - now if stored > now else -1
+            ))
+        totals = []
+        for f in self.fifos:
+            if f.kind == "smart":
+                start = f.nw - f.depth
+                relative.append((
+                    f.nw - f.nr, f.blocked_readers, f.blocked_writers,
+                    [0] * -start + _ahead(
+                        f.rdates[start if start > 0 else 0:f.nr], now
+                    ),
+                    _ahead(f.wdates[f.nr:f.nw], now),
+                    _waiting(f.cell_filled), _waiting(f.cell_freed),
+                ))
+                totals.append((f.nw, f.nr, f.blocking_waits))
+            else:
+                relative.append((
+                    f.occupancy, _waiting(f.data_written),
+                    _waiting(f.data_read),
+                ))
+                totals.append((f.total_written, f.total_read))
+        absolute = (
+            counters,
+            [(proc.pc, proc.wait_id, proc.stored) for proc in self.procs],
+            totals,
+        )
+        return relative, absolute
+
+    def _periods_to_skip(self, before: tuple, after: tuple) -> int:
+        """How many more periods like ``before`` -> ``after`` to skip.
+
+        Zero unless the two relative states are equal and every thread
+        that moved advanced a whole number of body periods inside its
+        body.  Then the run from ``after`` repeats the run from ``before``
+        shifted for as long as each program repeats by op identity, which
+        the body period guarantees up to the body's last op: the largest
+        count keeps every thread, including the op it is suspended in,
+        inside its body.
+        """
+        if before[0] != after[0]:
+            return 0
+        span = after[1][0][0] - before[1][0][0]
+        periods = 0
+        for proc, (start, _wait_id, stored) in zip(self.procs, before[1][1]):
+            if proc.terminated:
+                continue
+            # A local date not ahead of now reads -1 in both: it either
+            # stayed put (nothing writes it in a period, so it stays put)
+            # or moved with the schedule (something does).
+            if proc.stored != stored and proc.stored - stored != span:
+                return 0
+            step = proc.pc - start
+            if step == 0:
+                continue
+            last = proc.length - 2
+            if step < 0 or start < 1 or proc.pc > last or step % proc.period:
+                return 0
+            room = (last - proc.pc) // step
+            if not periods or room < periods:
+                periods = room
+                if not room:
+                    return 0
+        return periods
+
+    def _jump(self, periods: int, before: tuple,
+              after: tuple) -> Tuple[int, int, int, int]:
+        """Apply ``periods`` more repetitions of ``before`` -> ``after``.
+
+        Every date moves by ``periods`` times the period's span, every
+        program counter, wait id and counter by as many times its change
+        over the period, and each Smart FIFO's date lists grow by shifted
+        copies of the dates the last period appended.
+        """
+        counters_before, threads, totals = before[1]
+        counters = after[1][0]
+        span = counters[0] - counters_before[0]
+        shift = periods * span
+        wait_shift = {}
+        for proc, (pc, wait_id, stored) in zip(self.procs, threads):
+            wait_shift[proc] = periods * (proc.wait_id - wait_id)
+            if not proc.terminated:
+                skipped = periods * (proc.pc - pc)
+                self.ops_skipped += skipped
+                proc.pc += skipped
+                if proc.stored != stored:
+                    proc.stored += shift
+                proc.wait_id += wait_shift[proc]
+        # A uniform shift keeps the heap ordered (seq breaks date ties).
+        self.heap[:] = [
+            (date + shift, seq, proc, wid + wait_shift[proc])
+            for date, seq, proc, wid in self.heap
+        ]
+        # The dates the last period appended, each list's as indices into
+        # their distinct values: every repetition shifts each value once,
+        # so equal dates stay one int object, as the interpreter shares
+        # them between a write's and the matching read's list.
+        values: Dict[int, int] = {}
+        appended = []
+        for f, counts in zip(self.fifos, totals):
+            if f.kind == "smart":
+                for dates, start in ((f.wdates, counts[0]),
+                                     (f.rdates, counts[1])):
+                    appended.append((dates, [
+                        values.setdefault(date, len(values))
+                        for date in dates[start:]
+                    ]))
+        distinct = list(values)
+        for repetition in range(1, periods + 1):
+            shifted = list(map(add, distinct, repeat(repetition * span)))
+            for dates, indices in appended:
+                dates.extend(map(shifted.__getitem__, indices))
+        for f, counts in zip(self.fifos, totals):
+            if f.kind == "smart":
+                f.nw = len(f.wdates)
+                f.nr = len(f.rdates)
+                f.blocking_waits += periods * (f.blocking_waits - counts[2])
+                events = (f.cell_filled, f.cell_freed)
+            else:
+                written, read = counts
+                f.total_written += periods * (f.total_written - written)
+                f.total_read += periods * (f.total_read - read)
+                events = (f.data_written, f.data_read)
+            for event in events:
+                event.waiters = [
+                    (proc, wid + wait_shift[proc])
+                    for proc, wid in event.waiters
+                ]
+        self.seen.clear()
+        self.candidate = None
+        return tuple(
+            value + periods * (value - old)
+            for value, old in zip(counters, counters_before)
         )
 
     # -- pinned method streams (strict mode) ---------------------------

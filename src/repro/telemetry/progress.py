@@ -56,7 +56,7 @@ class ProgressTicker:
         )
         self.done = 0
         self._start = time.monotonic()
-        self._last_render = 0.0
+        self._last_render = self._start
         self._last_width = 0
         self._detail = ""
 

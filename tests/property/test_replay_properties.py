@@ -14,7 +14,7 @@ would be wrong between two runs.  :func:`compare_replay_to_spool`
 encodes that rule; these tests go through it on purpose.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,7 @@ from repro.campaign import (
     sweep_point_specs,
 )
 from repro.campaign.evaluators import route_group
-from repro.replay import ReplayEngine, ReplayInvalid
+from repro.replay import ReplayEngine, ReplayInvalid, ReplayResult
 
 #: Replayable workloads with small fixed sizes (kept modest: every
 #: hypothesis example runs two full simulations plus two replays).
@@ -246,3 +246,79 @@ def test_full_sweep_validates_everywhere(workload, params, mode):
     replayed = [row for row in route.rows if row.evaluator == "replay"]
     assert len(replayed) == len(depths)
     assert all(row.name.startswith(anchor.name) for row in replayed)
+
+
+# ---------------------------------------------------------------------------
+# Periodic fast-forward: the jump never changes a result
+# ---------------------------------------------------------------------------
+#: ``ReplayResult`` fields a fast-forwarded replay must reproduce (check
+#: mode alone fills ``mismatches``).
+RESULT_FIELDS = [f.name for f in fields(ReplayResult) if f.name != "mismatches"]
+
+
+@st.composite
+def _periodic_anchors(draw):
+    """A small anchor of a workload whose schedule can turn periodic."""
+    workload = draw(st.sampled_from(
+        ("streaming", "video", "bursty", "writer_reader")
+    ))
+    mode = draw(st.sampled_from((MODE_REFERENCE, MODE_SMART)))
+    depth = draw(st.integers(min_value=1, max_value=8))
+    seed = None
+    timing = quantum_ns = None
+    if workload == "streaming":
+        params = {
+            "n_blocks": draw(st.integers(min_value=1, max_value=12)),
+            "words_per_block": draw(st.integers(min_value=1, max_value=30)),
+        }
+        if mode == MODE_SMART and draw(st.booleans()):
+            timing = "quantum"
+            quantum_ns = draw(st.sampled_from((1, 10, 30, 100)))
+    elif workload == "video":
+        params = {
+            "n_frames": draw(st.integers(min_value=1, max_value=6)),
+            "macroblocks_per_frame": draw(st.integers(min_value=1,
+                                                      max_value=12)),
+        }
+    elif workload == "bursty":
+        idle = draw(st.integers(min_value=0, max_value=120))
+        params = {
+            "n_bursts": draw(st.integers(min_value=1, max_value=16)),
+            "max_burst": draw(st.integers(min_value=1, max_value=8)),
+            "min_idle_ns": idle,
+            "max_idle_ns": idle + draw(st.sampled_from((0, 0, 40))),
+        }
+        seed = draw(st.integers(min_value=1, max_value=50))
+    else:
+        params = {"values": draw(st.integers(min_value=1, max_value=60))}
+    return ScenarioSpec(
+        name=f"ff_{workload}", workload=workload, mode=mode, depth=depth,
+        seed=seed, timing=timing, quantum_ns=quantum_ns, params=params,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    anchor=_periodic_anchors(),
+    depths=st.lists(st.integers(min_value=1, max_value=70), min_size=1,
+                    max_size=4),
+    quantum_ns=st.sampled_from((None, 1, 7, 25, 1000)),
+)
+def test_fast_forward_matches_check_mode(anchor, depths, quantum_ns):
+    """``replay()`` jumps over periods where it can; ``check_dates=True``
+    never does.  Both must give the same result at every point."""
+    spool, _ = record_spool(anchor)
+    assert spool.poison is None, spool.poison
+    engine = ReplayEngine(spool)
+    quantum_fs = None if quantum_ns is None else quantum_ns * 10 ** 6
+    for depth in depths:
+        targets = engine.retarget_depths(anchor.depth, depth)
+        fast = engine.replay(depths=targets, quantum_fs=quantum_fs)
+        check = engine.replay(depths=targets, quantum_fs=quantum_fs,
+                              check_dates=True)
+        assert check.ops_skipped == 0
+        for name in RESULT_FIELDS:
+            assert getattr(fast, name) == getattr(check, name), (
+                f"{anchor.label} at depth {depth}: {name} differs after "
+                f"skipping {fast.ops_skipped} ops"
+            )

@@ -8,10 +8,11 @@ the span/counter/worker/replay rows of :class:`TelemetryAggregate`.
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.telemetry import ProgressTicker, Telemetry
+from repro.telemetry import ProgressTicker, Telemetry, progress
 from repro.telemetry.report import render_report
 from repro.telemetry.progress import _format_eta
 from repro.telemetry.report import SpanAgg, TelemetryAggregate
@@ -91,6 +92,16 @@ class TestProgressTicker:
         assert stream.getvalue() == ""
         ticker.finish()
         assert stream.getvalue().startswith("[campaign] 50/100 done")
+
+    def test_the_rate_limit_starts_with_the_ticker(self, monkeypatch):
+        """The first item waits out the interval however long the host's
+        monotonic clock has been running."""
+        monkeypatch.setattr(progress, "time",
+                            SimpleNamespace(monotonic=lambda: 10.0 ** 9))
+        stream = io.StringIO()
+        ticker = ProgressTicker(2, stream=stream, min_interval_s=3600)
+        ticker.item_done()
+        assert stream.getvalue() == ""
 
     def test_eta_is_unknown_before_the_first_item(self):
         stream = io.StringIO()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Campaign shard/merge smoke gate (used by ``make campaign-smoke`` and CI).
 
-Runs a small campaign, and one larger one, ten ways and asserts the
+Runs a small campaign, and one larger one, eleven ways and asserts the
 scale-out invariant:
 
 1. unsharded, inline (the reference fingerprint);
@@ -17,21 +17,27 @@ scale-out invariant:
    cross-validated against a fresh simulation (must match bit for bit;
    counted from the ``replay.validate`` telemetry spans); the sweep's
    fingerprint must equal a pinned constant;
-6. an auto-routed conditional sweep: a branch-recording workload
+6. a periodic fast-forward sweep: a 10 x 100-word streaming anchor
+   replayed at depths 1, 3, 9 and 64 must equal its check-mode replay
+   (which never fast-forwards) at every point, the fast-forward must
+   have skipped ops (counted from the ``replay.ops_skipped`` telemetry
+   counter), and the sweep's fingerprint must equal a pinned constant;
+7. an auto-routed conditional sweep: a branch-recording workload
    (random traffic) swept over depths through ``--auto-replay`` —
    the anchor simulates, every in-envelope point replays, and the
    campaign fingerprint must equal a pinned constant;
-7. ``campaign --replay-sweep`` is shorthand for the ``--auto-replay``
+8. ``campaign --replay-sweep`` is shorthand for the ``--auto-replay``
    campaign: both spellings of one strict (method-pinned) depth sweep
    must write byte-identical JSONL;
-8. the unsharded campaign again with telemetry enabled — the
+9. the unsharded campaign again with telemetry enabled — the
    fingerprint must still equal the pinned PR 3 constant (telemetry is
    a sideband, never an input), and the merged ``telemetry.jsonl`` is
    left in the out dir for CI to upload;
-9. a campaign large enough for the workers to batch its jobs (the
-   default campaign four times over, under new names) on worker
-   processes — the fingerprint must equal the inline run's byte for byte;
-10. the same campaign under a generous run budget — the budgeted workers
+10. a campaign large enough for the workers to batch its jobs (the
+    default campaign four times over, under new names) on worker
+    processes — the fingerprint must equal the inline run's byte for
+    byte;
+11. the same campaign under a generous run budget — the budgeted workers
     report every job yet must reproduce the inline fingerprint, and the
     campaign must reuse at most ``--workers`` worker processes.
 
@@ -51,7 +57,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -63,11 +69,13 @@ from repro.campaign import (  # noqa: E402
     ScenarioSpec,
     default_campaign,
     merge_jsonl,
+    record_spool,
     sweep_point_specs,
 )
 from repro.campaign.executor import _batch_size  # noqa: E402
 from repro.campaign.spec import spec_is_pairable  # noqa: E402
 from repro.fifo.smart_fifo import MIN_SPAN_WORDS  # noqa: E402
+from repro.replay import ReplayEngine, ReplayResult  # noqa: E402
 from repro.telemetry import load_events  # noqa: E402
 
 #: A fast subset of the default campaign covering old and new workloads.
@@ -88,7 +96,7 @@ PR3_SMOKE_FINGERPRINT = (
     "3f1ed06c3a5c3b0f1b1c3ef8af147bcbc7740e6fd401e3ea717a82ed579f71a5"
 )
 
-#: Fingerprint of the phase-6 auto-routed conditional sweep (random
+#: Fingerprint of the phase-7 auto-routed conditional sweep (random
 #: traffic, smart, depth-8 anchor swept over depths 2/4/16).  Replay rows
 #: carry the simulated dates, kernel counters and per-FIFO totals of the
 #: points they stand in for, so the fingerprint is stable whether a point
@@ -104,6 +112,15 @@ PR9_AUTO_REPLAY_FINGERPRINT = (
 #: as the constant above does on random traffic.
 STREAMING_REPLAY_FINGERPRINT = (
     "4dc3548afd0a68bfc5e79a2343b5ef78219ac3b4452385e789aef453c2ec1a98"
+)
+
+#: Fingerprint of the phase-6 periodic sweep (10 x 100-word streaming
+#: anchor at depth 8, replayed at depths 1, 3, 9 and 64).  Its depth-1
+#: point reaches a periodic schedule and is fast-forwarded, so this pins
+#: the jump's rows byte for byte (the same value as before the
+#: fast-forward existed).
+PERIODIC_REPLAY_FINGERPRINT = (
+    "4c49d8351bae5a2a0d5d26348b9290fa76ace0fc3eb1d0d7779bdbae3b7a3f30"
 )
 
 
@@ -270,6 +287,65 @@ def main(argv=None) -> int:
         f"[smoke] OK: {replayed} replayed points, "
         f"{len(validated)} cross-validated against a fresh simulation, "
         "fingerprint matches the recorded value"
+    )
+
+    print("[smoke] periodic fast-forward sweep (depths 1, 3, 9, 64)...")
+    periodic = ScenarioSpec(
+        name="smoke_periodic_anchor",
+        workload="streaming",
+        mode="smart",
+        depth=8,
+        params={"n_blocks": 10, "words_per_block": 100},
+    )
+    periodic_depths = (1, 3, 9, 64)
+    periodic_tele = os.path.join(args.out_dir, "periodic-telemetry")
+    periodic_sweep = CampaignRunner(
+        workers=1, paired=False, auto_replay=True,
+        telemetry_dir=periodic_tele,
+    ).run([periodic] + sweep_point_specs(periodic, depths=periodic_depths))
+    skipped = sum(
+        event["value"]
+        for event in load_events(
+            os.path.join(periodic_tele, "telemetry.jsonl")
+        )
+        if event["kind"] == "counter" and event["name"] == "replay.ops_skipped"
+    )
+    engine = ReplayEngine(record_spool(periodic)[0])
+    compared = [f.name for f in fields(ReplayResult) if f.name != "mismatches"]
+    for depth in periodic_depths:
+        depths = engine.retarget_depths(periodic.depth, depth)
+        fast = engine.replay(depths=depths)
+        check = engine.replay(depths=depths, check_dates=True)
+        differ = [
+            name for name in compared
+            if getattr(fast, name) != getattr(check, name)
+        ]
+        if differ:
+            print(
+                f"FAIL: at depth {depth} the fast-forwarded replay differs "
+                f"from its check-mode replay in {differ}",
+                file=sys.stderr,
+            )
+            return 1
+    if skipped == 0:
+        print(
+            "FAIL: the periodic sweep skipped no ops; the fast-forward "
+            "never engaged",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"[smoke] periodic sweep fingerprint: {periodic_sweep.fingerprint()}")
+    if periodic_sweep.fingerprint() != PERIODIC_REPLAY_FINGERPRINT:
+        print(
+            "FAIL: periodic replay sweep fingerprint drifted from the "
+            f"recorded one ({PERIODIC_REPLAY_FINGERPRINT})",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"[smoke] OK: {len(periodic_depths)} points equal their check-mode "
+        f"replays, {skipped} ops fast-forwarded, fingerprint matches the "
+        "recorded value"
     )
 
     print("[smoke] auto-routed conditional sweep (--auto-replay)...")
