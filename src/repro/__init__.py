@@ -72,7 +72,6 @@ from .fifo import (
     ReadArbiter,
     RegularFifo,
     SmartFifo,
-    SyncFifo,
     WriteArbiter,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "SimTime",
     "Simulator",
     "SmartFifo",
-    "SyncFifo",
     "TimeUnit",
     "US",
     "WriteArbiter",

@@ -74,6 +74,7 @@ from ..campaign import (
     sweep_point_specs,
 )
 from ..campaign.evaluators import unbuildable_points
+from ..kernel.errors import BlockedRunError
 from ..kernel.tracing import SINK_KINDS
 from ..soc import SocConfig
 from ..telemetry.report import render_report
@@ -629,6 +630,9 @@ def run_campaign(args: argparse.Namespace) -> str:
     except ReplayError as exc:
         # A replayed point diverged from its fresh cross-validation run.
         raise SystemExit(f"replay sweep failed: {exc}")
+    except BlockedRunError as exc:
+        # A simulation lost a wakeup: its row would price an unfinished run.
+        raise SystemExit(f"campaign run refused: {exc}")
     if args.csv:
         write_csv(result.run_rows(), args.csv)
     output, code = _campaign_output(result)

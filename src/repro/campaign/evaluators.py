@@ -41,7 +41,7 @@ from typing import (
     TYPE_CHECKING, Callable, Deque, List, Optional, Sequence, Tuple,
 )
 
-from ..kernel.errors import SimulationError
+from ..kernel.errors import BlockedRunError, SimulationError
 from ..kernel.simulator import Simulator
 from ..kernel.tracing import (
     EMPTY_TRACE_DIGEST,
@@ -107,7 +107,10 @@ def simulate(
     """Build, run and verify ``spec`` in a fresh simulator.
 
     Returns the finished simulator, whose trace sink the caller closes,
-    and the spec's run record.  ``trace_sink`` names the
+    and the spec's run record.  A run that ends with a thread still
+    waiting raises :class:`~repro.kernel.errors.BlockedRunError`, naming
+    each such thread and the event it waits on: it lost a wakeup, and its
+    row would price a run that never completed.  ``trace_sink`` names the
     :mod:`repro.kernel.tracing` sink kind the simulation emits into
     (``"digest"`` on the campaign happy path, so no trace record list ever
     exists).  ``telemetry`` is handed to the simulator, so an enabled
@@ -125,6 +128,14 @@ def simulate(
     start = time.perf_counter()
     built.scenario.run()
     wall = time.perf_counter() - start
+    blocked = sim.blocked_threads()
+    if blocked:
+        raise BlockedRunError(
+            f"{spec.label} ended with blocked threads: " + ", ".join(
+                name if event is None else f"{name} (waiting on {event})"
+                for name, event in blocked
+            )
+        )
     if built.verify is not None:
         built.verify()
     if telemetry.enabled:
@@ -214,7 +225,7 @@ def replay_record(
         timing=spec.timing,
         sim_end_fs=result.sim_end_fs,
         context_switches=result.context_switches,
-        method_invocations=result.method_invocations,
+        method_invocations=0,
         delta_cycles=result.delta_cycles,
         trace_lines=0,
         trace_digest=EMPTY_TRACE_DIGEST,
@@ -236,8 +247,8 @@ class ReplayEvaluator:
     then runs the engine's self-check so a recording that cannot
     reproduce its own simulation is rejected up front
     (:class:`~repro.replay.ReplayMismatch`).  Workloads whose behaviour
-    depends on state the recorder cannot see (occupancy probes, method
-    processes, arbiters) poison their spool and raise
+    depends on what the recorder cannot see (a method process touching a
+    FIFO, an explicit event wait) poison their spool and raise
     :class:`~repro.replay.ReplayError` here instead of silently
     producing wrong sweeps.
     """
@@ -381,20 +392,14 @@ def compare_replay_to_spool(
     replayed: ReplayResult,
     fresh: DependencySpool,
     fresh_result: Optional[ReplayResult] = None,
-    strict: bool = False,
 ) -> List[str]:
     """Differences between a replayed point and a fresh recorded run.
 
-    Compares the end date, kernel counters, per-FIFO totals and blocking
-    waits, the final per-process local dates (in registration order —
-    pids are numbered globally, so keys differ across runs) and, when
-    ``fresh_result`` is given, every per-word completion date.
-
-    ``strict`` marks a method-pinned replay: such replays adopt the
-    anchor's kernel activity counters, which can drift sub-observably in
-    a fresh run (external notification arming is depth-dependent
-    scheduling noise), so only the paper's observables — dates, traffic,
-    blocking, end date, local times — are compared.
+    Compares the end date, every kernel counter, per-FIFO totals and
+    blocking waits, the final per-thread local dates (in registration
+    order — pids are numbered globally, so keys differ across runs) and,
+    when ``fresh_result`` is given, every per-word completion date.  A
+    replay re-derives all of them, so it must match on all of them.
     """
     diffs: List[str] = []
     if replayed.sim_end_fs != fresh.sim_end_fs:
@@ -402,11 +407,7 @@ def compare_replay_to_spool(
             f"sim_end_fs: replay {replayed.sim_end_fs} != "
             f"fresh {fresh.sim_end_fs}"
         )
-    counter_keys = (
-        () if strict
-        else ("thread_activations", "delta_cycles", "timed_phases")
-    )
-    for key in counter_keys:
+    for key in ("thread_activations", "delta_cycles", "timed_phases"):
         mine, theirs = getattr(replayed, key), fresh.stats[key]
         if mine != theirs:
             diffs.append(f"{key}: replay {mine} != fresh {theirs}")
@@ -459,8 +460,7 @@ def _validation_sample(count: int, validate: int) -> List[int]:
 
 
 def _cross_validate(
-    point: ScenarioSpec, result: ReplayResult, strict: bool, trace_sink: str,
-    telemetry,
+    point: ScenarioSpec, result: ReplayResult, trace_sink: str, telemetry,
 ) -> None:
     """Diff ``result`` against a fresh recorded run of ``point``; raise
     :class:`~repro.replay.ReplayError` on any difference."""
@@ -474,9 +474,7 @@ def _cross_validate(
                 f"{fresh_spool.poison}"
             )
         fresh_result = ReplayEngine(fresh_spool).self_check()
-        diffs = compare_replay_to_spool(
-            result, fresh_spool, fresh_result, strict=strict
-        )
+        diffs = compare_replay_to_spool(result, fresh_spool, fresh_result)
     if diffs:
         raise ReplayError(
             f"replayed point {point.label} diverges from a fresh "
@@ -493,6 +491,13 @@ def route_group(
     on_row: Optional[Callable[[str], None]] = None,
 ) -> ReplaySweepResult:
     """Record and self-check ``anchor`` once, then replay ``points``.
+
+    An anchor that cannot be replayed at all — its recording is poisoned
+    (say, a method process touched a FIFO: replay only re-derives
+    threads) or fails its self-check — comes back as ``unreplayable``,
+    and the caller simulates the whole group.  So every replayed row,
+    counters included, is what replay re-derived, never a copy of the
+    anchor's.
 
     A point outside the recording's validity envelope
     (:class:`~repro.replay.ReplayInvalid`) is refused: its row is None
@@ -526,9 +531,7 @@ def route_group(
         on_row(anchor.name)
 
     def check(point: ScenarioSpec, result: ReplayResult) -> None:
-        _cross_validate(
-            point, result, evaluator.engine.strict, trace_sink, telemetry
-        )
+        _cross_validate(point, result, trace_sink, telemetry)
         sweep.validations.append(point.name)
 
     targets = _validation_sample(len(points), validate)

@@ -4,12 +4,11 @@ Implementations:
 
 * :class:`~repro.fifo.regular_fifo.RegularFifo` — the ``sc_fifo``
   equivalent, for non-decoupled processes;
-* :class:`~repro.fifo.sync_fifo.SyncFifo` — a regular FIFO with a
-  ``sync()`` at the beginning of each access, the timing-correct but slow
-  way to use FIFOs from decoupled processes (Section II-B);
 * :class:`~repro.fifo.smart_fifo.SmartFifo` — the paper's contribution:
   temporal-decoupling-aware FIFO with blocking, non-blocking and monitor
-  interfaces (Section III);
+  interfaces (Section III); with ``sync_on_access=True`` it is Section
+  II-B's reference instead, a ``sync()`` at the beginning of each access:
+  the timing-correct but slow way to use FIFOs from decoupled processes;
 * :class:`~repro.fifo.packet_fifo.PacketSmartFifo` — the Smart FIFO
   extension handling packetization used by the case-study network
   interfaces (Section IV-C);
@@ -30,7 +29,6 @@ from .packet_fifo import PacketSmartFifo
 from .ports import FifoReadPort, FifoWritePort
 from .regular_fifo import RegularFifo
 from .smart_fifo import SmartFifo
-from .sync_fifo import SyncFifo
 
 __all__ = [
     "CellRing",
@@ -45,6 +43,5 @@ __all__ = [
     "ReadArbiter",
     "RegularFifo",
     "SmartFifo",
-    "SyncFifo",
     "WriteArbiter",
 ]

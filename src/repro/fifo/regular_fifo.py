@@ -11,9 +11,9 @@ nothing about local dates: it is meant to be used either
   study (through :meth:`nb_read` / :meth:`nb_write`).
 
 Decoupled threads must not use it directly — they would corrupt the timing
-exactly as illustrated by Fig. 3 of the paper.  They should use either
-:class:`~repro.fifo.sync_fifo.SyncFifo` (same timing, one context switch
-per access) or :class:`~repro.fifo.smart_fifo.SmartFifo` (same timing,
+exactly as illustrated by Fig. 3 of the paper.  They should use a
+:class:`~repro.fifo.smart_fifo.SmartFifo`: with ``sync_on_access=True``
+(same timing, one context switch per access) or without (same timing,
 almost no context switch).
 """
 

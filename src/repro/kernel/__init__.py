@@ -18,6 +18,7 @@ from .context import (
 )
 from .errors import (
     BindingError,
+    BlockedRunError,
     ElaborationError,
     FifoError,
     ProcessError,
@@ -73,6 +74,7 @@ from .tracing import (
 
 __all__ = [
     "BindingError",
+    "BlockedRunError",
     "ElaborationError",
     "Event",
     "EventList",

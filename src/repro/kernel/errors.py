@@ -44,6 +44,14 @@ class TimingError(SimulationError):
     """
 
 
+class BlockedRunError(SimulationError):
+    """Raised when a run ends with thread processes still waiting.
+
+    Nothing is left to wake them, so the run lost a wakeup (or deadlocked)
+    and its counters describe a run that never completed.
+    """
+
+
 class FifoError(SimulationError):
     """Raised on invalid FIFO usage (zero depth, non-blocking read on an
     empty FIFO, ...)."""

@@ -16,7 +16,7 @@ interacts with:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import context
 from .errors import ElaborationError
@@ -100,6 +100,24 @@ class Simulator:
             module = stack.pop()
             yield module
             stack.extend(module.children)
+
+    def blocked_threads(self) -> List[Tuple[str, Optional[str]]]:
+        """``(thread, event)`` per thread process that has not terminated.
+
+        ``event`` names the module event the thread waits on, or is None
+        when the thread waits on anything else.  After a :meth:`run`
+        without ``until`` nothing is left to wake such a thread: it is
+        blocked for good.
+        """
+        blocked = [p for p in self.scheduler._threads if not p.terminated]
+        waits = {}
+        for module in self.walk_modules() if blocked else ():
+            for value in vars(module).values():
+                if isinstance(value, Event):
+                    for process, wait_id in value._waiting_threads:
+                        if wait_id == process.wait_id:
+                            waits.setdefault(process, value.name)
+        return [(process.name, waits.get(process)) for process in blocked]
 
     # ------------------------------------------------------------------
     # Process creation (for code not living inside a Module)

@@ -459,12 +459,9 @@ OP_QUANTUM = 4      # a = quantum-keeper annotation (fs)
 OP_REG_WRITE = 5    # a = fifo index; date = kernel date
 OP_REG_READ = 6     # a = fifo index; date = kernel date
 OP_INC = 7          # a = trailing local-time advance with no op after it
-OP_BRANCH = 8       # a = fifo index, b = (construct, outcome[, offset])
+OP_BRANCH = 8       # a = fifo index, b = (construct, outcome); date = local
 OP_WAIT_CAP = 9     # a = fifo index, b = side (0 = writable, 1 = readable)
 OP_GRANT = 10       # a = arbiter index, b = access duration; date = grant
-# A thread's OP_BRANCH is dated at the caller's local date.  A method
-# process's is dated at the kernel date its pinned replay fires at, and
-# carries ``offset``: the probe's local date minus that kernel date.
 
 #: ``construct`` codes of :data:`OP_BRANCH` records — which occupancy
 #: probe produced the outcome.  The replay engine recomputes each probe
@@ -504,14 +501,14 @@ BR_NAMES = {
     BR_REG_SIZE: "get_size",
 }
 
-DEP_SPOOL_VERSION = 3
+DEP_SPOOL_VERSION = 4
 
 
 class DependencySpool:
     """One reference run's structured dependency record.
 
-    Everything the replay engine needs: one program per process in the
-    engine's own form (``OP_*`` tuples, shared between equal ops) with
+    Everything the replay engine needs: one program per thread process in
+    the engine's own form (``OP_*`` tuples, shared between equal ops) with
     its date column, the FIFO roster with final counters, the kernel
     counters of the recorded run (the replay self-check oracle) and the
     recorded global quantum.  The engine executes the programs as they
@@ -520,13 +517,11 @@ class DependencySpool:
 
     __slots__ = (
         "version", "threads", "programs", "dates", "fifos", "stats",
-        "sim_end_fs", "quantum_fs", "process_local_fs", "poison", "methods",
-        "arbiters",
+        "sim_end_fs", "quantum_fs", "process_local_fs", "poison", "arbiters",
     )
 
     def __init__(self, threads, programs, dates, fifos, stats, sim_end_fs,
-                 quantum_fs, process_local_fs, poison, methods=(),
-                 arbiters=()):
+                 quantum_fs, process_local_fs, poison, arbiters=()):
         self.version = DEP_SPOOL_VERSION
         #: ``(name, pid)`` in thread-registration order (= the order the
         #: scheduler seeds its runnable queue with at initialization).
@@ -544,15 +539,11 @@ class DependencySpool:
         self.sim_end_fs = sim_end_fs
         #: Global quantum (fs) in force at the end of the recorded run.
         self.quantum_fs = quantum_fs
-        #: pid -> raw ``process.local_fs`` at the end of the recorded run.
+        #: Thread pid -> raw ``process.local_fs`` at the end of the
+        #: recorded run.
         self.process_local_fs = process_local_fs
         #: None when the run is replayable, else the first reason it is not.
         self.poison = poison
-        #: ``(name, pid)`` of every method process, in registration order.
-        #: Methods replay *pinned*: their recorded op streams re-execute at
-        #: the recorded dates under verification, so a method-bearing spool
-        #: is replayable only where the verification holds (strict mode).
-        self.methods = list(methods)
         #: One dict per registered arbiter port, in registration order.
         self.arbiters = list(arbiters)
 
@@ -580,8 +571,9 @@ class DependencyRecorder:
     is fused into the next op's ``pre``, a burst span is recorded as the
     word ops it is bit-exact with, and each op's date is appended to the
     process's ``array('q')`` date column.  Accesses that replay cannot
-    reproduce (method-process waits, process-less callers) poison the
-    recording instead of raising, and :meth:`finalize` reports the reason.
+    reproduce (anything a method process records, process-less callers)
+    poison the recording instead of raising, and :meth:`finalize` reports
+    the reason.
     """
 
     def __init__(self, sim):
@@ -609,6 +601,10 @@ class DependencyRecorder:
             return self._last
         stream = self._streams.get(pid)
         if stream is None:
+            if not process.is_thread:
+                # Replay re-derives when threads run, never when an event
+                # notification invokes a method.
+                self.poison("FIFO/timing access from a method process")
             stream = self._streams[pid] = _Stream()
         self._last_pid = pid
         self._last = stream
@@ -665,18 +661,17 @@ class DependencyRecorder:
         """Record the outcome of one occupancy-dependent probe.
 
         ``outcome`` is the probe's result (bool as 0/1, or a fill level);
-        ``date_fs`` the local date the probe evaluated at.  A method
-        process's probe is dated at the kernel date instead, so its
-        stream can replay pinned in time, with the local date kept as an
-        offset.
+        ``date_fs`` the local date the probe evaluated at.  A probe from a
+        method process poisons the recording: the method runs when a
+        notification invokes it, which replay cannot re-derive.
         """
         process = self._scheduler.current_process
         if process is not None and not process.is_thread:
-            now_fs = self._scheduler.now_fs
-            self._append(OP_BRANCH, fifo_index,
-                         (construct, outcome, date_fs - now_fs), now_fs)
-        else:
-            self._append(OP_BRANCH, fifo_index, (construct, outcome), date_fs)
+            self.poison(
+                f"{BR_NAMES[construct]} probe of "
+                f"{self._fifos[fifo_index]['name']} from a method process"
+            )
+        self._append(OP_BRANCH, fifo_index, (construct, outcome), date_fs)
 
     def wait_cap(self, fifo_index: int, side: int) -> None:
         """Record one arbiter capacity wait (wait_writable/wait_readable)."""
@@ -732,9 +727,8 @@ class DependencyRecorder:
         scheduler = self._scheduler
         sim = self.sim
         threads = [(p.name, p.pid) for p in scheduler._threads]
-        methods = [(p.name, p.pid) for p in scheduler._methods]
         streams = self._streams
-        for process in scheduler._threads + scheduler._methods:
+        for process in scheduler._threads:
             if process.pid not in streams:
                 streams[process.pid] = _Stream()
         for stream in streams.values():
@@ -756,8 +750,6 @@ class DependencyRecorder:
 
         quantum_fs = GlobalQuantum.instance(sim).quantum.femtoseconds
         process_local_fs = {p.pid: p.local_fs for p in scheduler._threads}
-        for p in scheduler._methods:
-            process_local_fs[p.pid] = p.local_fs
         return DependencySpool(
             threads=threads,
             programs={pid: s.program for pid, s in streams.items()},
@@ -768,6 +760,5 @@ class DependencyRecorder:
             quantum_fs=quantum_fs,
             process_local_fs=process_local_fs,
             poison=self.poison_reason,
-            methods=methods,
             arbiters=self._arbiters,
         )

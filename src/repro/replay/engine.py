@@ -17,18 +17,23 @@ order, same local-time clamping), which is what makes the anchor
 self-check meaningful: replaying at the recorded configuration must
 reproduce the recorded per-access dates, kernel counters and final date
 bit-exactly, otherwise the run is declared non-replayable.  The date
-columns are read only then (and in strict, method-pinned replays): a
-retargeted replay needs the ops, never the dates they had.
+columns are read only then: a retargeted replay needs the ops, never the
+dates they had.
+
+Only thread processes replay.  When a method process runs is decided by
+event notifications, which replay does not re-derive, so a recording in
+which a method touches a FIFO is refused by the recorder (see
+``DependencyRecorder``) and its sweep is simulated instead.
 
 A replay whose schedule turns exactly periodic (a streaming pipeline in
 steady state) does not interpret it period after period: once the whole
 schedule state repeats, shifted in time, the emulator applies as many
 more periods as every thread's program still repeats in one step
 (``_Emulator._probe``), with every result field as if each op had run.
-The jump covers thread-only recordings without branch probes, grants or
-capacity waits, outside strict mode.  Check mode never takes it, so the
-anchor self-check and each cross-validation's fresh self-check stay the
-full interpretation the fast-forward is held against.
+The jump covers recordings without branch probes, grants or capacity
+waits.  Check mode never takes it, so the anchor self-check and each
+cross-validation's fresh self-check stay the full interpretation the
+fast-forward is held against.
 """
 
 from __future__ import annotations
@@ -208,8 +213,7 @@ class _SmartState:
         self.name = name
         self.depth = depth
         self.sync_on_access = sync_on_access
-        #: Depth the anchor run recorded (envelope checks compare the probe
-        #: at this depth against the replayed one).
+        #: Depth the anchor run recorded (named in envelope refusals).
         self.anchor_depth = anchor_depth or depth
         #: Packet granularity of a PacketSmartFifo (0 = word-level only).
         self.packet_size = packet_size
@@ -258,97 +262,34 @@ class _RegState:
         self.data_read = _Event()
 
 
-class _Method:
-    """Replay image of one method process: a pinned branch-record stream.
-
-    Methods cannot block or synchronize, so their recorded streams contain
-    only ``OP_BRANCH`` records.  They replay *pinned*: each record fires at
-    its recorded kernel date (its date column) once the emulated FIFO state
-    verifies against the recorded outcome (exact-occupancy matching orders
-    concurrent method accesses the way the anchor ordered them); a record
-    that stays infeasible at its date pushes the point outside the validity
-    envelope.
-    """
-
-    __slots__ = ("pid", "name", "program", "dates", "length", "pc")
-
-    def __init__(self, pid: int, name: str, program: List[tuple], dates):
-        self.pid = pid
-        self.name = name
-        #: ``(OP_BRANCH, fifo_index, (construct, outcome, offset), 0)``
-        #: per record; the probe's local date is its kernel date + offset.
-        self.program = program
-        #: Kernel date each record fires at.
-        self.dates = dates
-        self.length = len(program)
-        self.pc = 0
-
-
-def _smart_probe(f: _SmartState, depth: int, construct: int, d: int,
-                 psize: int) -> Tuple[int, int]:
-    """Re-derive one Smart FIFO probe from the emulated ring.
-
-    Returns ``(outcome, armed_fs)``: the probe's result at date ``d`` with
-    the ring truncated/extended to ``depth``, and the date at which the
-    probe would have (re)armed a forced external notification (-1 when it
-    arms nothing).  The arming date matters for pinned method replays: a
-    retarget that changes it would change when the method is next invoked,
-    which the pinned stream cannot represent.
-    """
+def _smart_probe(f: _SmartState, construct: int, d: int) -> int:
+    """Re-derive one Smart FIFO probe from the emulated ring: its result
+    at date ``d`` at the replayed depth."""
+    depth = f.depth
     nw = f.nw
     nr = f.nr
     busy = nw - nr
     if construct == BR_NB_WRITE:
-        if busy >= depth:
-            return 0, -1
-        freeing = f.rdates[nw - depth] if nw >= depth else -1
-        if freeing > d:
-            return 0, freeing
-        return 1, -1
+        return int(busy < depth and (nw < depth or f.rdates[nw - depth] <= d))
     if construct == BR_NB_READ:
-        if busy == 0:
-            return 0, -1
-        insertion = f.wdates[nr]
-        if insertion > d:
-            return 0, insertion
-        return 1, -1
+        return int(busy > 0 and f.wdates[nr] <= d)
     if construct == BR_IS_FULL:
-        if busy >= depth:
-            return 1, -1
-        freeing = f.rdates[nw - depth] if nw >= depth else -1
-        if freeing > d:
-            return 1, freeing
-        return 0, -1
+        return int(busy >= depth or (nw >= depth and f.rdates[nw - depth] > d))
     if construct == BR_IS_EMPTY:
-        if busy == 0:
-            return 1, -1
-        insertion = f.wdates[nr]
-        if insertion > d:
-            return 1, insertion
-        return 0, -1
+        return int(busy == 0 or f.wdates[nr] > d)
     if construct == BR_GET_SIZE or construct == BR_PEEK_SIZE:
-        return (bisect_right(f.wdates, d) - bisect_right(f.rdates, d)), -1
+        return bisect_right(f.wdates, d) - bisect_right(f.rdates, d)
+    psize = f.packet_size
     if construct == BR_PKT_AVAILABLE:
         if psize <= 0:
             raise ReplayError(f"packet probe on non-packet FIFO {f.name}")
-        if busy >= psize:
-            completion = f.wdates[nr + psize - 1]
-            if completion <= d:
-                return 1, -1
-            return 0, completion
-        return 0, -1
+        return int(busy >= psize and f.wdates[nr + psize - 1] <= d)
     if construct == BR_PKT_SPACE:
         if psize <= 0:
             raise ReplayError(f"packet probe on non-packet FIFO {f.name}")
-        if depth - busy >= psize:
-            index = nw - depth + psize - 1
-            if index < 0:
-                return 1, -1
-            ready = f.rdates[index]
-            if ready <= d:
-                return 1, -1
-            return 0, ready
-        return 0, -1
+        index = nw - depth + psize - 1
+        return int(depth - busy >= psize
+                   and (index < 0 or f.rdates[index] <= d))
     raise ReplayError(f"unknown branch construct {construct}")
 
 
@@ -368,9 +309,6 @@ class ReplayResult:
     #: ``(process, pc, op, expected, got)`` date-check divergences
     #: (only populated when the replay ran with ``check_dates=True``).
     mismatches: List[tuple] = field(default_factory=list)
-    #: Zero except in strict (method-pinned) replays, which verify the
-    #: recorded method schedule and adopt its invocation count.
-    method_invocations: int = 0
     #: Per-FIFO ``(insertion_dates, read_dates)`` in fs for Smart FIFOs
     #: (None for regular FIFOs, which carry no dates) — the paper's
     #: completion dates, used by sweep cross-validation.
@@ -396,9 +334,9 @@ class ReplayEngine:
     """Replay the programs of one :class:`DependencySpool` at will.
 
     The engine is immutable after construction (apart from the program
-    periods, computed once on first use); every :meth:`replay` call
-    creates fresh emulator state, so one recorded anchor can be replayed
-    at hundreds of depth/quantum points.
+    periods and the static envelope, computed once on first use); every
+    :meth:`replay` call creates fresh emulator state, so one recorded
+    anchor can be replayed at hundreds of depth/quantum points.
     """
 
     def __init__(self, spool: DependencySpool):
@@ -413,28 +351,9 @@ class ReplayEngine:
             (name, pid, spool.programs[pid], spool.dates[pid])
             for name, pid in spool.threads
         ]
-        #: Pinned branch-record streams of the method processes (see
-        #: :class:`_Method`).  A spool with any non-empty method stream
-        #: replays in *strict* mode: every recorded date is verified and
-        #: the result is the recorded run itself (identical-execution
-        #: envelope), because method invocation times cannot be re-derived.
-        self.method_programs: List[Tuple[str, int, List[tuple], object]] = []
-        for name, pid in spool.methods:
-            program = spool.programs[pid]
-            for op, _a, _b, pre in program:
-                if op != OP_BRANCH or pre:
-                    raise ReplayError(
-                        f"method process {name} recorded "
-                        f"{'an inc' if pre else _OP_NAMES[op]}; only "
-                        "branch probes are replayable from methods"
-                    )
-            self.method_programs.append(
-                (name, pid, program, spool.dates[pid])
-            )
-        self.strict = any(prog for _, _, prog, _ in self.method_programs)
-        self._envelope = self._collect_envelope()
 
-    def _collect_envelope(self) -> Dict[int, dict]:
+    @cached_property
+    def _envelope(self) -> Dict[int, dict]:
         """Static (provable) validity envelope per FIFO index.
 
         Write-side boolean probes are monotone in the depth *given an
@@ -444,7 +363,9 @@ class ReplayEngine:
         it.  Inside the resulting per-FIFO ``[min_depth, max_depth]`` range
         the whole recording is provably stable by induction; outside it the
         dynamic per-record verification decides (it may still succeed — the
-        static envelope is sufficient, not necessary).
+        static envelope is sufficient, not necessary).  Only the per-FIFO
+        report below reads it, so it is walked on first use, not for every
+        engine a sweep builds.
         """
         envelope: Dict[int, dict] = {}
 
@@ -455,9 +376,7 @@ class ReplayEngine:
                 entry[kind] = (BR_NAMES.get(construct, str(construct)),
                                process)
 
-        for name, _pid, program, _dates in (
-            self.programs + self.method_programs
-        ):
+        for name, _pid, program, _dates in self.programs:
             for op, a, b, _pre in program:
                 if op == OP_BRANCH:
                     self._constrain_one(constrain, a, b[0], b[1], name)
@@ -513,13 +432,10 @@ class ReplayEngine:
         differ from the loop between them (a first access with no gap, a
         trailing ``inc``).  Ops compare by identity, which the recorder's
         interning makes equality.  None when the recording is outside the
-        periodic fast-forward's scope: it has method processes, or a
-        thread probes occupancy, waits for capacity or asks an arbiter
-        for a grant, all of which read state the fast-forward does not
-        compare.
+        periodic fast-forward's scope: a thread probes occupancy, waits
+        for capacity or asks an arbiter for a grant, all of which read
+        state the fast-forward does not compare.
         """
-        if self.method_programs:
-            return None
         periods = []
         for _name, _pid, program, _dates in self.programs:
             if _UNSCOPED_OPS.intersection(map(itemgetter(0), program)):
@@ -563,15 +479,6 @@ class ReplayEngine:
             raise ReplayError(f"replay depths must be positive: {depths}")
         if quantum_fs is None:
             quantum_fs = self.spool.quantum_fs
-        elif self.strict and quantum_fs != self.spool.quantum_fs:
-            # Pinned method records fire at recorded *kernel* dates; a
-            # different quantum moves every sync boundary, so those dates
-            # are only meaningful at the recorded quantum.
-            raise ReplayInvalid(
-                f"strict (method-pinned) recording cannot be retargeted "
-                f"from quantum {self.spool.quantum_fs} fs to "
-                f"{quantum_fs} fs",
-            )
         return _Emulator(self, list(depths), quantum_fs, check_dates).run()
 
     # ------------------------------------------------------------------
@@ -600,7 +507,9 @@ class ReplayEngine:
             ("thread_activations", result.thread_activations),
             ("delta_cycles", result.delta_cycles),
             ("timed_phases", result.timed_phases),
-            ("method_invocations", result.method_invocations),
+            # Replay runs no method process: a recorded run that invoked
+            # one is not the run replay re-derives.
+            ("method_invocations", 0),
         ):
             expected = spool.stats.get(key, 0)
             if expected != got:
@@ -643,15 +552,8 @@ class _Emulator:
                  quantum_fs: int, check_dates: bool):
         self.engine = engine
         self.quantum_fs = quantum_fs
-        self.strict = engine.strict
-        # Strict mode verifies every recorded date (the identical-execution
-        # argument needs them; see ``_finish_strict``).
-        self.check = check_dates or self.strict
+        self.check = check_dates
         self.mismatches: List[tuple] = []
-        self.now = 0
-        self.delta_cycles = 0
-        self.timed_phases = 0
-        self.activations = 0
         self.fifos: List[object] = [
             _SmartState(
                 meta["name"], depth, meta["sync_on_access"],
@@ -667,17 +569,12 @@ class _Emulator:
             _Proc(pid, name, program, dates)
             for name, pid, program, dates in engine.programs
         ]
-        self.methods = [
-            _Method(pid, name, program, dates)
-            for name, pid, program, dates in engine.method_programs
-        ]
         #: Port-free date per recorded arbiter (NEVER before any grant).
         self.port_free = [-1] * len(engine.arbiters)
         self.runnable: deque = deque()
         self.delta_events: List[_Event] = []
         self.delta_wakes: List[Tuple[_Proc, int]] = []
         self.heap: List[tuple] = []
-        self.seq = 0
         self.ops_skipped = 0
         # Check mode never fast-forwards: it is the full interpretation
         # that every other replay is held against.
@@ -729,11 +626,8 @@ class _Emulator:
         heap = self.heap
         fifos = self.fifos
         check = self.check
-        strict = self.strict
         quantum_fs = self.quantum_fs
         port_free = self.port_free
-        methods = self.methods
-        have_methods = bool(methods)
         fast_forward = self.fast_forward
         if fast_forward:
             gate = self.gate
@@ -749,12 +643,6 @@ class _Emulator:
             proc.runnable = True
             runnable.append(proc)
         while True:
-            if have_methods:
-                # Fire pinned method records that verify against the
-                # *pre-thread* state of this delta round; records the anchor
-                # interleaved after this round's thread effects defer and
-                # are retried at quiescence below.
-                self._pump(now)
             if runnable:
                 delta_cycles += 1
             while runnable:
@@ -1059,12 +947,6 @@ class _Emulator:
                             occ = f.occupancy
                             depth = f.depth
                             anchor = f.anchor_depth
-                            if strict and occ != rec_outcome:
-                                self._invalid(
-                                    proc.name, f.name, construct,
-                                    f"pinned replay needs the recorded "
-                                    f"occupancy {rec_outcome}, found {occ}",
-                                )
                             if construct == BR_REG_NB_WRITE:
                                 if (occ < depth) != (rec_outcome < anchor):
                                     self._invalid(
@@ -1120,9 +1002,7 @@ class _Emulator:
                                 self._mismatch(proc, pc, op, dates[pc], now)
                         else:
                             local = stored if stored > now else now
-                            outcome, _armed = _smart_probe(
-                                f, f.depth, construct, local, f.packet_size
-                            )
+                            outcome = _smart_probe(f, construct, local)
                             if outcome != rec_outcome:
                                 self._invalid(
                                     proc.name, f.name, construct,
@@ -1261,24 +1141,6 @@ class _Emulator:
                 delta_wakes.clear()
             if runnable:
                 continue
-            if have_methods:
-                # Quiescent: retry records the anchor interleaved after this
-                # round's thread effects, then refuse to leave the date with
-                # an applicable-but-unverifiable record pending (it would
-                # silently fire at the wrong date otherwise).
-                if self._pump(now):
-                    continue
-                for m in methods:
-                    if m.pc < m.length and m.dates[m.pc] <= now:
-                        _op, fifo_index, (construct, outcome, _), _pre = (
-                            m.program[m.pc]
-                        )
-                        self._invalid(
-                            m.name, fifos[fifo_index].name, construct,
-                            f"pinned record (outcome {outcome}) could not "
-                            f"be applied at its recorded date "
-                            f"{m.dates[m.pc]} fs",
-                        )
             # -- timed phase: advance to the next pending date -----------
             if fast_forward and gate.pc >= gate_wrap and heap:
                 now, activations, delta_cycles, timed_phases = self._probe(
@@ -1289,67 +1151,47 @@ class _Emulator:
                     gate.pc - (gate.pc - 1) % gate.period + gate.period,
                     gate.length - 1,
                 )
-            time_fs = heap[0][0] if heap else -1
-            if have_methods:
-                for m in methods:
-                    if m.pc < m.length:
-                        due = m.dates[m.pc]
-                        if time_fs < 0 or due < time_fs:
-                            time_fs = due
-            if time_fs < 0:
+            if not heap:
                 break
-            now = time_fs
+            now = heap[0][0]
             timed_phases += 1
-            while heap and heap[0][0] == time_fs:
+            while heap and heap[0][0] == now:
                 _, _, proc, wait_id = heappop(heap)
                 if not (proc.terminated or proc.runnable
                         or wait_id != proc.wait_id):
                     proc.runnable = True
                     runnable.append(proc)
-        self.now = now
-        self.seq = seq
-        self.activations = activations
-        self.delta_cycles = delta_cycles
-        self.timed_phases = timed_phases
-        if self.strict:
-            return self._finish_strict()
         result = ReplayResult(
-            sim_end_fs=self.now,
-            quantum_fs=self.quantum_fs,
+            sim_end_fs=now,
+            quantum_fs=quantum_fs,
             depths=self.depths,
-            thread_activations=self.activations,
-            delta_cycles=self.delta_cycles,
-            timed_phases=self.timed_phases,
-            fifo_stats=self._fifo_stats(),
+            thread_activations=activations,
+            delta_cycles=delta_cycles,
+            timed_phases=timed_phases,
+            fifo_stats=[
+                {
+                    "name": state.name,
+                    "kind": state.kind,
+                    "depth": state.depth,
+                    "total_written": state.total_written,
+                    "total_read": state.total_read,
+                    "blocking_waits": state.blocking_waits,
+                }
+                for state in fifos
+            ],
             process_local_fs={
                 proc.pid: proc.stored for proc in self.procs
             },
             all_terminated=all(proc.terminated for proc in self.procs),
             mismatches=self.mismatches,
-            fifo_dates=self._fifo_dates(),
+            fifo_dates=[
+                (state.wdates, state.rdates)
+                if state.kind == "smart" else None
+                for state in fifos
+            ],
         )
         result.ops_skipped = self.ops_skipped
         return result
-
-    def _fifo_stats(self) -> List[dict]:
-        return [
-            {
-                "name": state.name,
-                "kind": state.kind,
-                "depth": state.depth,
-                "total_written": state.total_written,
-                "total_read": state.total_read,
-                "blocking_waits": state.blocking_waits,
-            }
-            for state in self.fifos
-        ]
-
-    def _fifo_dates(self) -> List[Optional[Tuple[List[int], List[int]]]]:
-        return [
-            (state.wdates, state.rdates)
-            if state.kind == "smart" else None
-            for state in self.fifos
-        ]
 
     def _invalid(self, process: str, fifo: str, construct: int,
                  detail: str) -> None:
@@ -1583,195 +1425,4 @@ class _Emulator:
         return tuple(
             value + periods * (value - old)
             for value, old in zip(counters, counters_before)
-        )
-
-    # -- pinned method streams (strict mode) ---------------------------
-    def _pump(self, now: int) -> bool:
-        """Fire every due pinned method record that verifies; True if any.
-
-        Records fire in stream order per method; a record whose recorded
-        FIFO state has not been reached yet defers (exact-occupancy
-        matching orders method effects against thread effects the way the
-        anchor interleaved them).  The fixpoint ends when no due record
-        verifies; the caller decides whether that is a deferral (threads
-        still runnable this date) or an envelope violation (quiescent).
-        """
-        fired = False
-        progress = True
-        while progress:
-            progress = False
-            for m in self.methods:
-                while m.pc < m.length:
-                    due = m.dates[m.pc]
-                    if due > now:
-                        break
-                    _op, fifo_index, b, _pre = m.program[m.pc]
-                    if due < now:
-                        # Defensive: the timed phase never advances past a
-                        # pending due date, and the quiescence check fires
-                        # first; an earlier due here means corrupt state.
-                        self._invalid(
-                            m.name, self.fifos[fifo_index].name, b[0],
-                            f"pinned record for kernel date {due} fs "
-                            f"outlived its date (now {now} fs)",
-                        )
-                    if not self._apply_pinned(fifo_index, b, due):
-                        break
-                    m.pc += 1
-                    progress = True
-                    fired = True
-        return fired
-
-    def _apply_pinned(self, fifo_index: int, b: tuple, due: int) -> bool:
-        """Verify one pinned method record and apply its effect.
-
-        ``b`` is the record's ``(construct, outcome, offset)`` and ``due``
-        its kernel date.  Returns False to defer (not this record's
-        interleaving point yet, or the retargeted state cannot reproduce
-        it — the quiescence check turns a permanent deferral into
-        :class:`ReplayInvalid`).
-        """
-        construct, outcome, offset = b
-        date_fs = due + offset
-        f = self.fifos[fifo_index]
-        if construct >= BR_REG_NB_WRITE:
-            occ = f.occupancy
-            if occ != outcome:
-                return False
-            depth = f.depth
-            anchor = f.anchor_depth
-            if construct == BR_REG_NB_WRITE:
-                # occ == outcome, so this reduces to the depth envelope:
-                # the anchor's accept/refuse must hold at the new depth.
-                if (occ < depth) != (outcome < anchor):
-                    return False
-                if outcome < anchor:
-                    f.occupancy = occ + 1
-                    f.total_written += 1
-                    ev = f.data_written
-                    if not ev.pending:
-                        ev.pending = True
-                        self.delta_events.append(ev)
-            elif construct == BR_REG_NB_READ:
-                if occ > 0:
-                    f.occupancy = occ - 1
-                    f.total_read += 1
-                    ev = f.data_read
-                    if not ev.pending:
-                        ev.pending = True
-                        self.delta_events.append(ev)
-            elif construct == BR_REG_IS_FULL:
-                if (occ >= depth) != (outcome >= anchor):
-                    return False
-            # IS_EMPTY / PEEK / SIZE need only the exact-occupancy match.
-            return True
-        # Smart FIFO probe, pinned to its recorded local date.  The ring
-        # is anchor-identical by induction, so the probe must reproduce at
-        # the anchor depth (else: wrong interleaving point, defer) and —
-        # when retargeted — at the replayed depth with the same armed
-        # notification date (else the method's own invocation schedule
-        # would change, which the pinned stream cannot represent).
-        psize = f.packet_size
-        anchor_outcome, anchor_armed = _smart_probe(
-            f, f.anchor_depth, construct, date_fs, psize
-        )
-        if anchor_outcome != outcome:
-            return False
-        if f.depth != f.anchor_depth:
-            replay_outcome, replay_armed = _smart_probe(
-                f, f.depth, construct, date_fs, psize
-            )
-            if replay_outcome != outcome or replay_armed != anchor_armed:
-                return False
-        if construct == BR_NB_WRITE and outcome:
-            f.wdates.append(date_fs)
-            f.nw += 1
-            if f.blocked_readers:
-                ev = f.cell_filled
-                if not ev.pending:
-                    ev.pending = True
-                    self.delta_events.append(ev)
-        elif construct == BR_NB_READ and outcome:
-            f.rdates.append(date_fs)
-            f.nr += 1
-            if f.blocked_writers:
-                ev = f.cell_freed
-                if not ev.pending:
-                    ev.pending = True
-                    self.delta_events.append(ev)
-        return True
-
-    def _finish_strict(self) -> ReplayResult:
-        """Verify the pinned replay reproduced the anchor, then adopt it.
-
-        In strict mode every method effect was applied at its recorded
-        date and every thread date was checked, so a fully verified replay
-        reproduces the anchor's *observables*: all per-access dates, all
-        traffic totals, the end date and the final local times.  Blocking
-        waits are honestly recomputed at the replayed depth (blocking
-        preserves dates, so more or fewer waits stay inside the envelope);
-        the kernel activity counters (activations, delta cycles, timed
-        phases, method invocations) are adopted from the anchor and may
-        drift sub-observably in a fresh run — external notification
-        arming is depth-dependent scheduling noise the recorded behaviour
-        does not see.  Any *date* or traffic discrepancy means the
-        retarget changed behaviour the pinned streams cannot follow.
-        """
-        spool = self.engine.spool
-        for m in self.methods:
-            if m.pc < m.length:
-                _op, fifo_index, b, _pre = m.program[m.pc]
-                self._invalid(
-                    m.name, self.fifos[fifo_index].name, b[0],
-                    f"{m.length - m.pc} pinned records never became "
-                    f"applicable",
-                )
-        if self.mismatches:
-            name, pc, op, expected, got = self.mismatches[0]
-            raise ReplayInvalid(
-                f"replay outside validity envelope: {name} op#{pc} "
-                f"{_OP_NAMES[op]} recorded {expected} fs, replayed "
-                f"{got} fs ({len(self.mismatches)} divergences)",
-                process=name,
-            )
-        for proc in self.procs:
-            if not proc.terminated:
-                raise ReplayInvalid(
-                    f"replay outside validity envelope: {proc.name} "
-                    f"deadlocked at op #{proc.pc}/{proc.length}",
-                    process=proc.name,
-                )
-        for meta, state in zip(spool.fifos, self.fifos):
-            for key in ("total_written", "total_read"):
-                got = getattr(state, key)
-                if meta[key] != got:
-                    raise ReplayInvalid(
-                        f"replay outside validity envelope: "
-                        f"{meta['name']}.{key} recorded {meta[key]}, "
-                        f"replayed {got}",
-                        fifo=meta["name"],
-                    )
-        for proc in self.procs:
-            expected = spool.process_local_fs.get(proc.pid)
-            if expected is not None and expected != proc.stored:
-                raise ReplayInvalid(
-                    f"replay outside validity envelope: {proc.name} final "
-                    f"local date recorded {expected} fs, replayed "
-                    f"{proc.stored} fs",
-                    process=proc.name,
-                )
-        stats = spool.stats
-        return ReplayResult(
-            sim_end_fs=spool.sim_end_fs,
-            quantum_fs=self.quantum_fs,
-            depths=self.depths,
-            thread_activations=stats.get("thread_activations", 0),
-            delta_cycles=stats.get("delta_cycles", 0),
-            timed_phases=stats.get("timed_phases", 0),
-            fifo_stats=self._fifo_stats(),
-            process_local_fs=dict(spool.process_local_fs),
-            all_terminated=True,
-            mismatches=[],
-            method_invocations=stats.get("method_invocations", 0),
-            fifo_dates=self._fifo_dates(),
         )

@@ -129,7 +129,6 @@ def test_quantum_retarget_matches_fresh_simulation(
 #: retarget is only honoured inside the recording's validity envelope.
 CONDITIONAL_WORKLOADS = (
     ("random_traffic", {"item_count": 14, "monitor_samples": 3}),
-    ("noc_stress", {"packets_per_stream": 2, "packet_size": 2}),
 )
 
 
@@ -171,9 +170,7 @@ def test_conditional_retarget_exact_or_invalid(
     fresh_spool, _ = record_spool(point)
     assert fresh_spool.poison is None, fresh_spool.poison
     fresh_result = ReplayEngine(fresh_spool).self_check()
-    diffs = compare_replay_to_spool(
-        replayed, fresh_spool, fresh_result, strict=evaluator.engine.strict
-    )
+    diffs = compare_replay_to_spool(replayed, fresh_spool, fresh_result)
     assert not diffs, (
         f"replay of {anchor.label} at {point.label} diverges: "
         + "; ".join(diffs[:6])

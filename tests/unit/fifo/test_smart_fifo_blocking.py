@@ -150,3 +150,32 @@ class TestSideOrdering:
             return sim.stats.context_switches
 
         assert build(True) > build(False)
+
+
+class TestSyncPerAccess:
+    """Section II-B's reference for decoupled callers: a ``sync()`` at the
+    head of every access (``sync_on_access=True``) gives the dates of the
+    non-decoupled model and pays a context switch per access."""
+
+    def test_dates_match_non_decoupled_reference(self):
+        items = [10, 20, 30, 40, 50]
+        ref_writes, ref_reads, _ = run_reference(2, items, 7, 13)
+
+        sim = Simulator("sync")
+        fifo = SmartFifo(sim, "fifo", depth=2, sync_on_access=True)
+        writer = DecoupledWriter(sim, "writer", fifo, items, period_ns=7)
+        reader = DecoupledReader(sim, "reader", fifo, len(items), period_ns=13)
+        sim.run()
+        assert writer.write_dates == ref_writes
+        assert reader.read_dates == ref_reads
+
+    def test_one_context_switch_per_access(self):
+        """Every access synchronizes, so each of the 10 writes and 10
+        reads costs a context switch although the FIFO never fills up."""
+        items = list(range(10))
+        sim = Simulator()
+        fifo = SmartFifo(sim, "fifo", depth=64, sync_on_access=True)
+        DecoupledWriter(sim, "writer", fifo, items, period_ns=5)
+        DecoupledReader(sim, "reader", fifo, len(items), period_ns=5)
+        sim.run()
+        assert sim.stats.context_switches == 2 * len(items)

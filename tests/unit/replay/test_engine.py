@@ -13,7 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import ScenarioSpec, sweep_point_specs
+from repro.campaign.scenarios import default_campaign
 from repro.kernel import tracing
+from repro.kernel.tracing import DependencyRecorder
 from repro.campaign.evaluators import (
     EMPTY_TRACE_DIGEST,
     ReplayEvaluator,
@@ -74,6 +76,36 @@ class TestArguments:
             ReplayEngine(spool)
 
 
+class TestMethodProcesses:
+    """Replay re-derives when threads run, never when a notification
+    invokes a method, so a recording a method process wrote to is
+    refused up front and its sweep is simulated."""
+
+    def test_a_method_probe_is_refused_naming_the_method(self):
+        # The NoC's network interfaces and routers are method processes.
+        spec = next(
+            spec for spec in default_campaign()
+            if spec.name == "noc_stress_2x2"
+        )
+        spool, _ = record_spool(spec)
+        with pytest.raises(ReplayError) as refused:
+            ReplayEngine(spool)
+        assert str(refused.value) == (
+            "recording is not replayable: is_empty probe of "
+            "dst_ni_0_1.arrivals from a method process "
+            "[in process dst_ni_0_1.deliver]"
+        )
+
+    def test_any_other_method_access_poisons_too(self, sim, host):
+        recorder = sim.dep_recorder = DependencyRecorder(sim)
+        host.add_method(lambda: recorder.inc(5), name="ticker")
+        sim.run()
+        assert recorder.finalize().poison == (
+            "FIFO/timing access from a method process "
+            "[in process host.ticker]"
+        )
+
+
 class TestSelfCheck:
     def test_self_check_reproduces_the_recorded_run(self, engine, recorded):
         record = recorded[1]
@@ -122,6 +154,14 @@ class TestRetargeting:
         aux = copy.copy(engine)
         aux.fifos = [dict(engine.fifos[0]), dict(engine.fifos[1], depth=1)]
         assert aux.retarget_depths(STREAMING.depth, 16) == [16, 1]
+
+    def test_the_envelope_is_walked_on_first_use(self, recorded):
+        fresh = ReplayEngine(recorded[0])
+        fresh.self_check()
+        fresh.replay(depths=[1, 1])
+        assert "_envelope" not in vars(fresh)
+        fresh.depth_envelope()
+        assert "_envelope" in vars(fresh)
 
     def test_a_probe_free_recording_has_an_unbounded_envelope(self, engine):
         for entry in engine.depth_envelope():

@@ -83,7 +83,6 @@ def test_a_jump_that_ends_near_a_program_end_matches_check_mode(
 @pytest.mark.parametrize(
     "name, why",
     [
-        ("noc_stress_2x2", "strict: method processes replay pinned"),
         ("random_s7_d3", "branch probes read occupancy"),
         ("contention_3w3r", "arbiter grants and capacity waits"),
     ],

@@ -8,8 +8,7 @@ those programs without copying them.  This module pins both halves of
 that deterministically: the number of distinct op tuples a thread's
 program holds, and the ``tracemalloc`` bytes a recording (engine
 included) keeps per FIFO access.  It also replays a span-recorded anchor,
-whose bursts are expanded into word ops as they are recorded, and a
-method-bearing anchor, whose strict replay reads the date columns.
+whose bursts are expanded into word ops as they are recorded.
 """
 
 import gc
@@ -20,11 +19,11 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import ScenarioSpec, compare_replay_to_spool, record_spool
-from repro.campaign.scenarios import build_scenario, default_campaign
+from repro.campaign.scenarios import build_scenario
 from repro.fifo.smart_fifo import MIN_SPAN_WORDS
 from repro.kernel import Simulator
 from repro.kernel.tracing import DependencyRecorder
-from repro.replay import ReplayEngine, ReplayInvalid
+from repro.replay import ReplayEngine
 
 #: 20 blocks of 100 words through the Fig. 5 pipeline (two FIFOs).
 STREAM = ScenarioSpec(
@@ -33,10 +32,6 @@ STREAM = ScenarioSpec(
 )
 #: The same traffic in bursts deep enough to move bulk spans.
 SPAN = replace(STREAM, name="mem_span", depth=MIN_SPAN_WORDS, burst=True)
-#: NoC routers are method processes: their probes replay pinned.
-STRICT = next(
-    spec for spec in default_campaign() if spec.name == "noc_stress_2x2"
-)
 
 #: Bytes a recording and its engine may hold per FIFO access (a word
 #: written or read): one 8-byte list slot and one 8-byte date, with room
@@ -84,9 +79,7 @@ def _replay_matches_fresh(engine, anchor, depth):
     point = replace(anchor, name=f"{anchor.name}_d{depth}", depth=depth)
     fresh, _ = record_spool(point)
     fresh_result = ReplayEngine(fresh).self_check()
-    assert compare_replay_to_spool(
-        result, fresh, fresh_result, strict=engine.strict
-    ) == []
+    assert compare_replay_to_spool(result, fresh, fresh_result) == []
     return result
 
 
@@ -127,30 +120,3 @@ class TestStreamingRecording:
         deep = _replay_matches_fresh(engine, spec, 64)
         assert deep.blocking_waits < shallow.blocking_waits
 
-
-class TestStrictRecording:
-    @pytest.fixture(scope="class")
-    def spool(self):
-        spool, _ = record_spool(STRICT)
-        return spool
-
-    def test_methods_record_branches_dated_at_the_kernel_date(self, spool):
-        engine = ReplayEngine(spool)
-        assert engine.strict
-        engine.self_check()
-        for depth in (2, 16):
-            _replay_matches_fresh(engine, STRICT, depth)
-
-    def test_strict_replay_reads_the_method_date_column(self, spool):
-        # A pinned record moved 1 fs before its kernel date finds a FIFO
-        # state it cannot verify against.
-        pid = next(pid for _, pid in spool.methods if spool.programs[pid])
-        dates = spool.dates[pid]
-        moved = array("q", dates)
-        moved[0] -= 1
-        spool.dates[pid] = moved
-        try:
-            with pytest.raises(ReplayInvalid):
-                ReplayEngine(spool).replay()
-        finally:
-            spool.dates[pid] = dates

@@ -27,7 +27,7 @@ scale-out invariant:
    the anchor simulates, every in-envelope point replays, and the
    campaign fingerprint must equal a pinned constant;
 8. ``campaign --replay-sweep`` is shorthand for the ``--auto-replay``
-   campaign: both spellings of one strict (method-pinned) depth sweep
+   campaign: both spellings of one replayed depth sweep (``video_d2``)
    must write byte-identical JSONL;
 9. the unsharded campaign again with telemetry enabled — the
    fingerprint must still equal the pinned PR 3 constant (telemetry is
@@ -395,10 +395,10 @@ def main(argv=None) -> int:
     )
 
     print("[smoke] --replay-sweep is --auto-replay spelled short...")
-    grid = ["--sweep-depths", "2,8,16"]
+    grid = ["--sweep-depths", "4,8,16"]
     spellings = {
-        "short": ["--replay-sweep", "noc_stress_2x2"],
-        "long": ["--auto-replay", "--no-paired", "--specs", "noc_stress_2x2"],
+        "short": ["--replay-sweep", "video_d2"],
+        "long": ["--auto-replay", "--no-paired", "--specs", "video_d2"],
     }
     written = {}
     for label, spelling in spellings.items():
