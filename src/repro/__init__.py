@@ -51,10 +51,8 @@ from .kernel import (
     US,
     ZERO_TIME,
     fs,
-    ms,
     ns,
     ps,
-    sec,
     us,
 )
 from .kernel.simtime import TimeUnit
@@ -100,10 +98,8 @@ __all__ = [
     "fs",
     "inc",
     "local_time_stamp",
-    "ms",
     "ns",
     "ps",
-    "sec",
     "sync",
     "us",
 ]

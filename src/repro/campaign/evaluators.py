@@ -264,9 +264,7 @@ class ReplayEvaluator:
 
         self.anchor = anchor
         if spool is None:
-            spool, self.anchor_record = record_spool(anchor, trace_sink)
-        else:
-            self.anchor_record = None
+            spool, _ = record_spool(anchor, trace_sink)
         self.engine = ReplayEngine(spool)
         self.engine.self_check()
 
@@ -434,13 +432,15 @@ class ReplaySweepResult:
 
     #: The anchor's simulated row, then one row per point; a point refused
     #: by the validity envelope has a None row (the caller simulates it).
+    #: An unreplayable anchor has its row alone.
     rows: List[Optional[SpecRunRecord]] = field(default_factory=list)
     #: Names of the cross-validated points, in the order they were checked.
     validations: List[str] = field(default_factory=list)
     #: ``(point name, reason)`` for points outside the validity envelope.
     invalid_points: List[Tuple[str, str]] = field(default_factory=list)
     #: Why the anchor cannot be replayed at all (a poisoned recording or
-    #: a failed self-check); every other field is then empty.
+    #: a failed self-check); ``rows`` then holds the anchor's row alone
+    #: and every other field is empty.
     unreplayable: Optional[ReplayError] = None
 
 
@@ -494,10 +494,10 @@ def route_group(
 
     An anchor that cannot be replayed at all — its recording is poisoned
     (say, a method process touched a FIFO: replay only re-derives
-    threads) or fails its self-check — comes back as ``unreplayable``,
-    and the caller simulates the whole group.  So every replayed row,
-    counters included, is what replay re-derived, never a copy of the
-    anchor's.
+    threads) or fails its self-check — comes back as ``unreplayable``
+    with the anchor's simulated row alone, and the caller simulates the
+    rest of the group.  So every replayed row, counters included, is what
+    replay re-derived, never a copy of the anchor's.
 
     A point outside the recording's validity envelope
     (:class:`~repro.replay.ReplayInvalid`) is refused: its row is None
@@ -521,14 +521,19 @@ def route_group(
     # The engine loads when a sweep group first routes, not at import.
     from ..replay import ReplayError, ReplayInvalid
 
-    try:
-        with telemetry.span("replay.record", spec=anchor.name):
-            evaluator = ReplayEvaluator(anchor, trace_sink=trace_sink)
-    except ReplayError as exc:
-        return ReplaySweepResult(unreplayable=exc)
-    sweep = ReplaySweepResult(rows=[evaluator.anchor_record])
+    with telemetry.span("replay.record", spec=anchor.name):
+        spool, anchor_record = record_spool(anchor, trace_sink)
+        try:
+            evaluator = ReplayEvaluator(anchor, spool=spool)
+        except ReplayError as exc:
+            unreplayable = exc
+        else:
+            unreplayable = None
     if on_row is not None:
         on_row(anchor.name)
+    sweep = ReplaySweepResult(rows=[anchor_record], unreplayable=unreplayable)
+    if unreplayable is not None:
+        return sweep
 
     def check(point: ScenarioSpec, result: ReplayResult) -> None:
         _cross_validate(point, result, trace_sink, telemetry)

@@ -286,10 +286,10 @@ class CampaignRunner:
         once with a dependency recorder (its row is byte-identical to a
         plain simulation — recording only observes) and every other member
         is priced by replaying the spool (rows tagged
-        ``"evaluator": "replay"``).  A group whose recording is poisoned,
-        and any point outside the recording's validity envelope
-        (:class:`~repro.replay.ReplayInvalid`), falls back to plain
-        simulation — auto-replay never changes *which* rows exist, only
+        ``"evaluator": "replay"``).  The points of a group whose recording
+        is poisoned, and any point outside the recording's validity
+        envelope (:class:`~repro.replay.ReplayInvalid`), fall back to
+        plain simulation — auto-replay never changes *which* rows exist, only
         how the eligible ones were computed.  Groups span the whole
         campaign, so a shard or a resumed run replays its points from the
         same anchor as the uninterrupted campaign.  Specs that would run
@@ -427,14 +427,14 @@ class CampaignRunner:
                 anchor, points, self.auto_replay_validate, telemetry,
                 self.trace_sink, on_row,
             )
-            if route.unreplayable is not None:
-                # Poisoned recording or failed self-check: the whole group
-                # stays on the simulation path.
-                telemetry.counter("replay.poisoned_groups")
-                continue
-            telemetry.counter("replay.groups_routed")
-            # Refused points (None rows) stay on the simulation path; the
-            # router counted them by construct.
+            # A poisoned recording or failed self-check comes back with
+            # the anchor's row alone: the points stay on the simulation
+            # path.  So do refused points (None rows); the router counted
+            # them by construct.
+            telemetry.counter(
+                "replay.groups_routed" if route.unreplayable is None
+                else "replay.poisoned_groups"
+            )
             for spec, row in zip([anchor] + points, route.rows):
                 if row is not None and spec.name in wanted:
                     routed[spec.name] = row

@@ -182,13 +182,8 @@ class WriteArbiter(_SideArbiter, FifoWriterInterface):
         yield from self.fifo.write(data)
 
     def nb_write(self, data: Any) -> bool:
-        if self._dep is not None:
-            # A refused non-blocking write rolls the grant bookkeeping back,
-            # but the grant record already landed in the spool and cannot be
-            # unrecorded — the stream would replay a grant that never held.
-            self._dep.poison(
-                f"nb_write through arbiter {self.full_name}"
-            )
+        # A recorded FIFO's nb_write poisons the recording, so the grant
+        # recorded below is never replayed.
         snapshot = self._grant_snapshot()
         self._grant()
         if self.fifo.nb_write(data):
@@ -267,12 +262,7 @@ class ReadArbiter(_SideArbiter, FifoReaderInterface):
         return data
 
     def nb_read(self):
-        if self._dep is not None:
-            # See WriteArbiter.nb_write: the rollback cannot unrecord the
-            # grant, so the non-blocking path stays non-replayable.
-            self._dep.poison(
-                f"nb_read through arbiter {self.full_name}"
-            )
+        # See WriteArbiter.nb_write: the FIFO's nb_read poisons.
         snapshot = self._grant_snapshot()
         self._grant()
         try:

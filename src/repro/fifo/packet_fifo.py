@@ -30,13 +30,7 @@ from typing import Any, List, Union
 from ..kernel.errors import FifoError
 from ..kernel.module import Module
 from ..kernel.simulator import Simulator
-from ..kernel.tracing import (
-    BR_NB_READ,
-    BR_PKT_AVAILABLE,
-    BR_PKT_SPACE,
-    OP_SMART_READ,
-    OP_SMART_WRITE,
-)
+from ..kernel.tracing import OP_SMART_READ, OP_SMART_WRITE
 from .smart_fifo import SmartFifo
 
 
@@ -60,10 +54,6 @@ class PacketSmartFifo(SmartFifo):
                 f"packet size {packet_size} cannot exceed the FIFO depth {depth}"
             )
         self.packet_size = packet_size
-        if self._dep is not None:
-            # The packet-level probes are verified against the replayed cell
-            # ring, which needs the packet size alongside the depth.
-            self._dep.annotate_fifo(self._dep_idx, packet_size=packet_size)
         #: When True the packet-level accesses delegate to the burst (span)
         #: APIs instead of per-word loops — bit-exact dates, fewer Python
         #: dispatches per packet.
@@ -150,24 +140,20 @@ class PacketSmartFifo(SmartFifo):
         are monotone along the ring and the head-first check coincides
         with the count.)
         """
+        if self._dep is not None:
+            self._dep.probe("packet_available", self._dep_idx)
         date_fs = self._caller_date_fs()
         cells = self._cells
         size = self.packet_size
         if size <= cells.busy_count:
             completion_fs = max(cells.head_busy_insertion_span(size))
             if completion_fs <= date_fs:
-                if self._dep is not None:
-                    self._dep.branch(
-                        BR_PKT_AVAILABLE, self._dep_idx, 1, date_fs
-                    )
                 return True
             # Re-arm the not_empty event at the date the head packet
             # completes: all of its words are already internally present.
             self._notify_external(
                 self._not_empty_event, completion_fs, forced=True
             )
-        if self._dep is not None:
-            self._dep.branch(BR_PKT_AVAILABLE, self._dep_idx, 0, date_fs)
         return False
 
     def nb_read_packet(self) -> List[Any]:
@@ -185,20 +171,15 @@ class PacketSmartFifo(SmartFifo):
             )
         if self.burst_packets:
             # The guard promises the head packet_size words are available,
-            # so the span drains the full packet in one pop_span (which
-            # records the per-word drained branches itself).
+            # so the span drains the full packet in one pop_span.
             words = self.nb_read_burst(self.packet_size)
         else:
             process = self._scheduler.current_process
             manager = self._manager
-            dep = self._dep
-            words = []
-            for _ in range(self.packet_size):
-                words.append(self._do_read(process, manager))
-                if dep is not None:
-                    dep.branch(
-                        BR_NB_READ, self._dep_idx, 1, self._last_read_fs
-                    )
+            words = [
+                self._do_read(process, manager)
+                for _ in range(self.packet_size)
+            ]
         # Count the packet only once the last word is out: a raise above
         # must never leave the counters claiming a transfer.
         self.packets_read += 1
@@ -213,20 +194,18 @@ class PacketSmartFifo(SmartFifo):
         (:meth:`~repro.fifo.cells.CellRing.head_free_freeing_span`) — so a
         True guard promises that :meth:`nb_write_packet` succeeds.
         """
+        if self._dep is not None:
+            self._dep.probe("space_for_packet", self._dep_idx)
         date_fs = self._caller_date_fs()
         cells = self._cells
         size = self.packet_size
         if size <= cells.depth - cells.busy_count:
             ready_fs = max(cells.head_free_freeing_span(size))
             if ready_fs <= date_fs:
-                if self._dep is not None:
-                    self._dep.branch(BR_PKT_SPACE, self._dep_idx, 1, date_fs)
                 return True
             # Arm the not_full event at the date the head room really
             # exists: those frees were already performed internally.
             self._notify_external(self._not_full_event, ready_fs, forced=True)
-        if self._dep is not None:
-            self._dep.branch(BR_PKT_SPACE, self._dep_idx, 0, date_fs)
         return False
 
     # ------------------------------------------------------------------

@@ -26,16 +26,7 @@ from ..kernel.errors import FifoError
 from ..kernel.module import Module
 from ..kernel.process import WaitEvent
 from ..kernel.simulator import Simulator
-from ..kernel.tracing import (
-    BR_REG_IS_EMPTY,
-    BR_REG_IS_FULL,
-    BR_REG_NB_READ,
-    BR_REG_NB_WRITE,
-    BR_REG_PEEK,
-    BR_REG_SIZE,
-    OP_REG_READ,
-    OP_REG_WRITE,
-)
+from ..kernel.tracing import OP_REG_READ, OP_REG_WRITE
 from .interfaces import FifoInterface, _require_plain_burst
 
 
@@ -84,28 +75,17 @@ class RegularFifo(Module, FifoInterface):
         """Blocking-style size query (generator for interface uniformity)."""
         yield from ()
         if self._dep is not None:
-            self._record_probe(BR_REG_SIZE)
+            self._dep.get_size(
+                self._dep_idx, len(self._items), self.sim.scheduler.now_fs
+            )
         return len(self._items)
-
-    def _record_probe(self, construct: int) -> None:
-        """Record one occupancy probe (record-and-replay).
-
-        The *occupancy seen* is recorded as the outcome — exact-occupancy
-        matching is what lets the replay engine order pinned method
-        accesses deterministically; the boolean the caller branched on is
-        recomputed from it (and from the replayed depth) at verify time.
-        """
-        self._dep.branch(
-            construct, self._dep_idx, len(self._items),
-            self.sim.scheduler.now_fs,
-        )
 
     # ------------------------------------------------------------------
     # Writer interface
     # ------------------------------------------------------------------
     def is_full(self) -> bool:
         if self._dep is not None:
-            self._record_probe(BR_REG_IS_FULL)
+            self._dep.probe("is_full", self._dep_idx)
         return len(self._items) >= self._depth
 
     @property
@@ -127,7 +107,7 @@ class RegularFifo(Module, FifoInterface):
 
     def nb_write(self, data: Any) -> bool:
         if self._dep is not None:
-            self._record_probe(BR_REG_NB_WRITE)
+            self._dep.probe("nb_write", self._dep_idx)
         items = self._items
         if len(items) >= self._depth:
             return False
@@ -176,7 +156,7 @@ class RegularFifo(Module, FifoInterface):
     # ------------------------------------------------------------------
     def is_empty(self) -> bool:
         if self._dep is not None:
-            self._record_probe(BR_REG_IS_EMPTY)
+            self._dep.probe("is_empty", self._dep_idx)
         return not self._items
 
     @property
@@ -199,7 +179,7 @@ class RegularFifo(Module, FifoInterface):
 
     def nb_read(self):
         if self._dep is not None:
-            self._record_probe(BR_REG_NB_READ)
+            self._dep.probe("nb_read", self._dep_idx)
         items = self._items
         if not items:
             raise FifoError(f"nb_read on empty FIFO {self.full_name}")
@@ -211,7 +191,7 @@ class RegularFifo(Module, FifoInterface):
     def peek(self):
         """Return the head item without removing it (raises when empty)."""
         if self._dep is not None:
-            self._record_probe(BR_REG_PEEK)
+            self._dep.probe("peek", self._dep_idx)
         if not self._items:
             raise FifoError(f"peek on empty FIFO {self.full_name}")
         return self._items[0]

@@ -38,16 +38,7 @@ from typing import Any, List, Optional, Sequence, Union
 
 from ..kernel.errors import FifoError, TimingError
 from ..kernel.event import Event
-from ..kernel.tracing import (
-    BR_GET_SIZE,
-    BR_IS_EMPTY,
-    BR_IS_FULL,
-    BR_NB_READ,
-    BR_NB_WRITE,
-    BR_PEEK_SIZE,
-    OP_SMART_READ,
-    OP_SMART_WRITE,
-)
+from ..kernel.tracing import OP_SMART_READ, OP_SMART_WRITE
 from ..kernel.module import Module
 from ..kernel.process import Process, WaitEvent
 from ..kernel.simtime import SimTime
@@ -220,8 +211,8 @@ class SmartFifo(Module, FifoInterface):
     # Helpers
     # ------------------------------------------------------------------
     def _caller_date_fs(self) -> int:
-        # Inlined LocalTimeManager.local_fs_fast: the local date is cached
-        # on the process object, so the caller's date is one attribute read.
+        # Inlined LocalTimeManager.local_fs: the local date is cached on
+        # the process object, so the caller's date is one attribute read.
         scheduler = self._scheduler
         process = scheduler.current_process
         now_fs = scheduler.now_fs
@@ -274,15 +265,15 @@ class SmartFifo(Module, FifoInterface):
         dep = self._dep
         if dep is not None:
             # The head sync would otherwise be invisible to the spool (the
-            # free ``sync`` helper does not record); the level itself is a
-            # branch outcome the replay engine re-derives and verifies.
+            # free ``sync`` helper does not record); the level itself is
+            # what the replay engine re-derives and verifies.
             dep.sync_point(
                 self._manager.local_fs(self._scheduler.current_process)
             )
         yield from sync(sim=self.sim)
         level = self._cells.real_size_at(self.sim.now_fs)
         if dep is not None:
-            dep.branch(BR_GET_SIZE, self._dep_idx, level, self.sim.now_fs)
+            dep.get_size(self._dep_idx, level, self.sim.now_fs)
         return level
 
     def get_free_count(self):
@@ -301,11 +292,9 @@ class SmartFifo(Module, FifoInterface):
         processes (which cannot synchronize) and from decoupled threads that
         only need an estimate consistent with their own local date.
         """
-        date_fs = self._caller_date_fs()
-        level = self._cells.real_size_at(date_fs)
         if self._dep is not None:
-            self._dep.branch(BR_PEEK_SIZE, self._dep_idx, level, date_fs)
-        return level
+            self._dep.probe("peek_size", self._dep_idx)
+        return self._cells.real_size_at(self._caller_date_fs())
 
     @property
     def internal_size(self) -> int:
@@ -330,23 +319,16 @@ class SmartFifo(Module, FifoInterface):
         ``if fifo.is_full(): next_trigger(fifo.not_full_event); return``
         cannot miss the wake-up.
         """
+        if self._dep is not None:
+            self._dep.probe("is_full", self._dep_idx)
         cells = self._cells
         if cells.busy_count == cells.depth:
-            full = True
-        else:
-            freeing_fs = cells.head_free_freeing_fs()
-            if freeing_fs > self._caller_date_fs():
-                self._notify_external(
-                    self._not_full_event, freeing_fs, forced=True
-                )
-                full = True
-            else:
-                full = False
-        if self._dep is not None:
-            self._dep.branch(
-                BR_IS_FULL, self._dep_idx, int(full), self._caller_date_fs()
-            )
-        return full
+            return True
+        freeing_fs = cells.head_free_freeing_fs()
+        if freeing_fs > self._caller_date_fs():
+            self._notify_external(self._not_full_event, freeing_fs, forced=True)
+            return True
+        return False
 
     def write(self, data: Any):
         """Blocking write (``yield from fifo.write(x)``).
@@ -412,6 +394,8 @@ class SmartFifo(Module, FifoInterface):
         Returns False without writing when the FIFO is externally full at
         the caller's date (guard with :meth:`is_full`).
         """
+        if self._dep is not None:
+            self._dep.probe("nb_write", self._dep_idx)
         cells = self._cells
         scheduler = self._scheduler
         process = scheduler.current_process
@@ -423,22 +407,14 @@ class SmartFifo(Module, FifoInterface):
             if local_fs < now_fs:
                 local_fs = now_fs
         if cells.busy_count == cells.depth:
-            if self._dep is not None:
-                self._dep.branch(BR_NB_WRITE, self._dep_idx, 0, local_fs)
             return False
         freeing_fs = cells.head_free_freeing_fs()
         if freeing_fs > local_fs:
             # Externally full until the freeing date: arm the not_full event
             # so a method process retrying on it cannot miss the wake-up.
             self._notify_external(self._not_full_event, freeing_fs, forced=True)
-            if self._dep is not None:
-                self._dep.branch(BR_NB_WRITE, self._dep_idx, 0, local_fs)
             return False
         self._do_write(process, self._manager, data, local_fs)
-        if self._dep is not None:
-            self._dep.branch(
-                BR_NB_WRITE, self._dep_idx, 1, self._last_write_fs
-            )
         return True
 
     def _do_write(
@@ -666,8 +642,9 @@ class SmartFifo(Module, FifoInterface):
         n = len(words)
         if n == 0:
             return 0
+        if self._dep is not None:
+            self._dep.probe("nb_write_burst", self._dep_idx)
         if self._always_notify_external or self._not_full_event.listener_count:
-            # Word-path fallback: per-word nb_write records its own branches.
             self.burst_word_writes += 1
             return super().nb_write_burst(words)
         self.burst_span_writes += 1
@@ -685,15 +662,6 @@ class SmartFifo(Module, FifoInterface):
         k = _leading_dated_by(
             cells.head_free_freeing_span(n if n < free else free), local_fs
         )
-        if self._dep is not None:
-            # The record stream of the repeated-nb_write loop: one accepted
-            # branch per stored word (all at the caller's date — the span
-            # guard guarantees every target cell is free by then), then one
-            # refusal branch when the burst stops early.
-            for _ in range(k):
-                self._dep.branch(BR_NB_WRITE, self._dep_idx, 1, local_fs)
-            if k < n:
-                self._dep.branch(BR_NB_WRITE, self._dep_idx, 0, local_fs)
         if k:
             if self._enforce_side_ordering and local_fs < self._last_write_fs:
                 self._ordering_error("write", local_fs)
@@ -727,23 +695,18 @@ class SmartFifo(Module, FifoInterface):
         first busy cell is in the caller's future.  In the latter case the
         external ``not_empty_event`` is (re)armed at that insertion date.
         """
+        if self._dep is not None:
+            self._dep.probe("is_empty", self._dep_idx)
         cells = self._cells
         if cells.busy_count == 0:
-            empty = True
-        else:
-            insertion_fs = cells.head_busy_insertion_fs()
-            if insertion_fs > self._caller_date_fs():
-                self._notify_external(
-                    self._not_empty_event, insertion_fs, forced=True
-                )
-                empty = True
-            else:
-                empty = False
-        if self._dep is not None:
-            self._dep.branch(
-                BR_IS_EMPTY, self._dep_idx, int(empty), self._caller_date_fs()
+            return True
+        insertion_fs = cells.head_busy_insertion_fs()
+        if insertion_fs > self._caller_date_fs():
+            self._notify_external(
+                self._not_empty_event, insertion_fs, forced=True
             )
-        return empty
+            return True
+        return False
 
     def read(self):
         """Blocking read (``x = yield from fifo.read()``).
@@ -795,6 +758,8 @@ class SmartFifo(Module, FifoInterface):
         Raises :class:`FifoError` when the FIFO is externally empty at the
         caller's date (guard with :meth:`is_empty`).
         """
+        if self._dep is not None:
+            self._dep.probe("nb_read", self._dep_idx)
         cells = self._cells
         scheduler = self._scheduler
         process = scheduler.current_process
@@ -808,16 +773,9 @@ class SmartFifo(Module, FifoInterface):
         if cells.busy_count:
             insertion_fs = cells.head_busy_insertion_fs()
             if insertion_fs <= local_fs:
-                data = self._do_read(process, self._manager, local_fs)
-                if self._dep is not None:
-                    self._dep.branch(
-                        BR_NB_READ, self._dep_idx, 1, self._last_read_fs
-                    )
-                return data
+                return self._do_read(process, self._manager, local_fs)
             # Arm the not_empty event at the date the item really arrives.
             self._notify_external(self._not_empty_event, insertion_fs, forced=True)
-        if self._dep is not None:
-            self._dep.branch(BR_NB_READ, self._dep_idx, 0, local_fs)
         raise FifoError(
             f"nb_read on externally empty Smart FIFO {self.full_name}"
         )
@@ -998,8 +956,9 @@ class SmartFifo(Module, FifoInterface):
         ``not_empty`` at the head insertion date when stopping early)."""
         if count <= 0:
             return []
+        if self._dep is not None:
+            self._dep.probe("nb_read_burst", self._dep_idx)
         if self._always_notify_external or self._not_empty_event.listener_count:
-            # Word-path fallback: per-word nb_read records its own branches.
             self.burst_word_reads += 1
             return super().nb_read_burst(count)
         self.burst_span_reads += 1
@@ -1018,14 +977,6 @@ class SmartFifo(Module, FifoInterface):
             cells.head_busy_insertion_span(count if count < busy else busy),
             local_fs,
         )
-        if self._dep is not None:
-            # Record stream of the guarded word loop: one drained branch per
-            # word (all at the caller's date), one refusal when stopping
-            # short of ``count``.
-            for _ in range(k):
-                self._dep.branch(BR_NB_READ, self._dep_idx, 1, local_fs)
-            if k < count:
-                self._dep.branch(BR_NB_READ, self._dep_idx, 0, local_fs)
         words: List[Any] = []
         if k:
             if self._enforce_side_ordering and local_fs < self._last_read_fs:

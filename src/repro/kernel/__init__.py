@@ -9,11 +9,9 @@ temporal-decoupling layer (:mod:`repro.td`) and the FIFO library
 
 from .channel import PrimitiveChannel
 from .context import (
-    clear_current_simulator,
     current_process,
     current_simulator,
     current_simulator_or_none,
-    sc_time_stamp,
     set_current_simulator,
 )
 from .errors import (
@@ -52,10 +50,8 @@ from .simtime import (
     ZERO_TIME,
     as_time,
     fs,
-    ms,
     ns,
     ps,
-    sec,
     us,
 )
 from .simulator import Simulator, simulate
@@ -118,16 +114,12 @@ __all__ = [
     "all_of",
     "any_of",
     "as_time",
-    "clear_current_simulator",
     "current_process",
     "current_simulator",
     "current_simulator_or_none",
     "fs",
-    "ms",
     "ns",
     "ps",
-    "sc_time_stamp",
-    "sec",
     "set_current_simulator",
     "simulate",
     "us",

@@ -9,8 +9,7 @@ temporal-decoupling helpers ``inc()`` / ``sync()`` can find the kernel
 without threading a simulator handle through every call site.
 
 Tests create one simulator per test; creating a new simulator simply
-replaces the current one.  The context can also be cleared explicitly with
-:func:`clear_current_simulator`.
+replaces the current one.
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ def set_current_simulator(sim) -> None:
     """Install ``sim`` as the process-wide current simulator."""
     global _CURRENT_SIMULATOR
     _CURRENT_SIMULATOR = sim
-
-
-def clear_current_simulator() -> None:
-    """Forget the current simulator (mostly useful in tests)."""
-    global _CURRENT_SIMULATOR
-    _CURRENT_SIMULATOR = None
 
 
 def current_simulator_or_none():
@@ -59,11 +52,6 @@ def current_process():
     if sim is None:
         return None
     return sim.scheduler.current_process
-
-
-def sc_time_stamp():
-    """Return the *global* simulated date, like SystemC ``sc_time_stamp``."""
-    return current_simulator().now
 
 
 Optional  # silence linters about unused typing import when stripped

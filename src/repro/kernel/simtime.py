@@ -8,8 +8,8 @@ point of the Smart FIFO is that decoupled and non-decoupled executions
 produce *identical* dates, so rounding errors are not acceptable.
 
 :class:`SimTime` is an immutable value type.  The module also exposes the
-convenience constructors :func:`fs`, :func:`ps`, :func:`ns`, :func:`us`,
-:func:`ms` and :func:`sec`.
+convenience constructors :func:`fs`, :func:`ps`, :func:`ns` and
+:func:`us`.
 """
 
 from __future__ import annotations
@@ -196,16 +196,6 @@ def ns(value: Number) -> SimTime:
 def us(value: Number) -> SimTime:
     """``value`` microseconds."""
     return SimTime(value, TimeUnit.US)
-
-
-def ms(value: Number) -> SimTime:
-    """``value`` milliseconds."""
-    return SimTime(value, TimeUnit.MS)
-
-
-def sec(value: Number) -> SimTime:
-    """``value`` seconds."""
-    return SimTime(value, TimeUnit.SEC)
 
 
 def as_time(value, unit: TimeUnit = TimeUnit.NS) -> SimTime:

@@ -459,49 +459,11 @@ OP_QUANTUM = 4      # a = quantum-keeper annotation (fs)
 OP_REG_WRITE = 5    # a = fifo index; date = kernel date
 OP_REG_READ = 6     # a = fifo index; date = kernel date
 OP_INC = 7          # a = trailing local-time advance with no op after it
-OP_BRANCH = 8       # a = fifo index, b = (construct, outcome); date = local
+OP_GET_SIZE = 8     # a = fifo index, b = level seen; date = kernel date
 OP_WAIT_CAP = 9     # a = fifo index, b = side (0 = writable, 1 = readable)
 OP_GRANT = 10       # a = arbiter index, b = access duration; date = grant
 
-#: ``construct`` codes of :data:`OP_BRANCH` records — which occupancy
-#: probe produced the outcome.  The replay engine recomputes each probe
-#: from its emulated FIFO state and compares against the recorded outcome:
-#: a mismatch means the anchor's control flow is not valid at the
-#: retargeted point (``ReplayInvalid``), never a silent mis-replay.
-BR_NB_WRITE = 0       # smart nb_write: 1 = accepted (outcome date = insertion)
-BR_NB_READ = 1        # smart nb_read: 1 = data returned (outcome date = read)
-BR_IS_FULL = 2        # smart is_full: outcome 0/1 at the caller's local date
-BR_IS_EMPTY = 3       # smart is_empty: outcome 0/1 at the caller's local date
-BR_GET_SIZE = 4       # smart get_size: outcome = fill level after the sync
-BR_PEEK_SIZE = 5      # smart peek_size: outcome = fill level, no sync
-BR_PKT_AVAILABLE = 6  # packet_available: outcome 0/1
-BR_PKT_SPACE = 7      # space_for_packet: outcome 0/1
-BR_REG_NB_WRITE = 8   # regular nb_write: 1 = pushed
-BR_REG_NB_READ = 9    # regular nb_read: 1 = popped
-BR_REG_PEEK = 10      # regular peek: outcome = occupancy seen
-BR_REG_IS_FULL = 11   # regular is_full: outcome = occupancy seen
-BR_REG_IS_EMPTY = 12  # regular is_empty: outcome = occupancy seen
-BR_REG_SIZE = 13      # regular/sync get_size: outcome = occupancy seen
-
-#: Human-readable construct names for ReplayInvalid diagnostics.
-BR_NAMES = {
-    BR_NB_WRITE: "nb_write",
-    BR_NB_READ: "nb_read",
-    BR_IS_FULL: "is_full",
-    BR_IS_EMPTY: "is_empty",
-    BR_GET_SIZE: "get_size",
-    BR_PEEK_SIZE: "peek_size",
-    BR_PKT_AVAILABLE: "packet_available",
-    BR_PKT_SPACE: "space_for_packet",
-    BR_REG_NB_WRITE: "nb_write",
-    BR_REG_NB_READ: "nb_read",
-    BR_REG_PEEK: "peek",
-    BR_REG_IS_FULL: "is_full",
-    BR_REG_IS_EMPTY: "is_empty",
-    BR_REG_SIZE: "get_size",
-}
-
-DEP_SPOOL_VERSION = 4
+DEP_SPOOL_VERSION = 5
 
 
 class DependencySpool:
@@ -571,9 +533,9 @@ class DependencyRecorder:
     is fused into the next op's ``pre``, a burst span is recorded as the
     word ops it is bit-exact with, and each op's date is appended to the
     process's ``array('q')`` date column.  Accesses that replay cannot
-    reproduce (anything a method process records, process-less callers)
-    poison the recording instead of raising, and :meth:`finalize` reports
-    the reason.
+    reproduce (occupancy probes other than ``get_size``, anything a method
+    process records, process-less callers) poison the recording instead
+    of raising, and :meth:`finalize` reports the reason.
     """
 
     def __init__(self, sim):
@@ -656,22 +618,26 @@ class DependencyRecorder:
         if stream is not None:
             stream.pre += delta_fs
 
-    def branch(self, construct: int, fifo_index: int, outcome: int,
-               date_fs: int) -> None:
-        """Record the outcome of one occupancy-dependent probe.
+    def get_size(self, fifo_index: int, level: int, date_fs: int) -> None:
+        """Record one monitor ``get_size``: the level seen at the kernel
+        date ``date_fs``, which replay re-derives and compares."""
+        self._append(OP_GET_SIZE, fifo_index, level, date_fs)
 
-        ``outcome`` is the probe's result (bool as 0/1, or a fill level);
-        ``date_fs`` the local date the probe evaluated at.  A probe from a
-        method process poisons the recording: the method runs when a
-        notification invokes it, which replay cannot re-derive.
+    def probe(self, name: str, fifo_index: int) -> None:
+        """Poison the recording at any other occupancy probe.
+
+        A non-blocking access or a boolean probe (``nb_write``,
+        ``is_full``, ``packet_available`` ...) lets its caller branch on
+        the FIFO's state at a date replay does not re-derive; a method
+        process runs when a notification invokes it, which replay does
+        not re-derive either.  Replay re-derives blocking accesses and
+        ``get_size`` only, so such a recording is simulated instead.
         """
         process = self._scheduler.current_process
+        reason = f"{name} probe of {self._fifos[fifo_index]['name']}"
         if process is not None and not process.is_thread:
-            self.poison(
-                f"{BR_NAMES[construct]} probe of "
-                f"{self._fifos[fifo_index]['name']} from a method process"
-            )
-        self._append(OP_BRANCH, fifo_index, (construct, outcome), date_fs)
+            reason += " from a method process"
+        self.poison(reason)
 
     def wait_cap(self, fifo_index: int, side: int) -> None:
         """Record one arbiter capacity wait (wait_writable/wait_readable)."""
@@ -707,10 +673,6 @@ class DependencyRecorder:
         })
         self._fifo_objs.append(fifo)
         return index
-
-    def annotate_fifo(self, index: int, **extra) -> None:
-        """Attach extra metadata to a registered FIFO (e.g. packet size)."""
-        self._fifos[index].update(extra)
 
     def register_arbiter(self, arbiter, fifo_index: int, side: int) -> int:
         index = len(self._arbiters)

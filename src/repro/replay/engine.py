@@ -23,15 +23,19 @@ dates they had.
 Only thread processes replay.  When a method process runs is decided by
 event notifications, which replay does not re-derive, so a recording in
 which a method touches a FIFO is refused by the recorder (see
-``DependencyRecorder``) and its sweep is simulated instead.
+``DependencyRecorder``) and its sweep is simulated instead.  The one
+occupancy probe a recording carries is the monitor's ``get_size``
+(Section III-C): replay re-derives its level from the emulated FIFO and
+refuses the point (:class:`ReplayInvalid`) when it differs from the
+recorded one.  Every other probe poisons the recording.
 
 A replay whose schedule turns exactly periodic (a streaming pipeline in
 steady state) does not interpret it period after period: once the whole
 schedule state repeats, shifted in time, the emulator applies as many
 more periods as every thread's program still repeats in one step
 (``_Emulator._probe``), with every result field as if each op had run.
-The jump covers recordings without branch probes, grants or capacity
-waits.  Check mode never takes it, so the anchor self-check and each
+The jump covers recordings without ``get_size`` probes, grants or
+capacity waits.  Check mode never takes it, so the anchor self-check and each
 cross-validation's fresh self-check stay the full interpretation the
 fast-forward is held against.
 """
@@ -49,20 +53,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.tracing import (
-    BR_GET_SIZE,
-    BR_IS_EMPTY,
-    BR_IS_FULL,
-    BR_NAMES,
-    BR_NB_READ,
-    BR_NB_WRITE,
-    BR_PEEK_SIZE,
-    BR_PKT_AVAILABLE,
-    BR_PKT_SPACE,
-    BR_REG_IS_FULL,
-    BR_REG_NB_READ,
-    BR_REG_NB_WRITE,
-    BR_REG_SIZE,
-    OP_BRANCH,
+    OP_GET_SIZE,
     OP_GRANT,
     OP_INC,
     OP_QUANTUM,
@@ -96,11 +87,11 @@ class ReplayMismatch(ReplayError):
 class ReplayInvalid(ReplayError):
     """The retargeted point falls outside the recording's validity envelope.
 
-    A recorded branch outcome (the result of an occupancy probe such as
-    ``nb_write``/``is_full``/``get_size``) could not be reproduced at the
-    replayed depth/quantum: the anchor's control flow is not valid there,
-    so the replay refuses rather than silently diverging.  Callers are
-    expected to fall back to a fresh simulation for exactly these points.
+    A recorded ``get_size`` level could not be reproduced at the replayed
+    depth/quantum: the anchor's control flow, which may branch on it, is
+    not valid there, so the replay refuses rather than silently
+    diverging.  Callers are expected to fall back to a fresh simulation
+    for exactly these points.
     """
 
     def __init__(self, message: str, process: Optional[str] = None,
@@ -110,20 +101,20 @@ class ReplayInvalid(ReplayError):
         self.process = process
         #: Name of the FIFO the probe inspected (None for non-FIFO causes).
         self.fifo = fifo
-        #: Human-readable name of the probing construct (see ``BR_NAMES``).
+        #: Name of the probing construct (``"get_size"``).
         self.construct = construct
         super().__init__(message)
 
 
 _OP_NAMES = (
     "smart_write", "smart_read", "sync", "timed", "quantum",
-    "reg_write", "reg_read", "inc", "branch", "wait_cap", "grant",
+    "reg_write", "reg_read", "inc", "get_size", "wait_cap", "grant",
 )
 
 _MAX_MISMATCHES = 25
 
 #: Ops whose effect depends on state the fast-forward does not compare.
-_UNSCOPED_OPS = frozenset((OP_BRANCH, OP_WAIT_CAP, OP_GRANT))
+_UNSCOPED_OPS = frozenset((OP_GET_SIZE, OP_WAIT_CAP, OP_GRANT))
 
 
 def _smallest_period(ops: Sequence[tuple], start: int, stop: int) -> int:
@@ -203,20 +194,15 @@ class _SmartState:
     __slots__ = (
         "name", "depth", "sync_on_access", "wdates", "rdates", "nw", "nr",
         "blocked_readers", "blocked_writers", "blocking_waits",
-        "cell_filled", "cell_freed", "anchor_depth", "packet_size",
+        "cell_filled", "cell_freed",
     )
 
     kind = "smart"
 
-    def __init__(self, name: str, depth: int, sync_on_access: bool,
-                 anchor_depth: int = 0, packet_size: int = 0):
+    def __init__(self, name: str, depth: int, sync_on_access: bool):
         self.name = name
         self.depth = depth
         self.sync_on_access = sync_on_access
-        #: Depth the anchor run recorded (named in envelope refusals).
-        self.anchor_depth = anchor_depth or depth
-        #: Packet granularity of a PacketSmartFifo (0 = word-level only).
-        self.packet_size = packet_size
         #: Insertion date of write i / freeing date of read i (fs).
         self.wdates: List[int] = []
         self.rdates: List[int] = []
@@ -244,53 +230,21 @@ class _RegState:
 
     __slots__ = (
         "name", "depth", "occupancy", "total_written", "total_read",
-        "data_written", "data_read", "anchor_depth",
+        "data_written", "data_read",
     )
 
     kind = "regular"
     sync_on_access = False
     blocking_waits = 0
 
-    def __init__(self, name: str, depth: int, anchor_depth: int = 0):
+    def __init__(self, name: str, depth: int):
         self.name = name
         self.depth = depth
-        self.anchor_depth = anchor_depth or depth
         self.occupancy = 0
         self.total_written = 0
         self.total_read = 0
         self.data_written = _Event()
         self.data_read = _Event()
-
-
-def _smart_probe(f: _SmartState, construct: int, d: int) -> int:
-    """Re-derive one Smart FIFO probe from the emulated ring: its result
-    at date ``d`` at the replayed depth."""
-    depth = f.depth
-    nw = f.nw
-    nr = f.nr
-    busy = nw - nr
-    if construct == BR_NB_WRITE:
-        return int(busy < depth and (nw < depth or f.rdates[nw - depth] <= d))
-    if construct == BR_NB_READ:
-        return int(busy > 0 and f.wdates[nr] <= d)
-    if construct == BR_IS_FULL:
-        return int(busy >= depth or (nw >= depth and f.rdates[nw - depth] > d))
-    if construct == BR_IS_EMPTY:
-        return int(busy == 0 or f.wdates[nr] > d)
-    if construct == BR_GET_SIZE or construct == BR_PEEK_SIZE:
-        return bisect_right(f.wdates, d) - bisect_right(f.rdates, d)
-    psize = f.packet_size
-    if construct == BR_PKT_AVAILABLE:
-        if psize <= 0:
-            raise ReplayError(f"packet probe on non-packet FIFO {f.name}")
-        return int(busy >= psize and f.wdates[nr + psize - 1] <= d)
-    if construct == BR_PKT_SPACE:
-        if psize <= 0:
-            raise ReplayError(f"packet probe on non-packet FIFO {f.name}")
-        index = nw - depth + psize - 1
-        return int(depth - busy >= psize
-                   and (index < 0 or f.rdates[index] <= d))
-    raise ReplayError(f"unknown branch construct {construct}")
 
 
 @dataclass
@@ -334,7 +288,7 @@ class ReplayEngine:
     """Replay the programs of one :class:`DependencySpool` at will.
 
     The engine is immutable after construction (apart from the program
-    periods and the static envelope, computed once on first use); every
+    periods, computed once on first use); every
     :meth:`replay` call creates fresh emulator state, so one recorded
     anchor can be replayed at hundreds of depth/quantum points.
     """
@@ -353,78 +307,6 @@ class ReplayEngine:
         ]
 
     @cached_property
-    def _envelope(self) -> Dict[int, dict]:
-        """Static (provable) validity envelope per FIFO index.
-
-        Write-side boolean probes are monotone in the depth *given an
-        unchanged prior state*: an accepted ``nb_write`` (or a False
-        ``is_full``, or a True ``space_for_packet``) stays valid for any
-        depth >= the anchor's, and a refusal stays valid for any depth <=
-        it.  Inside the resulting per-FIFO ``[min_depth, max_depth]`` range
-        the whole recording is provably stable by induction; outside it the
-        dynamic per-record verification decides (it may still succeed — the
-        static envelope is sufficient, not necessary).  Only the per-FIFO
-        report below reads it, so it is walked on first use, not for every
-        engine a sweep builds.
-        """
-        envelope: Dict[int, dict] = {}
-
-        def constrain(fifo_index: int, kind: str, construct: int,
-                      process: str) -> None:
-            entry = envelope.setdefault(fifo_index, {})
-            if kind not in entry:
-                entry[kind] = (BR_NAMES.get(construct, str(construct)),
-                               process)
-
-        for name, _pid, program, _dates in self.programs:
-            for op, a, b, _pre in program:
-                if op == OP_BRANCH:
-                    self._constrain_one(constrain, a, b[0], b[1], name)
-        return envelope
-
-    def _constrain_one(self, constrain, fifo_index: int, construct: int,
-                       outcome: int, process: str) -> None:
-        anchor_depth = self.fifos[fifo_index]["depth"]
-        if construct == BR_NB_WRITE or construct == BR_PKT_SPACE:
-            constrain(fifo_index, "ge" if outcome else "le", construct,
-                      process)
-        elif construct == BR_IS_FULL:
-            constrain(fifo_index, "le" if outcome else "ge", construct,
-                      process)
-        elif construct == BR_REG_NB_WRITE:
-            accepted = outcome < anchor_depth
-            constrain(fifo_index, "ge" if accepted else "le", construct,
-                      process)
-        elif construct == BR_REG_IS_FULL:
-            full = outcome >= anchor_depth
-            constrain(fifo_index, "le" if full else "ge", construct, process)
-
-    def depth_envelope(self) -> List[dict]:
-        """Per-FIFO static envelope: ``[{name, min_depth, max_depth, ...}]``.
-
-        ``min_depth``/``max_depth`` bound the *provably* safe retargets for
-        each FIFO (None = unbounded on that side); each bound names the
-        probing construct and process that imposed it.  Retargets outside
-        the bounds are still attempted — the dynamic per-record check is
-        authoritative — but are the ones that can raise
-        :class:`ReplayInvalid`.
-        """
-        report = []
-        for index, meta in enumerate(self.fifos):
-            entry = self._envelope.get(index, {})
-            ge = entry.get("ge")
-            le = entry.get("le")
-            report.append({
-                "name": meta["name"],
-                "anchor_depth": meta["depth"],
-                "min_depth": meta["depth"] if ge else None,
-                "max_depth": meta["depth"] if le else None,
-                "min_origin": ge,
-                "max_origin": le,
-            })
-        return report
-
-    @cached_property
     def body_periods(self) -> Optional[List[int]]:
         """Per thread, the smallest period of its program's body.
 
@@ -432,7 +314,7 @@ class ReplayEngine:
         differ from the loop between them (a first access with no gap, a
         trailing ``inc``).  Ops compare by identity, which the recorder's
         interning makes equality.  None when the recording is outside the
-        periodic fast-forward's scope: a thread probes occupancy, waits
+        periodic fast-forward's scope: a thread asks ``get_size``, waits
         for capacity or asks an arbiter for a grant, all of which read
         state the fast-forward does not compare.
         """
@@ -555,13 +437,9 @@ class _Emulator:
         self.check = check_dates
         self.mismatches: List[tuple] = []
         self.fifos: List[object] = [
-            _SmartState(
-                meta["name"], depth, meta["sync_on_access"],
-                anchor_depth=meta["depth"],
-                packet_size=meta.get("packet_size", 0),
-            )
+            _SmartState(meta["name"], depth, meta["sync_on_access"])
             if meta["kind"] == "smart"
-            else _RegState(meta["name"], depth, anchor_depth=meta["depth"])
+            else _RegState(meta["name"], depth)
             for meta, depth in zip(engine.fifos, depths)
         ]
         self.depths = depths
@@ -940,96 +818,20 @@ class _Emulator:
                         pc += 1
                         phase = 0
                         continue
-                    if op == OP_BRANCH:
-                        construct, rec_outcome = b
+                    if op == OP_GET_SIZE:
+                        # The monitor's level at the (synchronized) kernel
+                        # date: the cells really busy then, or the
+                        # occupancy of a regular FIFO.
                         f = fifos[a]
-                        if construct >= BR_REG_NB_WRITE:
-                            occ = f.occupancy
-                            depth = f.depth
-                            anchor = f.anchor_depth
-                            if construct == BR_REG_NB_WRITE:
-                                if (occ < depth) != (rec_outcome < anchor):
-                                    self._invalid(
-                                        proc.name, f.name, construct,
-                                        f"recorded occupancy {rec_outcome} "
-                                        f"(anchor depth {anchor}), replayed "
-                                        f"{occ} at depth {depth}",
-                                    )
-                                if rec_outcome < anchor:
-                                    f.occupancy = occ + 1
-                                    f.total_written += 1
-                                    ev = f.data_written
-                                    if not ev.pending:
-                                        ev.pending = True
-                                        delta_events.append(ev)
-                            elif construct == BR_REG_NB_READ:
-                                if (occ > 0) != (rec_outcome > 0):
-                                    self._invalid(
-                                        proc.name, f.name, construct,
-                                        f"recorded occupancy {rec_outcome}, "
-                                        f"replayed {occ}",
-                                    )
-                                if rec_outcome > 0:
-                                    f.occupancy = occ - 1
-                                    f.total_read += 1
-                                    ev = f.data_read
-                                    if not ev.pending:
-                                        ev.pending = True
-                                        delta_events.append(ev)
-                            elif construct == BR_REG_IS_FULL:
-                                if (occ >= depth) != (rec_outcome >= anchor):
-                                    self._invalid(
-                                        proc.name, f.name, construct,
-                                        f"recorded occupancy {rec_outcome} "
-                                        f"(anchor depth {anchor}), replayed "
-                                        f"{occ} at depth {depth}",
-                                    )
-                            elif construct == BR_REG_SIZE:
-                                if occ != rec_outcome:
-                                    self._invalid(
-                                        proc.name, f.name, construct,
-                                        f"recorded level {rec_outcome}, "
-                                        f"replayed {occ}",
-                                    )
-                            else:  # BR_REG_IS_EMPTY / BR_REG_PEEK
-                                if (occ == 0) != (rec_outcome == 0):
-                                    self._invalid(
-                                        proc.name, f.name, construct,
-                                        f"recorded occupancy {rec_outcome}, "
-                                        f"replayed {occ}",
-                                    )
-                            if check and now != dates[pc]:
-                                self._mismatch(proc, pc, op, dates[pc], now)
+                        if f.kind == "smart":
+                            level = (bisect_right(f.wdates, now)
+                                     - bisect_right(f.rdates, now))
                         else:
-                            local = stored if stored > now else now
-                            outcome = _smart_probe(f, construct, local)
-                            if outcome != rec_outcome:
-                                self._invalid(
-                                    proc.name, f.name, construct,
-                                    f"recorded outcome {rec_outcome}, "
-                                    f"replayed {outcome} at depth {f.depth} "
-                                    f"(anchor {f.anchor_depth})",
-                                )
-                            if construct == BR_NB_WRITE and outcome:
-                                f.wdates.append(local)
-                                f.nw += 1
-                                if f.blocked_readers:
-                                    ev = f.cell_filled
-                                    if not ev.pending:
-                                        ev.pending = True
-                                        delta_events.append(ev)
-                            elif construct == BR_NB_READ and outcome:
-                                f.rdates.append(local)
-                                f.nr += 1
-                                if f.blocked_writers:
-                                    ev = f.cell_freed
-                                    if not ev.pending:
-                                        ev.pending = True
-                                        delta_events.append(ev)
-                            if check and local != dates[pc]:
-                                self._mismatch(
-                                    proc, pc, op, dates[pc], local
-                                )
+                            level = f.occupancy
+                        if level != b:
+                            self._invalid(proc.name, f, b, level)
+                        if check and now != dates[pc]:
+                            self._mismatch(proc, pc, op, dates[pc], now)
                         pc += 1
                         continue
                     if op == OP_WAIT_CAP:
@@ -1193,13 +995,13 @@ class _Emulator:
         result.ops_skipped = self.ops_skipped
         return result
 
-    def _invalid(self, process: str, fifo: str, construct: int,
-                 detail: str) -> None:
-        name = BR_NAMES.get(construct, str(construct))
+    @staticmethod
+    def _invalid(process: str, fifo, recorded: int, replayed: int) -> None:
         raise ReplayInvalid(
-            f"replay outside validity envelope: {name} on {fifo} "
-            f"in {process}: {detail}",
-            process=process, fifo=fifo, construct=name,
+            f"replay outside validity envelope: get_size on {fifo.name} "
+            f"in {process}: recorded level {recorded}, replayed "
+            f"{replayed} at depth {fifo.depth}",
+            process=process, fifo=fifo.name, construct="get_size",
         )
 
     # -- periodic fast-forward ------------------------------------------

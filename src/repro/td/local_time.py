@@ -114,14 +114,6 @@ class LocalTimeManager:
             self.track(process)
         return target_fs
 
-    def local_fs_fast(self, process: Optional[Process], now_fs: int) -> int:
-        """Variant of :meth:`local_fs` for callers that already know the
-        global date (saves one attribute chain on the hot path)."""
-        if process is None:
-            return now_fs
-        stored = process.local_fs
-        return stored if stored > now_fs else now_fs
-
     def set_synchronized(self, process: Process) -> None:
         """Record that ``process`` is now synchronized (after a sync wait)."""
         process.local_fs = self.sim.now_fs

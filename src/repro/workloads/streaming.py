@@ -166,7 +166,7 @@ class StreamingConfig:
 
     The paper transfers 1000 blocks of 1000 words; the default here is a
     scaled-down run that keeps the same shape in seconds-long Python
-    simulations.  Use :meth:`paper_scale` for the full-size configuration.
+    simulations.
     """
 
     n_blocks: int = 50
@@ -178,11 +178,6 @@ class StreamingConfig:
     sink_word_time: SimTime = field(default_factory=lambda: ns(12))
     #: Fixed overhead per block in the transmitter (header processing...).
     block_overhead: SimTime = field(default_factory=lambda: ns(50))
-
-    @classmethod
-    def paper_scale(cls, fifo_depth: int = 16) -> "StreamingConfig":
-        """The full 1000 x 1000 configuration used in the paper."""
-        return cls(n_blocks=1000, words_per_block=1000, fifo_depth=fifo_depth)
 
     @property
     def total_words(self) -> int:

@@ -122,11 +122,11 @@ def test_quantum_retarget_matches_fresh_simulation(
 
 
 # ---------------------------------------------------------------------------
-# Conditional workloads: branch-outcome replay inside the validity envelope
+# Conditional workloads: get_size replay inside the validity envelope
 # ---------------------------------------------------------------------------
-#: Workloads whose control flow inspects FIFO occupancy (probes, monitors,
-#: non-blocking accesses): their recordings carry OP_BRANCH ops and a
-#: retarget is only honoured inside the recording's validity envelope.
+#: Workloads whose monitor samples ``get_size``: their recordings carry
+#: the levels it saw, and a retarget is only honoured where replay
+#: re-derives the same levels (the recording's validity envelope).
 CONDITIONAL_WORKLOADS = (
     ("random_traffic", {"item_count": 14, "monitor_samples": 3}),
 )
@@ -143,7 +143,7 @@ CONDITIONAL_WORKLOADS = (
 def test_conditional_retarget_exact_or_invalid(
     index, mode, seed, anchor_depth, target_depth
 ):
-    """The branch-outcome contract: a conditional-workload retarget either
+    """The ``get_size`` contract: a conditional-workload retarget either
     reproduces a fresh simulation bit for bit, or refuses with
     :class:`ReplayInvalid` — it never silently diverges."""
     workload, params = CONDITIONAL_WORKLOADS[index]
@@ -211,8 +211,8 @@ def test_conditional_full_sweep_validates_in_envelope(workload, params, mode):
 
 
 def test_out_of_envelope_raises_replay_invalid():
-    """A retarget that would change a recorded branch outcome refuses
-    loudly (depth 1 starves the random-traffic producer's probes)."""
+    """A retarget that would change a recorded ``get_size`` level refuses
+    loudly (at depth 1 the random-traffic monitor sees other levels)."""
     anchor = ScenarioSpec(
         name="prop_envelope",
         workload="random_traffic",

@@ -24,8 +24,8 @@ STREAMING_ANCHOR = ScenarioSpec(
     params={"n_blocks": 3, "words_per_block": 10},
 )
 
-#: Branch-recording anchor: its validity envelope refuses depths 1 and 2
-#: (a probe that saw space at depth 8 may not see it below 3).
+#: ``get_size``-recording anchor: its validity envelope refuses depths 1
+#: and 2, where its monitor sees other levels than at depth 8.
 RANDOM_ANCHOR = ScenarioSpec(
     name="router_random",
     workload="random_traffic",
@@ -132,7 +132,11 @@ class TestPickRule:
         )
         route = route_group(soc, sweep_point_specs(soc, (2, 8)), 1)
         assert isinstance(route.unreplayable, ReplayError)
-        assert route.rows == [] and route.validations == []
+        # The anchor's simulated row is kept: nothing simulates it again.
+        assert [(row.name, row.evaluator) for row in route.rows] == [
+            ("router_soc", "simulate"),
+        ]
+        assert route.validations == [] and route.invalid_points == []
 
 
 class TestPoisonedValidation:

@@ -464,6 +464,32 @@ class TestAutoReplay:
         ).run(specs)
         assert all(r.evaluator == "simulate" for r in result.runs)
 
+    def test_a_poisoned_anchor_is_simulated_once(self, monkeypatch):
+        from repro.campaign import evaluators
+
+        anchor = next(
+            spec for spec in default_campaign()
+            if spec.name == "noc_stress_2x2"
+        )
+        specs = [anchor] + sweep_point_specs(anchor, depths=(8, 16))
+        plain = CampaignRunner(workers=1, paired=False).run(specs)
+        simulate = evaluators.simulate
+        simulated = []
+
+        def spy(spec, *args, **kwargs):
+            simulated.append(spec.name)
+            return simulate(spec, *args, **kwargs)
+
+        monkeypatch.setattr(evaluators, "simulate", spy)
+        auto = CampaignRunner(
+            workers=1, paired=False, auto_replay=True
+        ).run(specs)
+        assert sorted(simulated) == sorted(spec.name for spec in specs)
+        assert [r.deterministic_row() for r in auto.runs] == [
+            r.deterministic_row() for r in plain.runs
+        ]
+        assert auto.fingerprint() == plain.fingerprint()
+
     def test_singleton_groups_and_paired_specs_not_routed(self):
         result = CampaignRunner(workers=1, auto_replay=True).run(SMALL_CAMPAIGN)
         assert all(r.evaluator == "simulate" for r in result.runs)

@@ -13,10 +13,8 @@ from repro.kernel.simtime import (
     ZERO_TIME,
     as_time,
     fs,
-    ms,
     ns,
     ps,
-    sec,
     us,
 )
 
@@ -30,8 +28,8 @@ class TestConstruction:
         assert ns(1).femtoseconds == 10 ** 6
         assert ps(1).femtoseconds == 10 ** 3
         assert us(1).femtoseconds == 10 ** 9
-        assert ms(1).femtoseconds == 10 ** 12
-        assert sec(1).femtoseconds == 10 ** 15
+        assert SimTime(1, TimeUnit.MS).femtoseconds == 10 ** 12
+        assert SimTime(1, TimeUnit.SEC).femtoseconds == 10 ** 15
         assert fs(7).femtoseconds == 7
 
     def test_float_values_round(self):

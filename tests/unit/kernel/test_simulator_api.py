@@ -4,13 +4,12 @@ import pytest
 
 from repro.kernel import (
     Simulator,
-    clear_current_simulator,
     current_process,
     current_simulator,
     current_simulator_or_none,
-    sc_time_stamp,
     simulate,
 )
+from repro.kernel.context import set_current_simulator
 from repro.kernel.errors import SimulationError
 from repro.kernel.simtime import TimeUnit, ns
 
@@ -23,28 +22,13 @@ class TestGlobalContext:
         assert current_simulator() is second
         assert current_simulator_or_none() is second
 
-    def test_clear_current_simulator(self):
-        Simulator("temp")
-        clear_current_simulator()
-        assert current_simulator_or_none() is None
-        with pytest.raises(SimulationError):
-            current_simulator()
-
-    def test_sc_time_stamp_follows_the_current_simulator(self):
-        sim = Simulator("stamped")
-
-        def proc():
-            yield sim.wait(12)
-
-        sim.create_thread(proc)
-        sim.run()
-        assert sc_time_stamp() == ns(12)
-
     def test_current_process_outside_execution_is_none(self):
         Simulator("idle")
         assert current_process() is None
-        clear_current_simulator()
+        set_current_simulator(None)
         assert current_process() is None
+        with pytest.raises(SimulationError):
+            current_simulator()
 
 
 class TestSimulatorFacade:

@@ -14,6 +14,13 @@ import pytest
 
 from repro.campaign import ScenarioSpec, sweep_point_specs
 from repro.campaign.scenarios import default_campaign
+from repro.fifo import (
+    PacketSmartFifo,
+    ReadArbiter,
+    RegularFifo,
+    SmartFifo,
+    WriteArbiter,
+)
 from repro.kernel import tracing
 from repro.kernel.tracing import DependencyRecorder
 from repro.campaign.evaluators import (
@@ -106,6 +113,100 @@ class TestMethodProcesses:
         )
 
 
+#: ``(FIFO kind, method, arguments, probe the poison names)``: every
+#: occupancy probe but ``get_size``.  Each call is made by a thread with
+#: one word in the FIFO, so a read or a peek finds data.  The packet
+#: FIFO's non-blocking packet accesses probe through their guards.
+THREAD_PROBES = [
+    ("smart", "nb_write", (0,), "nb_write"),
+    ("smart", "nb_read", (), "nb_read"),
+    ("smart", "is_full", (), "is_full"),
+    ("smart", "is_empty", (), "is_empty"),
+    ("smart", "peek_size", (), "peek_size"),
+    ("smart", "nb_write_burst", ([0, 0],), "nb_write_burst"),
+    ("smart", "nb_read_burst", (2,), "nb_read_burst"),
+    ("packet", "packet_available", (), "packet_available"),
+    ("packet", "space_for_packet", (), "space_for_packet"),
+    ("packet", "nb_read_packet", (), "packet_available"),
+    ("packet", "nb_write_packet", ([0],), "space_for_packet"),
+    ("regular", "nb_write", (0,), "nb_write"),
+    ("regular", "nb_read", (), "nb_read"),
+    ("regular", "is_full", (), "is_full"),
+    ("regular", "is_empty", (), "is_empty"),
+    ("regular", "peek", (), "peek"),
+]
+
+
+class TestThreadProbes:
+    """Replay re-derives blocking accesses and the monitor's
+    ``get_size``; any other probe a thread makes poisons the recording,
+    naming the probe, the FIFO and the thread."""
+
+    @pytest.mark.parametrize(
+        "kind, method, args, probe", THREAD_PROBES,
+        ids=[f"{kind}-{method}" for kind, method, _, _ in THREAD_PROBES],
+    )
+    def test_a_thread_probe_poisons_by_name(self, sim, host, kind, method,
+                                            args, probe):
+        sim.dep_recorder = DependencyRecorder(sim)
+        if kind == "smart":
+            fifo = SmartFifo(sim, "fifo", depth=4)
+        elif kind == "packet":
+            fifo = PacketSmartFifo(sim, "fifo", depth=4, packet_size=1)
+        else:
+            fifo = RegularFifo(sim, "fifo", depth=4)
+
+        def prober():
+            yield from fifo.write(1)
+            getattr(fifo, method)(*args)
+
+        host.add(prober)
+        sim.run()
+        assert sim.dep_recorder.finalize().poison == (
+            f"{probe} probe of fifo [in process host.prober]"
+        )
+
+    @pytest.mark.parametrize("method", ["nb_write", "nb_read"])
+    def test_an_arbitrated_access_poisons_through_its_fifo(self, sim, host,
+                                                           method):
+        sim.dep_recorder = DependencyRecorder(sim)
+        fifo = SmartFifo(sim, "fifo", depth=4)
+        port = (WriteArbiter if method == "nb_write" else ReadArbiter)(
+            sim, "port", fifo
+        )
+
+        def prober():
+            yield from fifo.write(1)
+            if method == "nb_write":
+                port.nb_write(0)
+            else:
+                port.nb_read()
+
+        host.add(prober)
+        sim.run()
+        assert sim.dep_recorder.finalize().poison == (
+            f"{method} probe of fifo [in process host.prober]"
+        )
+
+    @pytest.mark.parametrize("kind", ["smart", "regular"])
+    def test_get_size_is_recorded_not_poisoned(self, sim, host, kind):
+        sim.dep_recorder = DependencyRecorder(sim)
+        cls = SmartFifo if kind == "smart" else RegularFifo
+        fifo = cls(sim, "fifo", depth=4)
+
+        def monitor():
+            yield from fifo.write(1)
+            yield from fifo.get_size()
+
+        thread = host.add(monitor)
+        sim.run()
+        spool = sim.dep_recorder.finalize()
+        assert spool.poison is None
+        assert spool.programs[thread.pid][-1][:3] == (
+            tracing.OP_GET_SIZE, 0, 1,
+        )
+
+
 class TestSelfCheck:
     def test_self_check_reproduces_the_recorded_run(self, engine, recorded):
         record = recorded[1]
@@ -154,19 +255,6 @@ class TestRetargeting:
         aux = copy.copy(engine)
         aux.fifos = [dict(engine.fifos[0]), dict(engine.fifos[1], depth=1)]
         assert aux.retarget_depths(STREAMING.depth, 16) == [16, 1]
-
-    def test_the_envelope_is_walked_on_first_use(self, recorded):
-        fresh = ReplayEngine(recorded[0])
-        fresh.self_check()
-        fresh.replay(depths=[1, 1])
-        assert "_envelope" not in vars(fresh)
-        fresh.depth_envelope()
-        assert "_envelope" in vars(fresh)
-
-    def test_a_probe_free_recording_has_an_unbounded_envelope(self, engine):
-        for entry in engine.depth_envelope():
-            assert entry["anchor_depth"] == STREAMING.depth
-            assert (entry["min_depth"], entry["max_depth"]) == (None, None)
 
     def test_an_unreproducible_probe_is_refused_with_its_origin(self):
         evaluator = ReplayEvaluator(RANDOM)

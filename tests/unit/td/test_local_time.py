@@ -64,13 +64,11 @@ class TestAdvance:
             manager.advance_fs(process, 1000)
             manager.advance_fs(process, 500)
             observed["local"] = manager.local_fs(process)
-            observed["fast"] = manager.local_fs_fast(process, sim.now_fs)
             yield host.wait(1)
 
         host.add(proc)
         sim.run()
         assert observed["local"] == 1500
-        assert observed["fast"] == 1500
 
     def test_advance_to_forwards_only(self, sim, host):
         manager = get_local_time_manager(sim)

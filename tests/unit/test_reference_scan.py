@@ -3,11 +3,13 @@
 The scan parses every non-``__init__`` module under ``src/repro`` and
 collects the name of each function, method and class, skipping dunders and
 the ``@register_workload`` scenario builders (the decorator is their
-caller).  It then counts word tokens once over ``src/``, ``tools/``,
-``perfbench/`` and ``examples/`` — with the re-export imports and
-``__all__`` of package ``__init__`` files left out — and fails on every
-name that occurs no more often than it is defined: nothing outside the
-tests refers to it.
+caller).  It then counts the words of the code once over ``src/``,
+``tools/``, ``perfbench/`` and ``examples/`` — every name token, and the
+words of every string that is not a docstring (an f-string's fields, a
+``getattr`` name), but no comment or docstring, and none of the re-export
+imports and ``__all__`` of package ``__init__`` files — and fails on
+every name that occurs no more often than it is defined: nothing outside
+the tests refers to it.  A name that only prose mentions is dead.
 
 Counting once into a :class:`~collections.Counter` keeps the scan well
 under a second; a per-name regex over every file is two orders of
@@ -17,7 +19,9 @@ magnitude slower.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -32,7 +36,9 @@ ALLOWLIST = {
     "size_at": "SmartFifo's SystemC-like monitor API: real size at a date",
     "any_of": "constructor of an or-EventList, which Simulator.wait accepts",
     "all_of": "constructor of an and-EventList, which Simulator.wait accepts",
-    "depth_envelope": "ReplayEngine's validity envelope, to be shown by runs that explain themselves",
+    "cancel": "Event's SystemC-like API (sc_event::cancel) for pending notifications",
+    "terminated_event": "Process's SystemC-like API (sc_process_handle::terminated_event)",
+    "run_pair": "tests check through it that Smart runs reproduce the reference trace",
     "spilled_runs": "tests check through it that DigestSink spills bounded runs",
     "max_local_fs": "tests check through it how far decoupled processes run ahead",
     "total_flits_routed": "tests check through it that the NoC conserves flits",
@@ -82,6 +88,30 @@ def _package_init_text(source: str) -> str:
     return "\n".join(kept)
 
 
+def _docstring_starts(source: str) -> set:
+    """``(line, column)`` at which each docstring of ``source`` starts."""
+    starts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = node.body[0] if node.body else None
+            if (isinstance(docstring, ast.Expr)
+                    and isinstance(docstring.value, ast.Constant)
+                    and isinstance(docstring.value.value, str)):
+                starts.add((docstring.lineno, docstring.col_offset))
+    return starts
+
+
+def _code_words(source: str):
+    """The names and non-docstring string words of ``source``."""
+    docstrings = _docstring_starts(source)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            yield token.string
+        elif token.type == tokenize.STRING and token.start not in docstrings:
+            yield from WORD.findall(token.string)
+
+
 def _word_counts() -> Counter:
     counts: Counter = Counter()
     for directory in SCANNED_DIRS:
@@ -89,7 +119,7 @@ def _word_counts() -> Counter:
             text = path.read_text()
             if path.name == "__init__.py":
                 text = _package_init_text(text)
-            counts.update(WORD.findall(text))
+            counts.update(_code_words(text))
     return counts
 
 

@@ -64,13 +64,9 @@ class TestWriterReaderExample:
 
 
 class TestStreamingConfig:
-    def test_defaults_and_paper_scale(self):
+    def test_defaults(self):
         config = StreamingConfig()
         assert config.total_words == config.n_blocks * config.words_per_block
-        paper = StreamingConfig.paper_scale(fifo_depth=32)
-        assert paper.n_blocks == 1000
-        assert paper.words_per_block == 1000
-        assert paper.fifo_depth == 32
 
 
 SMALL = StreamingConfig(n_blocks=4, words_per_block=25, fifo_depth=4)

@@ -22,7 +22,7 @@ scale-out invariant:
    (which never fast-forwards) at every point, the fast-forward must
    have skipped ops (counted from the ``replay.ops_skipped`` telemetry
    counter), and the sweep's fingerprint must equal a pinned constant;
-7. an auto-routed conditional sweep: a branch-recording workload
+7. an auto-routed conditional sweep: a ``get_size``-recording workload
    (random traffic) swept over depths through ``--auto-replay`` —
    the anchor simulates, every in-envelope point replays, and the
    campaign fingerprint must equal a pinned constant;
