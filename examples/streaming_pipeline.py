@@ -41,7 +41,9 @@ def main() -> None:
     depths = [int(depth) for depth in args.depths.split(",")]
     base = StreamingConfig(n_blocks=args.blocks, words_per_block=args.words)
 
-    rows = experiments.fig5_depth_sweep(depths=depths, base_config=base)
+    rows = experiments.fig5_rows(
+        experiments.fig5_depth_sweep(depths=depths, base_config=base)
+    )
     print(experiments.fig5_table(rows))
     print()
     print(experiments.fig5_speedup_table(rows))

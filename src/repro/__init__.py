@@ -52,7 +52,6 @@ from .kernel import (
     ZERO_TIME,
     fs,
     ns,
-    ps,
     us,
 )
 from .kernel.simtime import TimeUnit
@@ -99,7 +98,6 @@ __all__ = [
     "inc",
     "local_time_stamp",
     "ns",
-    "ps",
     "sync",
     "us",
 ]

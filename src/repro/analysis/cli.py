@@ -7,7 +7,6 @@ code::
     python -m repro.analysis.cli fig5 --depths 1,2,4,8,16 --blocks 50 --words 100
     python -m repro.analysis.cli case-study --chains 4 --items 512
     python -m repro.analysis.cli quantum --quanta 0,100,1000
-    python -m repro.analysis.cli context-switches --depths 1,4,16
     python -m repro.analysis.cli fig5 --csv fig5.csv
     python -m repro.analysis.cli campaign --workers 4
 
@@ -76,7 +75,6 @@ from ..campaign import (
 from ..campaign.evaluators import unbuildable_points
 from ..kernel.errors import BlockedRunError
 from ..kernel.tracing import SINK_KINDS
-from ..soc import SocConfig
 from ..telemetry.report import render_report
 from ..workloads import StreamingConfig
 from . import experiments
@@ -208,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     quantum.add_argument("--blocks", type=int, default=20)
     quantum.add_argument("--words", type=int, default=50)
     add_csv_flag(quantum)
-
-    csw = subparsers.add_parser("context-switches", help="context-switch sweep")
-    csw.add_argument("--depths", type=_int_list, default=[1, 2, 4, 8, 32])
-    csw.add_argument("--blocks", type=int, default=20)
-    csw.add_argument("--words", type=int, default=50)
-    add_csv_flag(csw)
 
     campaign = subparsers.add_parser(
         "campaign", help="parallel scenario campaign + paired equivalence"
@@ -435,9 +427,9 @@ def run_fig5(args: argparse.Namespace):
         if args.csv:
             write_csv(result.rows(), args.csv)
         return "\n\n".join([result.table(), result.summary()])
-    rows = experiments.fig5_depth_sweep(
+    rows = experiments.fig5_rows(experiments.fig5_depth_sweep(
         depths=args.depths, base_config=_streaming_config(args)
-    )
+    ))
     if args.csv:
         write_csv(rows, args.csv)
     return "\n\n".join(
@@ -446,50 +438,37 @@ def run_fig5(args: argparse.Namespace):
 
 
 def run_case_study(args: argparse.Namespace) -> str:
-    config = SocConfig.benchmark(n_chains=args.chains, items_per_chain=args.items)
-    config.workers_per_chain = args.workers
-    config.validate()
-    result = experiments.case_study(config)
+    result = experiments.case_study(
+        n_chains=args.chains, items_per_chain=args.items,
+        workers_per_chain=args.workers,
+    )
     if args.csv:
         write_csv(result.rows(), args.csv)
-    sections = [result.table()]
     # The per-process activation breakdown behind the context-switch
     # totals: which processes the scheduler actually woke, per policy.
-    top_rows = []
-    for label, run in (("sync-per-access", result.sync),
-                       ("Smart FIFO", result.smart)):
-        for name, activations in run.top_processes:
-            top_rows.append(
-                {"policy": label, "process": name,
-                 "activations": activations}
-            )
-    if top_rows:
-        sections.append(
-            dict_rows_table(
-                top_rows,
-                ["policy", "process", "activations"],
-                title="Most-activated processes",
-            )
-        )
-    return "\n\n".join(sections)
+    top_rows = [
+        {"policy": label, "process": name, "activations": activations}
+        for label, mode in (("sync-per-access", "reference"),
+                            ("Smart FIFO", "smart"))
+        for name, activations in result.top_processes[mode]
+    ]
+    return "\n\n".join([
+        result.table(),
+        dict_rows_table(
+            top_rows,
+            ["policy", "process", "activations"],
+            title="Most-activated processes",
+        ),
+    ])
 
 
 def run_quantum(args: argparse.Namespace) -> str:
-    rows = experiments.quantum_ablation(
+    rows = experiments.quantum_rows(experiments.quantum_ablation(
         quanta_ns=args.quanta, config=_streaming_config(args)
-    )
+    ))
     if args.csv:
         write_csv(rows, args.csv)
     return experiments.quantum_table(rows)
-
-
-def run_context_switches(args: argparse.Namespace) -> str:
-    rows = experiments.context_switch_sweep(
-        depths=args.depths, base_config=_streaming_config(args)
-    )
-    if args.csv:
-        write_csv(rows, args.csv)
-    return experiments.context_switch_table(rows)
 
 
 def _campaign_output(result) -> tuple:
@@ -664,7 +643,6 @@ _COMMANDS = {
     "fig5": run_fig5,
     "case-study": run_case_study,
     "quantum": run_quantum,
-    "context-switches": run_context_switches,
     "campaign": run_campaign,
     "telemetry-report": run_telemetry_report,
 }

@@ -5,32 +5,34 @@ One driver per table/figure of the paper.  The CLI
 call these functions; they can also be used interactively::
 
     from repro.analysis import experiments
-    rows = experiments.fig5_depth_sweep(depths=[1, 2, 4, 8, 16])
-    print(experiments.fig5_table(rows))
+    result = experiments.fig5_depth_sweep(depths=[1, 2, 4, 8, 16])
+    print(experiments.fig5_table(experiments.fig5_rows(result)))
+
+Each driver but the Fig. 2/3 example (which compares per-value dates and
+builds its models directly) describes its runs as
+:class:`~repro.campaign.spec.ScenarioSpec` objects and simulates them
+through :func:`repro.campaign.evaluators.simulate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..campaign.evaluators import sweep_point_specs
-from ..campaign.rows import SpecRunRecord
+from ..campaign.evaluators import simulate, sweep_point_specs
+from ..campaign.rows import CampaignResult, SpecRunRecord
 from ..campaign.runner import CampaignRunner
 from ..campaign.spec import MODE_REFERENCE, MODE_SMART, ScenarioSpec
-from ..kernel.simtime import SimTime, TimeUnit, ns
+from ..kernel.simtime import SimTime
 from ..kernel.simulator import Simulator
-from ..soc.platform import FifoPolicy, SocConfig, SocPlatform
-from ..td.quantum import GlobalQuantum
+from ..soc.platform import SocConfig
 from ..workloads.streaming import (
     ExampleMode,
     PipelineModel,
     StreamingConfig,
-    StreamingPipeline,
     WriterReaderExample,
 )
 from .reporting import ascii_table, dict_rows_table
-from .stats import RunResult, measure_run
 
 
 # ---------------------------------------------------------------------------
@@ -116,50 +118,89 @@ DEFAULT_FIG5_MODELS = (
 )
 
 
-def run_pipeline(
-    model: PipelineModel, config: StreamingConfig, label: Optional[str] = None
-) -> RunResult:
-    """Measure one pipeline run (wall time + kernel counters)."""
+def _streaming_spec(
+    name: str, config: StreamingConfig, depth: int, **fields
+) -> ScenarioSpec:
+    """A ``streaming`` spec of ``config``'s size (the builder's own
+    default is 10x25, so the size is always spelled out)."""
+    return ScenarioSpec(
+        name=name,
+        workload="streaming",
+        depth=depth,
+        params={
+            "n_blocks": config.n_blocks,
+            "words_per_block": config.words_per_block,
+        },
+        **fields,
+    )
 
-    def setup(sim: Simulator) -> StreamingPipeline:
-        return StreamingPipeline(sim, model, config)
 
-    def extras(sim: Simulator, pipeline: StreamingPipeline) -> Dict[str, float]:
-        pipeline.verify()
-        completion = pipeline.completion_time
-        return {
-            "completion_ns": completion.to(TimeUnit.NS) if completion else 0.0,
-            "fifo_depth": config.fifo_depth,
-            "model": model.value,
-        }
+def _run_specs(specs: Sequence[ScenarioSpec]) -> CampaignResult:
+    """Simulate each spec once, inline, in spec order."""
+    return CampaignRunner(workers=1, paired=False).run(specs)
 
-    return measure_run(label or model.value, setup, extras)
+
+def _model(record: SpecRunRecord) -> PipelineModel:
+    """The pipeline model the ``streaming`` builder ran for ``record``."""
+    if record.timing is not None:  # "untimed" or "quantum"
+        return PipelineModel(record.timing)
+    if record.mode == MODE_SMART:
+        return PipelineModel.TDFULL
+    return PipelineModel.TDLESS
+
+
+def _row(record: SpecRunRecord, label: str) -> Dict[str, object]:
+    """The table row of one simulated run (its wall clock is informative)."""
+    return {
+        "label": label,
+        "wall_seconds": round(record.wall_seconds, 4),
+        "context_switches": record.context_switches,
+        "method_invocations": record.method_invocations,
+        "delta_cycles": record.delta_cycles,
+        "sim_end": str(SimTime.from_femtoseconds(record.sim_end_fs)),
+    }
+
+
+def _streaming_row(record: SpecRunRecord) -> Dict[str, object]:
+    row = _row(record, record.name)
+    row["completion_ns"] = record.extra["completion_ns"]
+    row["fifo_depth"] = record.depth
+    row["model"] = _model(record).value
+    return row
 
 
 def fig5_depth_sweep(
     depths: Sequence[int] = DEFAULT_FIG5_DEPTHS,
     base_config: Optional[StreamingConfig] = None,
     models: Sequence[PipelineModel] = DEFAULT_FIG5_MODELS,
-) -> List[Dict[str, object]]:
-    """Reproduce the Fig. 5 sweep; returns one dict row per (depth, model)."""
+) -> CampaignResult:
+    """Reproduce the Fig. 5 sweep: one ``streaming`` spec per (depth,
+    model), named ``{model}_d{depth}``; :func:`fig5_rows` tabulates it.
+
+    Untimed runs ``timing="untimed"``, TDless the reference mode and
+    TDfull the Smart mode.  Only ``base_config``'s size (blocks, words)
+    is read.
+    """
     base = base_config or StreamingConfig()
-    rows: List[Dict[str, object]] = []
-    for depth in depths:
-        config = StreamingConfig(
-            n_blocks=base.n_blocks,
-            words_per_block=base.words_per_block,
-            fifo_depth=depth,
-            source_word_time=base.source_word_time,
-            transmitter_word_time=base.transmitter_word_time,
-            sink_word_time=base.sink_word_time,
-            block_overhead=base.block_overhead,
-        )
-        for model in models:
-            result = run_pipeline(model, config, label=f"{model.value}_d{depth}")
-            row = result.as_row()
-            row["depth"] = depth
-            row["model"] = model.value
-            rows.append(row)
+    fields = {
+        PipelineModel.UNTIMED: {"timing": "untimed"},
+        PipelineModel.TDLESS: {"mode": MODE_REFERENCE},
+        PipelineModel.TDFULL: {"mode": MODE_SMART},
+    }
+    return _run_specs([
+        _streaming_spec(f"{model.value}_d{depth}", base, depth, **fields[model])
+        for depth in depths
+        for model in models
+    ])
+
+
+def fig5_rows(result: CampaignResult) -> List[Dict[str, object]]:
+    """One dict row per (depth, model) of :func:`fig5_depth_sweep`."""
+    rows = []
+    for record in result.runs:
+        row = _streaming_row(record)
+        row["depth"] = record.depth
+        rows.append(row)
     return rows
 
 
@@ -323,24 +364,44 @@ def fig5_replay_sweep(
 # ---------------------------------------------------------------------------
 # EXP-CASE — the heterogeneous many-core case study
 # ---------------------------------------------------------------------------
+#: Row label of each case-study policy.
+_POLICY_LABELS = {MODE_REFERENCE: "sync_per_access", MODE_SMART: "smart_fifo"}
+
+
 @dataclass
 class CaseStudyResult:
     """Comparison of the two FIFO policies on the same SoC and job."""
 
-    smart: RunResult
-    sync: RunResult
-    timing_identical: bool
-    consumer_dates_ns: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: The reference (sync-per-access) and Smart runs of the ``soc`` spec.
+    sync: SpecRunRecord
+    smart: SpecRunRecord
+    #: The most-activated processes of each run as ``(name, activations)``
+    #: keyed by mode: the per-process breakdown behind the switch counts.
+    top_processes: Dict[str, List[Tuple[str, int]]]
+
+    @property
+    def timing_identical(self) -> bool:
+        """Every consumer finishes on the same date under both policies."""
+        return (self.sync.extra["consumer_finish_ns"]
+                == self.smart.extra["consumer_finish_ns"])
 
     @property
     def gain_percent(self) -> float:
-        return self.smart.gain_percent_vs(self.sync)
+        """Wall-clock gain of Smart over sync-per-access (the paper's
+        38.0 s -> 21.9 s is a gain of 42.3 %)."""
+        if self.sync.wall_seconds == 0:
+            return 0.0
+        return 100.0 * (
+            self.sync.wall_seconds - self.smart.wall_seconds
+        ) / self.sync.wall_seconds
 
     def rows(self) -> List[Dict[str, object]]:
         """One dict row per policy (CSV-friendly counterpart of :meth:`table`)."""
         rows = []
-        for result in (self.sync, self.smart):
-            row = result.as_row()
+        for record in (self.sync, self.smart):
+            row = _row(record, _POLICY_LABELS[record.mode])
+            row["fifo_blocking_waits"] = record.extra["fifo_blocking_waits"]
+            row["noc_packets"] = record.extra["noc_packets"]
             row["gain_percent"] = round(self.gain_percent, 2)
             row["timing_identical"] = self.timing_identical
             rows.append(row)
@@ -349,17 +410,13 @@ class CaseStudyResult:
     def table(self) -> str:
         rows = [
             [
-                "sync-per-access",
-                f"{self.sync.wall_seconds:.4f}",
-                self.sync.context_switches,
-                self.sync.extra.get("fifo_blocking_waits", ""),
-            ],
-            [
-                "Smart FIFO",
-                f"{self.smart.wall_seconds:.4f}",
-                self.smart.context_switches,
-                self.smart.extra.get("fifo_blocking_waits", ""),
-            ],
+                policy,
+                f"{record.wall_seconds:.4f}",
+                record.context_switches,
+                record.extra["fifo_blocking_waits"],
+            ]
+            for policy, record in (("sync-per-access", self.sync),
+                                   ("Smart FIFO", self.smart))
         ]
         table = ascii_table(
             ["policy", "wall seconds", "context switches", "fifo blocking waits"],
@@ -373,39 +430,33 @@ class CaseStudyResult:
         )
 
 
-def case_study(config: Optional[SocConfig] = None) -> CaseStudyResult:
-    """Run the case-study SoC with both FIFO policies and compare."""
-    config = config or SocConfig.benchmark()
-    finishes: Dict[str, Dict[str, float]] = {}
-
-    def make_setup(policy: FifoPolicy):
-        def setup(sim: Simulator) -> SocPlatform:
-            return SocPlatform(sim, policy=policy, config=config)
-
-        return setup
-
-    def extras(sim: Simulator, platform: SocPlatform) -> Dict[str, float]:
-        platform.verify()
-        dates = {
-            name: time.to(TimeUnit.NS) if time is not None else -1.0
-            for name, time in platform.consumer_finish_times().items()
-        }
-        finishes[platform.policy.value] = dates
-        return {
-            "fifo_blocking_waits": platform.fifo_blocking_waits(),
-            "noc_packets": platform.mesh.total_packets_routed,
-        }
-
-    sync_result = measure_run(
-        "sync_per_access", make_setup(FifoPolicy.SYNC_PER_ACCESS), extras
+def case_study(
+    n_chains: int = 4, items_per_chain: int = 512, workers_per_chain: int = 3
+) -> CaseStudyResult:
+    """Run the case-study SoC (:meth:`SocConfig.benchmark`, with
+    ``workers_per_chain`` workers per chain) as a ``soc`` spec under both
+    FIFO policies and compare."""
+    config = SocConfig.benchmark(n_chains=n_chains, items_per_chain=items_per_chain)
+    spec = ScenarioSpec(
+        name="case_study",
+        workload="soc",
+        depth=config.fifo_depth,
+        params={
+            "n_chains": n_chains,
+            "workers_per_chain": workers_per_chain,
+            "items_per_chain": items_per_chain,
+            "monitor_repetitions": config.monitor_repetitions,
+            "monitor_period_ns": config.monitor_period_ns,
+        },
     )
-    smart_result = measure_run("smart_fifo", make_setup(FifoPolicy.SMART), extras)
-    timing_identical = finishes.get("smart") == finishes.get("sync")
+    records, top = {}, {}
+    for mode in (MODE_REFERENCE, MODE_SMART):
+        sim, records[mode] = simulate(spec.with_mode(mode))
+        sim.trace.close()
+        top[mode] = sim.stats.top_processes(8)
     return CaseStudyResult(
-        smart=smart_result,
-        sync=sync_result,
-        timing_identical=timing_identical,
-        consumer_dates_ns=finishes,
+        sync=records[MODE_REFERENCE], smart=records[MODE_SMART],
+        top_processes=top,
     )
 
 
@@ -415,53 +466,42 @@ def case_study(config: Optional[SocConfig] = None) -> CaseStudyResult:
 def quantum_ablation(
     quanta_ns: Sequence[int] = (0, 100, 1000, 10000),
     config: Optional[StreamingConfig] = None,
-) -> List[Dict[str, object]]:
+) -> CampaignResult:
     """Compare quantum-based decoupling against TDless and the Smart FIFO.
 
     For each quantum the pipeline runs with regular FIFOs and quantum-keeper
-    decoupling; the completion date is compared with the TDless reference to
-    quantify the timing error, while the wall time and context switches show
-    the speed side of the trade-off.  The Smart FIFO row (exact timing, no
-    quantum to tune) is appended for comparison.
+    decoupling (``timing="quantum"``); :func:`quantum_rows` compares its
+    completion date with the TDless reference run (``tdless_reference``)
+    to quantify the timing error, while the wall time and context switches
+    show the speed side of the trade-off.  The Smart FIFO run
+    (``smart_fifo``: exact timing, no quantum to tune) comes last.
     """
     config = config or StreamingConfig()
-    rows: List[Dict[str, object]] = []
-
-    reference = run_pipeline(PipelineModel.TDLESS, config, label="tdless_reference")
-    reference_completion = reference.extra["completion_ns"]
-    reference_row = reference.as_row()
-    reference_row.update({"quantum_ns": "-", "timing_error_ns": 0.0})
-    rows.append(reference_row)
-
-    for quantum_ns in quanta_ns:
-        def setup(sim: Simulator, quantum_ns=quantum_ns) -> StreamingPipeline:
-            GlobalQuantum.instance(sim).set(quantum_ns, TimeUnit.NS)
-            return StreamingPipeline(sim, PipelineModel.QUANTUM, config)
-
-        def extras(sim: Simulator, pipeline: StreamingPipeline) -> Dict[str, float]:
-            pipeline.verify()
-            completion = pipeline.completion_time
-            return {
-                "completion_ns": completion.to(TimeUnit.NS) if completion else 0.0,
-            }
-
-        result = measure_run(f"quantum_{quantum_ns}ns", setup, extras)
-        row = result.as_row()
-        row["quantum_ns"] = quantum_ns
-        row["timing_error_ns"] = abs(
-            result.extra["completion_ns"] - reference_completion
-        )
-        rows.append(row)
-
-    smart = run_pipeline(PipelineModel.TDFULL, config, label="smart_fifo")
-    smart_row = smart.as_row()
-    smart_row.update(
-        {
-            "quantum_ns": "none needed",
-            "timing_error_ns": abs(smart.extra["completion_ns"] - reference_completion),
-        }
+    depth = config.fifo_depth
+    return _run_specs(
+        [_streaming_spec("tdless_reference", config, depth, mode=MODE_REFERENCE)]
+        + [
+            _streaming_spec(f"quantum_{quantum_ns}ns", config, depth,
+                            timing="quantum", quantum_ns=quantum_ns)
+            for quantum_ns in quanta_ns
+        ]
+        + [_streaming_spec("smart_fifo", config, depth, mode=MODE_SMART)]
     )
-    rows.append(smart_row)
+
+
+def quantum_rows(result: CampaignResult) -> List[Dict[str, object]]:
+    """One dict row per run of :func:`quantum_ablation`, with its timing
+    error against the TDless reference."""
+    rows = [_streaming_row(record) for record in result.runs]
+    reference = next(row for row in rows if row["label"] == "tdless_reference")
+    for row, record in zip(rows, result.runs):
+        if record.timing == "quantum":
+            row["quantum_ns"] = record.quantum_ns
+        else:
+            row["quantum_ns"] = "-" if row is reference else "none needed"
+        row["timing_error_ns"] = abs(
+            row["completion_ns"] - reference["completion_ns"]
+        )
     return rows
 
 
@@ -477,36 +517,3 @@ def quantum_table(rows: Sequence[Dict[str, object]]) -> str:
     return dict_rows_table(
         rows, columns, title="Quantum ablation — accuracy/speed trade-off"
     )
-
-
-# ---------------------------------------------------------------------------
-# EXP-CSW — context-switch accounting (machine-independent Fig. 5 companion)
-# ---------------------------------------------------------------------------
-def context_switch_sweep(
-    depths: Sequence[int] = (1, 2, 4, 8, 16, 32),
-    base_config: Optional[StreamingConfig] = None,
-) -> List[Dict[str, object]]:
-    """Context-switch counts per model and FIFO depth (no wall-clock noise)."""
-    rows = fig5_depth_sweep(depths, base_config)
-    return [
-        {
-            "depth": row["depth"],
-            "model": row["model"],
-            "context_switches": row["context_switches"],
-            "delta_cycles": row["delta_cycles"],
-        }
-        for row in rows
-    ]
-
-
-def context_switch_table(rows: Sequence[Dict[str, object]]) -> str:
-    return dict_rows_table(
-        rows,
-        ["depth", "model", "context_switches", "delta_cycles"],
-        title="Context switches vs FIFO depth",
-    )
-
-
-Iterable  # typing convenience re-export
-SimTime
-ns

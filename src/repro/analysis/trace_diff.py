@@ -23,7 +23,7 @@ Two implementations of the reorder-and-compare check coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from ..kernel.tracing import ListSink, SpoolSink, TraceRecord, format_entry
 
@@ -162,6 +162,3 @@ def emission_order_changed(
     expected signature of a correct Smart FIFO run.
     """
     return reference.formatted_lines() != candidate.formatted_lines()
-
-
-Tuple  # typing re-export for annotations in downstream modules

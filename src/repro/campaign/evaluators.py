@@ -11,11 +11,12 @@ scheduler run; the paper's observables, however, are completely
 determined by the *dependency structure* of the anchor run — each FIFO
 access's producer date and the local-time gaps between accesses — which
 Smart-FIFO temporal decoupling keeps invariant across depth and quantum.
-:class:`ReplayEvaluator` records the anchor point **once** with a
-:class:`~repro.kernel.tracing.DependencyRecorder`, self-checks the
-recording bit-for-bit against the anchor, then prices every other point
-by replaying the recorded programs on :class:`~repro.replay.ReplayEngine`
-— no scheduler, no generators, no scenario rebuild.
+:func:`route_group` records the anchor point **once** with a
+:class:`~repro.kernel.tracing.DependencyRecorder`;
+:class:`ReplayEvaluator` self-checks the recording bit-for-bit against
+the anchor, then prices every other point by replaying the recorded
+programs on :class:`~repro.replay.ReplayEngine` — no scheduler, no
+generators, no scenario rebuild.
 
 Replayed points produce :class:`~repro.campaign.rows.SpecRunRecord` rows
 in the campaign's JSONL schema, tagged ``"evaluator": "replay"``
@@ -243,8 +244,8 @@ def replay_record(
 class ReplayEvaluator:
     """Replays one recorded anchor at arbitrary depth/quantum points.
 
-    Construction records the anchor (or adopts a caller-provided spool),
-    then runs the engine's self-check so a recording that cannot
+    Construction adopts the anchor's recording (see :func:`record_spool`)
+    and runs the engine's self-check, so a recording that cannot
     reproduce its own simulation is rejected up front
     (:class:`~repro.replay.ReplayMismatch`).  Workloads whose behaviour
     depends on what the recorder cannot see (a method process touching a
@@ -253,18 +254,11 @@ class ReplayEvaluator:
     producing wrong sweeps.
     """
 
-    def __init__(
-        self,
-        anchor: ScenarioSpec,
-        spool: Optional[DependencySpool] = None,
-        trace_sink: str = DEFAULT_TRACE_SINK,
-    ):
+    def __init__(self, anchor: ScenarioSpec, spool: DependencySpool):
         # The engine loads with the first evaluator, not with the campaign.
         from ..replay import ReplayEngine
 
         self.anchor = anchor
-        if spool is None:
-            spool, _ = record_spool(anchor, trace_sink)
         self.engine = ReplayEngine(spool)
         self.engine.self_check()
 
@@ -524,7 +518,7 @@ def route_group(
     with telemetry.span("replay.record", spec=anchor.name):
         spool, anchor_record = record_spool(anchor, trace_sink)
         try:
-            evaluator = ReplayEvaluator(anchor, spool=spool)
+            evaluator = ReplayEvaluator(anchor, spool)
         except ReplayError as exc:
             unreplayable = exc
         else:

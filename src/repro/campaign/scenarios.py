@@ -23,7 +23,8 @@ contract:
 * ``contention`` — any :class:`ContentionConfig` field except
   ``seed``/``fifo_depth``;
 * ``soc`` — ``n_chains``, ``workers_per_chain``, ``items_per_chain``,
-  ``packet_size``;
+  ``packet_size``, ``monitor_repetitions``, ``monitor_period_ns`` (the
+  mesh height follows ``n_chains`` as in :meth:`SocConfig.benchmark`);
 * ``noc_stress`` — any :class:`NocStressConfig` field except
   ``seed``/``fifo_depth``;
 * ``packet_stream`` — any :class:`PacketStreamConfig` field except
@@ -366,18 +367,22 @@ def build_mixed(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     "soc",
     pairable=False,
     description="Section IV-C heterogeneous many-core SoC case study",
-    param_keys=("n_chains", "workers_per_chain", "items_per_chain", "packet_size"),
+    param_keys=("n_chains", "workers_per_chain", "items_per_chain", "packet_size",
+                "monitor_repetitions", "monitor_period_ns"),
 )
 def build_soc(sim: Simulator, spec: ScenarioSpec) -> BuiltScenario:
     _reject_timing_override(spec)
-    config = SocConfig(
-        n_chains=int(spec.params.get("n_chains", 2)),
+    # The case study's platform (its mesh grows with n_chains), resized.
+    config = replace(
+        SocConfig.benchmark(
+            n_chains=int(spec.params.get("n_chains", 2)),
+            items_per_chain=int(spec.params.get("items_per_chain", 64)),
+        ),
         workers_per_chain=int(spec.params.get("workers_per_chain", 2)),
-        items_per_chain=int(spec.params.get("items_per_chain", 64)),
         packet_size=int(spec.params.get("packet_size", 4)),
         fifo_depth=spec.depth,
-        monitor_repetitions=2,
-        monitor_period_ns=1500,
+        monitor_repetitions=int(spec.params.get("monitor_repetitions", 2)),
+        monitor_period_ns=int(spec.params.get("monitor_period_ns", 1500)),
     )
     config.validate()
     policy = FifoPolicy.SMART if spec.mode == MODE_SMART else FifoPolicy.SYNC_PER_ACCESS

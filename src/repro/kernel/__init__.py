@@ -51,7 +51,6 @@ from .simtime import (
     as_time,
     fs,
     ns,
-    ps,
     us,
 )
 from .simulator import Simulator, simulate
@@ -119,7 +118,6 @@ __all__ = [
     "current_simulator_or_none",
     "fs",
     "ns",
-    "ps",
     "set_current_simulator",
     "simulate",
     "us",

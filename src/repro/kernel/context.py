@@ -14,8 +14,6 @@ replaces the current one.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import SimulationError
 
 _CURRENT_SIMULATOR = None
@@ -52,6 +50,3 @@ def current_process():
     if sim is None:
         return None
     return sim.scheduler.current_process
-
-
-Optional  # silence linters about unused typing import when stripped

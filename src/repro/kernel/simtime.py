@@ -183,11 +183,6 @@ def fs(value: Number) -> SimTime:
     return SimTime(value, TimeUnit.FS)
 
 
-def ps(value: Number) -> SimTime:
-    """``value`` picoseconds."""
-    return SimTime(value, TimeUnit.PS)
-
-
 def ns(value: Number) -> SimTime:
     """``value`` nanoseconds."""
     return SimTime(value, TimeUnit.NS)

@@ -522,6 +522,10 @@ class _Stream:
         self.pre = 0
 
 
+def _ignore(*args) -> None:
+    """What a poisoned recorder does with every op."""
+
+
 class DependencyRecorder:
     """Collects the dependency record of one simulation.
 
@@ -535,8 +539,14 @@ class DependencyRecorder:
     process's ``array('q')`` date column.  Accesses that replay cannot
     reproduce (occupancy probes other than ``get_size``, anything a method
     process records, process-less callers) poison the recording instead
-    of raising, and :meth:`finalize` reports the reason.
+    of raising, and :meth:`finalize` reports the reason.  No replay reads
+    a poisoned recording, so from its first poison on nothing more is
+    recorded (see :meth:`poison`).
     """
+
+    #: The methods that stop at the first poison (see :meth:`poison`).
+    _RECORDING = ("word", "span", "sync_point", "timed", "quantum", "inc",
+                  "get_size", "probe", "wait_cap", "grant")
 
     def __init__(self, sim):
         self.sim = sim
@@ -648,7 +658,8 @@ class DependencyRecorder:
         self._append(OP_GRANT, arbiter_index, access_fs, grant_fs)
 
     def poison(self, reason: str) -> None:
-        """Mark the recording as non-replayable (first reason wins).
+        """Mark the recording as non-replayable (first reason wins) and
+        stop recording.
 
         The name of the process executing the poisoning construct is
         appended, so the :class:`~repro.replay.ReplayError` that refuses
@@ -660,6 +671,13 @@ class DependencyRecorder:
             if process is not None:
                 reason = f"{reason} [in process {process.name}]"
             self.poison_reason = reason
+            # The FIFOs drop the recorder and instance attributes shadow
+            # its recording methods, so the rest of the run is a plain
+            # simulation, and an unpoisoned recording checks nothing per op.
+            for fifo in self._fifo_objs:
+                fifo._dep = None
+            for name in self._RECORDING:
+                setattr(self, name, _ignore)
 
     # -- registration ---------------------------------------------------
     def register_fifo(self, fifo, kind: str, depth: int,

@@ -33,7 +33,7 @@ from ...fifo.packet_fifo import PacketSmartFifo
 from ...fifo.regular_fifo import RegularFifo
 from ...kernel.errors import SimulationError
 from ...kernel.module import Module
-from ...kernel.simtime import SimTime, ZERO_TIME, ns
+from ...kernel.simtime import SimTime, ns
 from ...kernel.simulator import Simulator
 from ...td.decoupling import DecoupledMixin
 from ...td.local_time import get_local_time_manager
@@ -213,6 +213,3 @@ class DestNetworkInterface(DecoupledMixin, Module):
                     return
                 self.words_delivered += 1
                 ltm.advance_fs(process, delivery_fs)
-
-
-ZERO_TIME  # convenience re-export

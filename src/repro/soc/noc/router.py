@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple, Union
 from ...fifo.regular_fifo import RegularFifo
 from ...kernel.errors import SimulationError
 from ...kernel.module import Module
-from ...kernel.simtime import SimTime, ZERO_TIME, ns
+from ...kernel.simtime import SimTime, ns
 from ...kernel.simulator import Simulator
 from .packet import Packet
 
@@ -145,6 +145,3 @@ class Router(Module):
                 self._busy_until_fs[out_port] = now_fs + self._hop_delay_fs(packet)
         if next_kick_fs is not None:
             self._kick.notify_fs(next_kick_fs - now_fs)
-
-
-ZERO_TIME  # re-exported convenience

@@ -14,7 +14,7 @@ from typing import Dict, List, Union
 
 from ..kernel.errors import TlmError
 from ..kernel.module import Module
-from ..kernel.simtime import SimTime, ZERO_TIME, ns
+from ..kernel.simtime import SimTime, ns
 from ..kernel.simulator import Simulator
 from .payload import GenericPayload, TlmResponse
 from .sockets import TransportInterface
@@ -101,6 +101,3 @@ class Bus(Module, TransportInterface):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Bus({self.full_name!r}, targets={[r.name for r in self._ranges]})"
-
-
-ZERO_TIME  # re-exported for convenience in user code importing from tlm.bus

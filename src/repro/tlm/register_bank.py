@@ -11,7 +11,7 @@ monitor interface...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
 from ..kernel.errors import TlmError
@@ -120,6 +120,3 @@ class RegisterBank(Module):
         else:
             payload.response = TlmResponse.COMMAND_ERROR
         return delay + self.access_latency
-
-
-field  # keep dataclasses import explicit for future extensions

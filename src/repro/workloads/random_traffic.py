@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from ..fifo.interfaces import FifoInterface
 from ..fifo.regular_fifo import RegularFifo
 from ..fifo.smart_fifo import SmartFifo
-from ..kernel.simtime import SimTime, TimeUnit, ns, ps
+from ..kernel.simtime import TimeUnit
 from ..kernel.simulator import Simulator
 from .base import TimingMode, WorkloadModule
 
@@ -203,8 +203,3 @@ def run_pair(
     dec = RandomTrafficScenario(dec_sim, decoupled=True, config=config, with_monitor=with_monitor)
     dec.run()
     return ref_sim, dec_sim, ref, dec
-
-
-SimTime
-ns
-ps

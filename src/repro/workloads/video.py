@@ -16,7 +16,7 @@ validation and a realistic example application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..fifo.interfaces import FifoInterface
 from ..fifo.regular_fifo import RegularFifo
@@ -211,6 +211,3 @@ class VideoPipeline:
     @property
     def completion_time(self) -> Optional[SimTime]:
         return self.display.finish_time
-
-
-Union  # typing import kept for signature extensions

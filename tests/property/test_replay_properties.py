@@ -220,7 +220,7 @@ def test_out_of_envelope_raises_replay_invalid():
         depth=8,
         seed=3,
     )
-    evaluator = ReplayEvaluator(anchor)
+    evaluator = ReplayEvaluator(anchor, record_spool(anchor)[0])
     point = replace(anchor, name="prop_envelope_d1", depth=1,
                     params=dict(anchor.params))
     with pytest.raises(ReplayInvalid) as err:

@@ -21,6 +21,13 @@ class TestParser:
         args = cli.build_parser().parse_args(["fig5", "--depths", "1,2,8"])
         assert args.depths == [1, 2, 8]
 
+    def test_context_switches_is_not_a_command(self, capsys):
+        # ``fig5`` prints and writes the same counters.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["context-switches"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'context-switches'" in capsys.readouterr().err
+
 
 class TestBrokenPipe:
     def test_a_reader_that_went_away_ends_the_run_quietly(self):
@@ -72,7 +79,10 @@ class TestCommands:
         assert "tdfull" in output
         with open(csv_path) as handle:
             header = handle.readline()
-        assert "wall_seconds" in header
+        # The context-switch sweep's columns ride in the Fig. 5 rows.
+        assert {"wall_seconds", "context_switches", "delta_cycles"} <= set(
+            header.strip().split(",")
+        )
 
     def test_case_study_command(self, capsys):
         assert (
@@ -90,16 +100,6 @@ class TestCommands:
         )
         output = capsys.readouterr().out
         assert "timing_error_ns" in output
-
-    def test_context_switches_command(self, capsys):
-        assert (
-            cli.main(
-                ["context-switches", "--depths", "1,8", "--blocks", "2", "--words", "10"]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "context_switches" in output
 
 
 class TestCsvOnEverySubcommand:
@@ -128,14 +128,6 @@ class TestCsvOnEverySubcommand:
             tmp_path, ["quantum", "--quanta", "0,1000", "--blocks", "2", "--words", "10"]
         )
         assert "quantum_ns" in header and "timing_error_ns" in header
-        assert body.strip()
-
-    def test_context_switches_csv(self, capsys, tmp_path):
-        header, body = self.run_with_csv(
-            tmp_path,
-            ["context-switches", "--depths", "1,8", "--blocks", "2", "--words", "10"],
-        )
-        assert "context_switches" in header
         assert body.strip()
 
 

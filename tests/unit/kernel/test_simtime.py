@@ -14,7 +14,6 @@ from repro.kernel.simtime import (
     as_time,
     fs,
     ns,
-    ps,
     us,
 )
 
@@ -26,7 +25,7 @@ class TestConstruction:
 
     def test_unit_scaling(self):
         assert ns(1).femtoseconds == 10 ** 6
-        assert ps(1).femtoseconds == 10 ** 3
+        assert SimTime(1, PS).femtoseconds == 10 ** 3
         assert us(1).femtoseconds == 10 ** 9
         assert SimTime(1, TimeUnit.MS).femtoseconds == 10 ** 12
         assert SimTime(1, TimeUnit.SEC).femtoseconds == 10 ** 15
@@ -34,7 +33,7 @@ class TestConstruction:
 
     def test_float_values_round(self):
         assert ns(1.5).femtoseconds == 1_500_000
-        assert ps(0.4).femtoseconds == 400
+        assert SimTime(0.4, PS).femtoseconds == 400
 
     def test_negative_raises(self):
         with pytest.raises(SchedulingError):
@@ -117,14 +116,14 @@ class TestComparison:
         assert ns(3) >= ns(3)
 
     def test_equality_and_hash(self):
-        assert ns(1) == ps(1000)
-        assert hash(ns(1)) == hash(ps(1000))
+        assert ns(1) == SimTime(1000, PS)
+        assert hash(ns(1)) == hash(SimTime(1000, PS))
         assert ns(1) != ns(2)
         assert ns(1) != "1 ns"
 
     def test_sorting(self):
-        times = [ns(5), ps(10), us(1), ZERO_TIME]
-        assert sorted(times) == [ZERO_TIME, ps(10), ns(5), us(1)]
+        times = [ns(5), SimTime(10, PS), us(1), ZERO_TIME]
+        assert sorted(times) == [ZERO_TIME, SimTime(10, PS), ns(5), us(1)]
 
 
 class TestDisplay:

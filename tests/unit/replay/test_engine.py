@@ -30,6 +30,7 @@ from repro.campaign.evaluators import (
     record_spool,
     replay_group_key,
     replay_record,
+    simulate,
 )
 from repro.replay import (
     ReplayEngine,
@@ -102,6 +103,34 @@ class TestMethodProcesses:
             "dst_ni_0_1.arrivals from a method process "
             "[in process dst_ni_0_1.deliver]"
         )
+
+    @pytest.mark.parametrize("name", ["soc_2x64", "noc_stress_2x2"])
+    def test_a_poisoned_recording_stops_recording(self, monkeypatch, name):
+        """From its first poison on the recorder appends no op, and the
+        recording run's row is the plain simulation's."""
+        spec = next(s for s in default_campaign() if s.name == name)
+
+        def ops(recorder):
+            return sum(len(stream.program) + len(stream.dates)
+                       for stream in recorder._streams.values())
+
+        at_poison = []
+        poison = DependencyRecorder.poison
+
+        def spy(recorder, reason):
+            first = recorder.poison_reason is None
+            poison(recorder, reason)
+            if first:
+                at_poison.append(ops(recorder))
+
+        monkeypatch.setattr(DependencyRecorder, "poison", spy)
+        sim, recorded = simulate(spec, record_dependencies=True)
+        sim.trace.close()
+        assert len(at_poison) == 1
+        assert ops(sim.dep_recorder) == at_poison[0]
+        assert sim.dep_recorder.finalize().poison is not None
+        _, plain = simulate(spec)
+        assert recorded.deterministic_row() == plain.deterministic_row()
 
     def test_any_other_method_access_poisons_too(self, sim, host):
         recorder = sim.dep_recorder = DependencyRecorder(sim)
@@ -257,7 +286,7 @@ class TestRetargeting:
         assert aux.retarget_depths(STREAMING.depth, 16) == [16, 1]
 
     def test_an_unreproducible_probe_is_refused_with_its_origin(self):
-        evaluator = ReplayEvaluator(RANDOM)
+        evaluator = ReplayEvaluator(RANDOM, record_spool(RANDOM)[0])
         with pytest.raises(ReplayInvalid) as refused:
             evaluator.replay_point(replace(RANDOM, name="p", depth=1))
         assert (refused.value.process, refused.value.fifo,

@@ -10,7 +10,7 @@ included — to be identical.
 """
 
 from repro.fifo import RegularFifo, SmartFifo
-from repro.kernel import Simulator, ns, ps
+from repro.kernel import PS, SimTime, Simulator, ns
 from repro.soc import FifoLevelProbe
 from repro.workloads import (
     RandomConsumer,
@@ -38,7 +38,7 @@ def run_probed_traffic(decoupled: bool, config: RandomTrafficConfig):
         [fifo],
         period=ns(config.monitor_period_ns),
         samples=config.monitor_samples,
-        start_offset=ps(500),
+        start_offset=SimTime(500, PS),
     )
     sim.run()
     return probe
@@ -65,7 +65,7 @@ class TestProbeDatesAreLocal:
         )
         probe = run_probed_traffic(True, config)
         expected = [
-            ps(500).femtoseconds + i * ns(40).femtoseconds
+            SimTime(500, PS).femtoseconds + i * ns(40).femtoseconds
             for i in range(config.monitor_samples)
         ]
         assert [s.date.femtoseconds for s in probe.samples] == expected

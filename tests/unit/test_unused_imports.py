@@ -3,9 +3,10 @@
 The scan parses every non-``__init__`` module under ``src/repro`` (package
 ``__init__`` files import in order to re-export) and fails on each
 imported name the module never refers to: a name counts as used when it
-occurs as a name anywhere in the module's syntax tree.  ``from
-__future__`` imports and names listed in the module's ``__all__`` are
-exempt.
+occurs as a name anywhere in the module's syntax tree, except as a
+statement of its own (``Optional`` alone on a line only hides an unused
+import from this scan).  ``from __future__`` imports and names listed in
+the module's ``__all__`` are exempt.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ def _imported_names(tree: ast.Module):
 
 
 def _used_names(tree: ast.Module) -> set:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bare = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Name)
+    }
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and id(node) not in bare
+    }
 
 
 def _exported_names(tree: ast.Module) -> set:
@@ -65,13 +73,15 @@ def test_the_scan_exempts_future_imports_and_exported_names():
     tree = ast.parse(
         "from __future__ import annotations\n"
         "import os.path\n"
-        "from typing import List, Optional\n"
+        "from typing import List, Optional, Tuple\n"
         "from .cells import CellRing as Ring\n"
         "from .errors import FifoError\n"
         "__all__ = ['FifoError']\n"
         "def f(ring: Ring) -> Optional[int]:\n"
+        "    Tuple\n"
         "    return os.path.sep\n"
+        "Tuple  # a bare name statement is not a use\n"
     )
     used = _used_names(tree) | _exported_names(tree)
     unused = [name for _, name in _imported_names(tree) if name not in used]
-    assert unused == ["List"]
+    assert unused == ["List", "Tuple"]
